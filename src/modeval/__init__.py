@@ -67,6 +67,7 @@ from .sandbox import (
     ExecStatus,
     ExecutionReport,
     InfrastructureError,
+    Judge,
     JudgeVerdict,
     ResourceLimits,
     VerdictCache,

@@ -22,7 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import codemetrics, evaluate, promptgen, sandbox, validator
+from . import __version__, codemetrics, evaluate, promptgen, sandbox, validator
 from .corpus import (
     Corpus,
     CorpusError,
@@ -43,10 +43,8 @@ from .llm_client import (
     complete_batch,
 )
 from .promptgen import ModularSolution, ParseError
-from .sandbox import ComparePolicy, InfrastructureError, ResourceLimits, VerdictCache
+from .sandbox import ComparePolicy, InfrastructureError, Judge, ResourceLimits, VerdictCache
 from .validator import AssessmentResult, FilterRecord, Marker, Verdict
-
-VERSION = "0.1.0"
 
 
 class ConfigError(Exception):
@@ -172,11 +170,17 @@ def _make_provider(cfg: PipelineConfig):
     return HttpProvider()
 
 
-def _caches(cfg: PipelineConfig) -> tuple[ResponseCache | None, VerdictCache | None]:
-    if not cfg.use_cache or not cfg.cache_dir:
-        return None, None
-    root = Path(cfg.cache_dir)
-    return ResponseCache(root / "responses"), VerdictCache(root / "verdicts")
+def _caches(cfg: PipelineConfig) -> tuple[ResponseCache | None, Judge]:
+    """The response cache, and the judge every sandbox run of a command goes through."""
+    rcache = vcache = None
+    if cfg.use_cache and cfg.cache_dir:
+        root = Path(cfg.cache_dir)
+        rcache, vcache = ResponseCache(root / "responses"), VerdictCache(root / "verdicts")
+    judge = Judge(
+        limits=cfg.limits, policy=cfg.policy, runner=cfg.runner,
+        fail_fast=cfg.fail_fast, keep_scratch=cfg.keep_scratch, cache=vcache,
+    )
+    return rcache, judge
 
 
 def _outdir(cfg: PipelineConfig, command: str) -> Path:
@@ -192,7 +196,7 @@ def _write_manifest(out: Path, command: str, cfg: PipelineConfig) -> None:
     manifest = {
         "command": command,
         "config_hash": config_hash,
-        "version": VERSION,
+        "version": __version__,
         "python": ".".join(str(v) for v in sys.version_info[:3]),
     }
     (out / "manifest.json").write_text(
@@ -237,7 +241,7 @@ def _assess_clean(text: str) -> tuple[AssessmentResult, str | None]:
 def cmd_transform(cfg: PipelineConfig) -> int:
     corpus = _corpus_for(cfg, cfg.transform_split)
     provider = _make_provider(cfg)
-    rcache, vcache = _caches(cfg)
+    rcache, judge = _caches(cfg)
     out = _outdir(cfg, "transform")
 
     if cfg.dedup_holdout_split:
@@ -299,14 +303,7 @@ def cmd_transform(cfg: PipelineConfig) -> int:
         and not item[0].untestable
     ]
     verdicts = sandbox.judge_batch(
-        [(staged[i][2], staged[i][0][0]) for i in judge_idx],
-        cfg.limits,
-        cfg.policy,
-        workers=cfg.workers,
-        runner=cfg.runner,
-        fail_fast=cfg.fail_fast,
-        keep_scratch=cfg.keep_scratch,
-        verdict_cache=vcache,
+        [(staged[i][2], staged[i][0][0]) for i in judge_idx], judge, workers=cfg.workers
     )
     verdict_by_idx = dict(zip(judge_idx, verdicts))
 
@@ -321,15 +318,7 @@ def cmd_transform(cfg: PipelineConfig) -> int:
             })
             continue
         if assessment.accepted and i in verdict_by_idx:
-            verdict = verdict_by_idx[i]
-            if not verdict.passed:
-                idx = verdict.first_failure
-                status = verdict.per_test[idx][0].status.value if idx is not None else "unknown"
-                assessment = AssessmentResult(
-                    verdict=Verdict.REJECT,
-                    marker=Marker.M4_TESTS_FAILED,
-                    detail=f"first failing test {idx} ({status})",
-                )
+            assessment = validator.assess_verdict(verdict_by_idx[i])
         elif assessment.accepted and problem.untestable:
             assessment = AssessmentResult(
                 verdict=Verdict.ACCEPT, detail="functional check skipped (untestable)"
@@ -427,8 +416,7 @@ def _build_records(
     cfg: PipelineConfig,
     corpus: Corpus,
     candidates: list[tuple[str, list[str]]],
-    vcache: VerdictCache | None,
-    workers: int | None = None,
+    judge: Judge,
 ) -> list[GenerationRecord]:
     unknown = sorted({pid for pid, _ in candidates if pid not in corpus})
     if unknown:
@@ -444,14 +432,7 @@ def _build_records(
             judged.append((pid, code))
 
     verdicts = sandbox.judge_batch(
-        [(code, corpus.get(pid)) for pid, code in judged],
-        cfg.limits,
-        cfg.policy,
-        workers=workers if workers is not None else cfg.workers,
-        runner=cfg.runner,
-        fail_fast=cfg.fail_fast,
-        keep_scratch=cfg.keep_scratch,
-        verdict_cache=vcache,
+        [(code, corpus.get(pid)) for pid, code in judged], judge, workers=cfg.workers
     )
 
     by_problem: dict[str, list[CandidateResult]] = {}
@@ -527,11 +508,11 @@ def _records_rows(records: list[GenerationRecord], corpus: Corpus) -> list[dict]
 
 def cmd_evaluate(cfg: PipelineConfig, candidates_path: str) -> int:
     corpus = _corpus_for(cfg, cfg.eval_split)
-    _, vcache = _caches(cfg)
+    _, judge = _caches(cfg)
     out = _outdir(cfg, "evaluate")
 
     candidates = _load_candidates(Path(candidates_path))
-    records = _build_records(cfg, corpus, candidates, vcache)
+    records = _build_records(cfg, corpus, candidates, judge)
     try:
         report = evaluate.evaluate_corpus(corpus, records, cfg.ks, all_mode=cfg.all_mode)
     except ValueError as exc:
@@ -613,21 +594,13 @@ def cmd_reflect(cfg: PipelineConfig) -> int:
     ]
 
     provider = _make_provider(cfg)
-    rcache, vcache = _caches(cfg)
+    rcache, judge = _caches(cfg)
     traces: list[evaluate.ReflectionTrace] = []
     if failed:
         def reflect_one(pid: str) -> evaluate.ReflectionTrace:
             return evaluate.self_reflect(
-                corpus.get(pid),
-                cfg.provider,
-                cfg.limits,
-                cfg.max_reflection_rounds,
-                provider=provider,
-                cache=rcache,
-                policy=cfg.policy,
-                runner=cfg.runner,
-                keep_scratch=cfg.keep_scratch,
-                verdict_cache=vcache,
+                corpus.get(pid), cfg.provider, judge, cfg.max_reflection_rounds,
+                provider=provider, cache=rcache,
             )
 
         if cfg.workers == 1 or len(failed) == 1:

@@ -216,8 +216,10 @@ def sloc_and_comments(source: str) -> tuple[int, int, int, float]:
     comment lines are pure-comment lines plus docstring-only lines; the
     density is comment_lines / total_lines (0 for empty source).
     """
-    tokens = tokenize(source)
-    total_lines = len(source.splitlines())
+    return _line_counts(tokenize(source), len(source.splitlines()))
+
+
+def _line_counts(tokens: TokenStream, total_lines: int) -> tuple[int, int, int, float]:
     doc_lines = _standalone_string_spans(tokens)
     code_lines: set[int] = set()
     comment_lines: set[int] = set()
@@ -238,7 +240,10 @@ def sloc_and_comments(source: str) -> tuple[int, int, int, float]:
 
 def cyclomatic_complexity(source: str) -> int:
     """1 + number of decision tokens (see DECISION_KEYWORDS)."""
-    tokens = tokenize(source)
+    return _cyclomatic(tokenize(source))
+
+
+def _cyclomatic(tokens: TokenStream) -> int:
     return 1 + sum(
         1 for t in tokens if t.kind is TokenKind.KEYWORD and t.text in DECISION_KEYWORDS
     )
@@ -319,7 +324,10 @@ def maintainability_index(
 
 def function_count(source: str, top_level_only: bool = False) -> int:
     """Number of ``def`` definitions, at any nesting depth by default."""
-    tokens = tokenize(source)
+    return _count_defs(tokenize(source), top_level_only)
+
+
+def _count_defs(tokens: TokenStream, top_level_only: bool) -> int:
     indents: dict[int, str] = {}
     for tok in tokens:
         if tok.kind is TokenKind.INDENT and tok.line not in indents:
@@ -346,13 +354,11 @@ class CodeMetrics:
 def analyze(source: str, variant: str = "log2", top_level_functions_only: bool = False) -> CodeMetrics:
     """All metrics for one program in a single pass over the token stream."""
     tokens = tokenize(source)
-    sloc, _, _, density = sloc_and_comments(source)
-    cc = 1 + sum(
-        1 for t in tokens if t.kind is TokenKind.KEYWORD and t.text in DECISION_KEYWORDS
-    )
+    sloc, _, _, density = _line_counts(tokens, len(source.splitlines()))
+    cc = _cyclomatic(tokens)
     volume = halstead_volume(tokens)
     mi = maintainability_index(volume, cc, sloc, density, variant=variant)
-    defs = function_count(source, top_level_only=top_level_functions_only)
+    defs = _count_defs(tokens, top_level_functions_only)
     return CodeMetrics(
         halstead_volume=volume,
         cyclomatic=cc,

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import re
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 
@@ -290,7 +290,7 @@ def dedup_against(
         else:
             kept.append(problem)
 
-    deduped = Corpus(problems=kept, provenance=train.provenance)
+    deduped = replace(train, problems=kept)
     return deduped, DedupReport(removed=removed, kept_count=len(kept), threshold=jaccard_threshold)
 
 

@@ -15,16 +15,15 @@ population: failed candidates are excluded.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from . import llm_client, promptgen, sandbox
+from . import llm_client, promptgen
 from .codemetrics import CodeMetrics
 from .corpus import Corpus, Difficulty, Problem
 from .llm_client import ProviderConfig, ProviderError
 from .promptgen import Prompt
-from .sandbox import ComparePolicy, JudgeVerdict, ResourceLimits
+from .sandbox import Judge, JudgeVerdict
 
 DIFFICULTY_ORDER = [d.value for d in
                     (Difficulty.INTRODUCTORY, Difficulty.INTERVIEW,
@@ -289,38 +288,22 @@ class ReflectionTrace:
 def self_reflect(
     problem: Problem,
     provider_cfg: ProviderConfig,
-    limits: ResourceLimits = ResourceLimits(),
+    judge: Judge = Judge(),
     max_rounds: int = 5,
     *,
     provider=None,
     cache: llm_client.ResponseCache | None = None,
-    policy: ComparePolicy = ComparePolicy(),
-    runner: str | None = None,
-    scratch_root: str | Path | None = None,
-    keep_scratch: bool = False,
-    verdict_cache: sandbox.VerdictCache | None = None,
 ) -> ReflectionTrace:
     """Generate, judge, and re-prompt with failure evidence until solved.
 
     Round 0 is a direct generation; each later round feeds the previous
-    attempt and its first failing test back to the model.  The trace holds at
+    attempt and the first test it failed back to the model.  The trace holds at
     most ``max_rounds`` rounds in total and stops at the first pass.
     Provider errors end the loop for this problem and are recorded on the
     trace.
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
-
-    def judge_attempt(code: str) -> JudgeVerdict:
-        if verdict_cache is not None:
-            return verdict_cache.judge(
-                code, problem, limits, policy, runner=runner,
-                scratch_root=scratch_root, keep_scratch=keep_scratch,
-            )
-        return sandbox.judge(
-            code, problem, limits, policy, runner=runner,
-            scratch_root=scratch_root, keep_scratch=keep_scratch,
-        )
 
     trace = ReflectionTrace(problem_id=problem.id)
     prompt = promptgen.build_direct_prompt(problem)
@@ -331,7 +314,7 @@ def self_reflect(
             trace.error = str(exc)
             return trace
         attempt = promptgen.parse_code_response(completion.text)
-        verdict = judge_attempt(attempt)
+        verdict = judge(attempt, problem)
         trace.rounds.append(
             ReflectionRound(
                 prompt=prompt, completion_text=completion.text,

@@ -285,14 +285,11 @@ class ResponseCache:
         os.replace(tmp, path)
 
 
-ProviderLike = object  # anything with send(prompt, cfg) -> (text, meta)
-
-
 def complete(
     prompt: Prompt,
     cfg: ProviderConfig,
     *,
-    provider: ProviderLike | None = None,
+    provider=None,
     cache: ResponseCache | None = None,
     bypass_cache: bool = False,
 ) -> Completion:
@@ -331,7 +328,7 @@ def complete_batch(
     prompts: Sequence[Prompt],
     cfg: ProviderConfig,
     *,
-    provider: ProviderLike | None = None,
+    provider=None,
     cache: ResponseCache | None = None,
     bypass_cache: bool = False,
 ) -> list[Completion | ProviderError]:

@@ -35,7 +35,7 @@ import sys
 import tempfile
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Sequence
@@ -368,7 +368,6 @@ def judge(
     *,
     runner: str | None = None,
     fail_fast: bool = False,
-    scratch_root: str | Path | None = None,
     keep_scratch: bool = False,
 ) -> JudgeVerdict:
     """Run ``program`` against every test of ``problem`` and aggregate.
@@ -381,14 +380,7 @@ def judge(
 
     per_test: list[tuple[ExecutionReport, bool]] = []
     for test in problem.tests:
-        report = run_once(
-            program,
-            test.input,
-            limits,
-            runner=runner,
-            scratch_root=scratch_root,
-            keep_scratch=keep_scratch,
-        )
+        report = run_once(program, test.input, limits, runner=runner, keep_scratch=keep_scratch)
         matched = report.status is ExecStatus.OK and compare_output(
             test.expected_output, report.stdout, policy
         )
@@ -409,90 +401,70 @@ def judge(
     )
 
 
-def judge_batch(
-    tasks: Sequence[tuple[str, Problem]],
-    limits: ResourceLimits = ResourceLimits(),
-    policy: ComparePolicy = ComparePolicy(),
-    *,
-    workers: int = 1,
-    runner: str | None = None,
-    fail_fast: bool = False,
-    scratch_root: str | Path | None = None,
-    keep_scratch: bool = False,
-    verdict_cache: "VerdictCache | None" = None,
-) -> list[JudgeVerdict]:
-    """Judge many (program, problem) pairs; results in input order."""
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+@dataclass(frozen=True)
+class Judge:
+    """How programs are judged: the sandbox settings plus an optional verdict cache.
 
-    def one(task: tuple[str, Problem]) -> JudgeVerdict:
-        program, problem = task
-        if verdict_cache is not None:
-            return verdict_cache.judge(
-                program, problem, limits, policy,
-                runner=runner, fail_fast=fail_fast, scratch_root=scratch_root,
-                keep_scratch=keep_scratch,
-            )
-        return judge(
-            program, problem, limits, policy,
-            runner=runner, fail_fast=fail_fast, scratch_root=scratch_root,
-            keep_scratch=keep_scratch,
+    Calling it judges one program, through the cache when there is one.  The
+    module-level ``judge`` and ``VerdictCache.judge`` are looked up at call
+    time, so wrappers installed on them see every call.
+    """
+
+    limits: ResourceLimits = ResourceLimits()
+    policy: ComparePolicy = ComparePolicy()
+    runner: str | None = None
+    fail_fast: bool = False
+    keep_scratch: bool = False
+    cache: VerdictCache | None = None
+
+    def __call__(self, program: str, problem: Problem) -> JudgeVerdict:
+        run = judge if self.cache is None else self.cache.judge
+        return run(
+            program, problem, self.limits, self.policy,
+            runner=self.runner, fail_fast=self.fail_fast, keep_scratch=self.keep_scratch,
         )
 
-    if workers == 1 or len(tasks) <= 1:
-        return [one(t) for t in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, tasks))
+
+def judge_batch(
+    tasks: Sequence[tuple[str, Problem]],
+    judge: Judge = Judge(),
+    *,
+    workers: int = 1,
+) -> list[JudgeVerdict]:
+    """Judge many (program, problem) pairs; results in input order.
+
+    Each distinct pair (same program text, same problem object) is judged
+    once and its verdict is shared by every duplicate, so the work done does
+    not depend on ``workers`` or on timing.
+    """
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    distinct = {(program, id(problem)): (program, problem) for program, problem in tasks}
+    pairs = list(distinct.values())
+    if workers == 1 or len(pairs) <= 1:
+        verdicts = [judge(*pair) for pair in pairs]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            verdicts = list(pool.map(lambda pair: judge(*pair), pairs))
+    by_pair = dict(zip(distinct, verdicts))
+    return [by_pair[program, id(problem)] for program, problem in tasks]
 
 
 # --- verdict cache ----------------------------------------------------------
 
 
-def _report_to_dict(report: ExecutionReport) -> dict:
-    return {
-        "status": report.status.value,
-        "stdout": report.stdout,
-        "stderr": report.stderr,
-        "wall_time_used": report.wall_time_used,
-        "peak_memory": report.peak_memory,
-        "exit_code": report.exit_code,
-    }
-
-
-def _report_from_dict(obj: dict) -> ExecutionReport:
-    return ExecutionReport(
-        status=ExecStatus(obj["status"]),
-        stdout=obj["stdout"],
-        stderr=obj["stderr"],
-        wall_time_used=obj["wall_time_used"],
-        peak_memory=obj["peak_memory"],
-        exit_code=obj["exit_code"],
-    )
-
-
-def verdict_to_dict(verdict: JudgeVerdict) -> dict:
-    return {
-        "per_test": [[_report_to_dict(r), m] for r, m in verdict.per_test],
-        "passed": verdict.passed,
-        "first_failure": verdict.first_failure,
-        "avg_time": verdict.avg_time,
-        "avg_peak_memory": verdict.avg_peak_memory,
-    }
-
-
-def verdict_from_dict(obj: dict) -> JudgeVerdict:
-    return JudgeVerdict(
-        per_test=[(_report_from_dict(r), m) for r, m in obj["per_test"]],
-        passed=obj["passed"],
-        first_failure=obj["first_failure"],
-        avg_time=obj["avg_time"],
-        avg_peak_memory=obj["avg_peak_memory"],
-    )
+def _verdict_from_json(obj: dict) -> JudgeVerdict:
+    """Rebuild a verdict from the JSON of its ``dataclasses.asdict`` form."""
+    per_test = [
+        (ExecutionReport(**dict(report, status=ExecStatus(report["status"]))), matched)
+        for report, matched in obj["per_test"]
+    ]
+    return JudgeVerdict(**dict(obj, per_test=per_test))
 
 
 @dataclass
 class VerdictCache:
-    """Disk cache of judge verdicts keyed by program, tests, limits and policy.
+    """Disk cache of judge verdicts keyed by program, tests, limits, policy and runner.
 
     Makes pipeline reruns cheap and byte-stable: a rerun with an unchanged
     candidate reuses the recorded verdict, including its timing fields.
@@ -508,6 +480,8 @@ class VerdictCache:
 
     def _key(self, program: str, problem: Problem, limits: ResourceLimits,
              policy: ComparePolicy, runner: str | None, fail_fast: bool) -> str:
+        # the default runner is this interpreter, so its identity is part of the key
+        interpreter = [os.path.realpath(sys.executable), sys.version] if runner is None else None
         payload = json.dumps(
             [
                 program,
@@ -517,6 +491,7 @@ class VerdictCache:
                 [policy.mode, policy.float_tolerance],
                 runner,
                 fail_fast,
+                interpreter,
             ],
             sort_keys=True,
         )
@@ -531,25 +506,23 @@ class VerdictCache:
         *,
         runner: str | None = None,
         fail_fast: bool = False,
-        scratch_root: str | Path | None = None,
         keep_scratch: bool = False,
     ) -> JudgeVerdict:
         key = self._key(program, problem, limits, policy, runner, fail_fast)
         path = self.root / f"{key}.json"
         if path.exists():
             try:
-                verdict = verdict_from_dict(json.loads(path.read_text(encoding="utf-8")))
+                verdict = _verdict_from_json(json.loads(path.read_text(encoding="utf-8")))
                 self.hits += 1
                 return verdict
-            except (ValueError, KeyError):
+            except (ValueError, KeyError, TypeError):
                 path.unlink(missing_ok=True)
         verdict = judge(
             program, problem, limits, policy,
-            runner=runner, fail_fast=fail_fast, scratch_root=scratch_root,
-            keep_scratch=keep_scratch,
+            runner=runner, fail_fast=fail_fast, keep_scratch=keep_scratch,
         )
         self.misses += 1
         tmp = path.with_suffix(f".tmp-{os.getpid()}-{id(verdict)}")
-        tmp.write_text(json.dumps(verdict_to_dict(verdict), sort_keys=True), encoding="utf-8")
+        tmp.write_text(json.dumps(asdict(verdict), sort_keys=True), encoding="utf-8")
         os.replace(tmp, path)
         return verdict

@@ -19,12 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
-from . import promptgen, sandbox
+from . import promptgen
 from .corpus import Problem
 from .promptgen import ModularSolution, ParseError
-from .sandbox import ComparePolicy, JudgeVerdict, ResourceLimits
+from .sandbox import Judge, JudgeVerdict
 
 
 class Verdict(str, Enum):
@@ -111,15 +110,17 @@ def assess_structure(sol: ModularSolution | ParseError) -> AssessmentResult:
     return AssessmentResult(verdict=Verdict.ACCEPT)
 
 
+def assess_verdict(verdict: JudgeVerdict) -> AssessmentResult:
+    """Marker m4 over a judge verdict: accept only when every test passed."""
+    if verdict.passed:
+        return AssessmentResult(verdict=Verdict.ACCEPT)
+    idx = verdict.first_failure
+    status = verdict.per_test[idx][0].status.value if idx is not None else "unknown"
+    return _reject(Marker.M4_TESTS_FAILED, f"first failing test {idx} ({status})")
+
+
 def assess_functional(
-    sol: ModularSolution,
-    problem: Problem,
-    limits: ResourceLimits = ResourceLimits(),
-    policy: ComparePolicy = ComparePolicy(),
-    *,
-    runner: str | None = None,
-    scratch_root: str | Path | None = None,
-    verdict_cache: sandbox.VerdictCache | None = None,
+    sol: ModularSolution, problem: Problem, judge: Judge = Judge()
 ) -> tuple[AssessmentResult, JudgeVerdict]:
     """Marker m4: the final program must pass every test of its problem.
 
@@ -128,22 +129,8 @@ def assess_functional(
     """
     if problem.untestable:
         raise ValueError(f"problem {problem.id!r} is untestable")
-    if verdict_cache is not None:
-        verdict = verdict_cache.judge(
-            sol.final_code, problem, limits, policy, runner=runner, scratch_root=scratch_root
-        )
-    else:
-        verdict = sandbox.judge(
-            sol.final_code, problem, limits, policy, runner=runner, scratch_root=scratch_root
-        )
-    if verdict.passed:
-        return AssessmentResult(verdict=Verdict.ACCEPT), verdict
-    idx = verdict.first_failure
-    status = verdict.per_test[idx][0].status.value if idx is not None else "unknown"
-    return (
-        _reject(Marker.M4_TESTS_FAILED, f"first failing test {idx} ({status})"),
-        verdict,
-    )
+    verdict = judge(sol.final_code, problem)
+    return assess_verdict(verdict), verdict
 
 
 @dataclass

@@ -22,6 +22,7 @@ from modeval.sandbox import (
     KILL_GRACE,
     MB,
     ExecStatus,
+    Judge,
     ResourceLimits,
     judge_batch,
     run_once,
@@ -133,7 +134,7 @@ def test_criterion_4_validator_marker_fixtures():
         problem = make_problem(tests=(("3\n", "6\n"),))
         for body in m4_bodies:
             raw = marker_fixtures.WELL_FORMED["plain"].replace(marker_fixtures.GOOD_BODY, body)
-            result, _ = assess_functional(parse_mot_response(raw), problem, limits)
+            result, _ = assess_functional(parse_mot_response(raw), problem, Judge(limits))
             assert result.marker is Marker.M4_TESTS_FAILED
             total += 1
         assert total == 12
@@ -173,7 +174,7 @@ def test_criterion_6_self_consistency():
         assert len(corpus) == 20
         testable = [p for p in corpus if not p.untestable]
         tasks = [(p.solutions[0], p) for p in testable]
-        verdicts = judge_batch(tasks, ResourceLimits(wall_time=5.0), workers=4)
+        verdicts = judge_batch(tasks, Judge(ResourceLimits(wall_time=5.0)), workers=4)
         records = [
             GenerationRecord(p.id, [CandidateResult(p.solutions[0], v, analyze(p.solutions[0]))])
             for p, v in zip(testable, verdicts)
@@ -270,8 +271,8 @@ def test_criterion_9_parallel_determinism():
             tasks.append((code, problem))
 
         limits = ResourceLimits(wall_time=5.0)
-        seq = judge_batch(tasks, limits, workers=1)
-        par = judge_batch(tasks, limits, workers=8)
+        seq = judge_batch(tasks, Judge(limits), workers=1)
+        par = judge_batch(tasks, Judge(limits), workers=8)
 
         matched_seq = [[m for _, m in v.per_test] for v in seq]
         matched_par = [[m for _, m in v.per_test] for v in par]

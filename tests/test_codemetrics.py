@@ -296,14 +296,26 @@ class TestAnalyze:
         assert sum(again) / len(again) == pytest.approx(mean_of_values, abs=1e-12)
 
     def test_matches_individual_operations(self):
-        source = PROGRAMS[1].read_text()
-        metrics = analyze(source)
-        sloc, _, _, density = sloc_and_comments(source)
-        assert metrics.sloc == sloc
-        assert metrics.comment_density == density
-        assert metrics.cyclomatic == cyclomatic_complexity(source)
-        assert metrics.halstead_volume == halstead_volume(tokenize(source))
-        assert metrics.function_count == function_count(source)
+        assert len(PROGRAMS) == 10
+        for path in PROGRAMS:
+            source = path.read_text()
+            sloc, _, _, density = sloc_and_comments(source)
+            for top_level_only in (False, True):
+                metrics = analyze(source, top_level_functions_only=top_level_only)
+                assert metrics.sloc == sloc, path.name
+                assert metrics.comment_density == density, path.name
+                assert metrics.cyclomatic == cyclomatic_complexity(source), path.name
+                assert metrics.halstead_volume == halstead_volume(tokenize(source)), path.name
+                assert metrics.function_count == function_count(source, top_level_only), path.name
+
+    def test_tokenizes_once(self, monkeypatch):
+        from modeval import codemetrics
+
+        calls = []
+        real = codemetrics.tokenize
+        monkeypatch.setattr(codemetrics, "tokenize", lambda source: calls.append(1) or real(source))
+        analyze(PROGRAMS[1].read_text())
+        assert len(calls) == 1
 
     def test_top_level_only_parameter(self):
         source = "def a():\n    def b():\n        pass\n"

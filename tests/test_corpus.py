@@ -208,6 +208,16 @@ class TestDedup:
         assert [p.id for p in twice] == [p.id for p in once]
         assert report.removed == []
 
+    def test_diagnostics_kept(self, tmp_path):
+        path = tmp_path / "train.jsonl"
+        path.write_text(json.dumps(problem_obj("a")) + "\n{not json\n")
+        train = load_corpus(path)
+        holdout = corpus_of(make_problem("h1", statement="Unrelated holdout text."))
+        deduped, _ = dedup_against(train, holdout)
+        assert [p.id for p in deduped] == ["a"]
+        assert deduped.diagnostics == train.diagnostics
+        assert len(deduped.diagnostics) == 1
+
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
             dedup_against(corpus_of(), corpus_of(), jaccard_threshold=0.0)

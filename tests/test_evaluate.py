@@ -15,7 +15,7 @@ from modeval.evaluate import (
     self_reflect,
 )
 from modeval.llm_client import MockProvider, ProviderConfig, ProviderError
-from modeval.sandbox import ResourceLimits
+from modeval.sandbox import Judge, ResourceLimits
 
 from conftest import corpus_of, make_problem, make_record, make_verdict
 from oracles import pass_at_k_enumerated
@@ -273,27 +273,27 @@ def fenced(code):
 class TestSelfReflect:
     def test_solves_at_round_two(self):
         provider = MockProvider(script=[fenced(WRONG), fenced(WRONG), fenced(SOLUTION)])
-        trace = self_reflect(sum_problem(), CFG, FAST, max_rounds=5, provider=provider)
+        trace = self_reflect(sum_problem(), CFG, Judge(FAST), max_rounds=5, provider=provider)
         assert trace.solved_at == 2
         assert len(trace.rounds) == 3
         assert trace.rounds[-1].verdict.passed
 
     def test_cap_reached_when_never_solved(self):
         provider = MockProvider(script=[fenced(WRONG)] * 10)
-        trace = self_reflect(sum_problem(), CFG, FAST, max_rounds=5, provider=provider)
+        trace = self_reflect(sum_problem(), CFG, Judge(FAST), max_rounds=5, provider=provider)
         assert len(trace.rounds) == 5
         assert trace.solved_at is None
         assert len(provider.calls) == 5
 
     def test_immediate_success_single_round(self):
         provider = MockProvider(script=[fenced(SOLUTION)])
-        trace = self_reflect(sum_problem(), CFG, FAST, max_rounds=5, provider=provider)
+        trace = self_reflect(sum_problem(), CFG, Judge(FAST), max_rounds=5, provider=provider)
         assert trace.solved_at == 0
         assert len(trace.rounds) == 1
 
     def test_round_prompts_carry_failure_evidence(self):
         provider = MockProvider(script=[fenced(WRONG), fenced(SOLUTION)])
-        trace = self_reflect(sum_problem(), CFG, FAST, max_rounds=3, provider=provider)
+        trace = self_reflect(sum_problem(), CFG, Judge(FAST), max_rounds=3, provider=provider)
         reflection_prompt = trace.rounds[1].prompt
         assert reflection_prompt.tag.value == "reflect"
         assert "round 1 of 3" in reflection_prompt.user
@@ -301,14 +301,14 @@ class TestSelfReflect:
 
     def test_provider_error_recorded_and_stops(self):
         provider = MockProvider(script=[fenced(WRONG), ProviderError("auth", "denied")])
-        trace = self_reflect(sum_problem(), CFG, FAST, max_rounds=5, provider=provider)
+        trace = self_reflect(sum_problem(), CFG, Judge(FAST), max_rounds=5, provider=provider)
         assert trace.error is not None
         assert len(trace.rounds) == 1
         assert trace.solved_at is None
 
     def test_max_rounds_validated(self):
         with pytest.raises(ValueError):
-            self_reflect(sum_problem(), CFG, FAST, max_rounds=0, provider=MockProvider())
+            self_reflect(sum_problem(), CFG, Judge(FAST), max_rounds=0, provider=MockProvider())
 
     def test_rerun_with_cache_reproduces_prefix(self, tmp_path):
         from modeval.llm_client import ResponseCache
@@ -317,15 +317,14 @@ class TestSelfReflect:
         cache = ResponseCache(tmp_path / "responses")
         vcache = VerdictCache(tmp_path / "verdicts")
         provider = MockProvider(script=[fenced(WRONG), fenced(WRONG), fenced(SOLUTION)])
-        first = self_reflect(sum_problem(), CFG, FAST, max_rounds=3, provider=provider,
-                             cache=cache, verdict_cache=vcache)
+        first = self_reflect(sum_problem(), CFG, Judge(FAST, cache=vcache), max_rounds=3,
+                             provider=provider, cache=cache)
         assert first.solved_at == 2
         # rerun at the same cap: every completion replays from the cache (the
         # round prompts embed the cap, so the cap is part of the cache key),
         # and the trace comes back identical
-        second = self_reflect(sum_problem(), CFG, FAST, max_rounds=3,
-                              provider=MockProvider(synthesize=False),
-                              cache=cache, verdict_cache=vcache)
+        second = self_reflect(sum_problem(), CFG, Judge(FAST, cache=vcache), max_rounds=3,
+                              provider=MockProvider(synthesize=False), cache=cache)
         assert second.solved_at == 2
         assert [r.attempt for r in second.rounds] == [r.attempt for r in first.rounds]
         assert [r.verdict.passed for r in second.rounds] == \

@@ -7,6 +7,7 @@ from modeval.sandbox import (
     ComparePolicy,
     ExecStatus,
     InfrastructureError,
+    Judge,
     ResourceLimits,
     VerdictCache,
     compare_output,
@@ -171,8 +172,8 @@ class TestJudgeBatch:
             ("print(int(input()) * 2)" if i % 2 == 0 else "print(0)", p)
             for i, p in enumerate(problems)
         ]
-        seq = judge_batch(tasks, FAST, workers=1)
-        par = judge_batch(tasks, FAST, workers=4)
+        seq = judge_batch(tasks, Judge(FAST), workers=1)
+        par = judge_batch(tasks, Judge(FAST), workers=4)
         assert [[m for _, m in v.per_test] for v in seq] == \
                [[m for _, m in v.per_test] for v in par]
         assert [v.passed for v in seq] == [i % 2 == 0 for i in range(6)]
@@ -180,6 +181,18 @@ class TestJudgeBatch:
     def test_workers_validated(self):
         with pytest.raises(ValueError):
             judge_batch([], workers=0)
+
+    def test_duplicate_pair_judged_once(self, monkeypatch):
+        from modeval import sandbox
+
+        calls = []
+        real = sandbox.judge
+        monkeypatch.setattr(sandbox, "judge", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        problem = make_problem(tests=(("1\n", "1\n"),))
+        tasks = [("print(input())", problem), ("print(input())", problem)]
+        first, second = judge_batch(tasks, Judge(FAST), workers=2)
+        assert len(calls) == 1
+        assert first == second and first.passed
 
 
 class TestVerdictCache:
@@ -189,6 +202,7 @@ class TestVerdictCache:
         first = cache.judge("print(input())", problem, FAST)
         second = cache.judge("print(input())", problem, FAST)
         assert cache.hits == 1 and cache.misses == 1
+        assert second == first  # every field read back from disk
         assert second.passed == first.passed
         assert second.avg_time == first.avg_time  # replayed, not re-measured
         assert [m for _, m in second.per_test] == [m for _, m in first.per_test]
@@ -201,6 +215,17 @@ class TestVerdictCache:
         v = cache.judge("print(input())", p2, FAST)
         assert cache.misses == 2
         assert not v.passed
+
+    def test_key_names_default_interpreter(self, tmp_path, monkeypatch):
+        import sys
+
+        cache = VerdictCache(tmp_path / "verdicts")
+        problem = make_problem(tests=(("1\n", "1\n"),))
+        args = ("print(input())", problem, FAST, ComparePolicy(), None, False)
+        here = cache._key(*args)
+        monkeypatch.setattr(sys, "executable", "/usr/bin/python3.9")
+        monkeypatch.setattr(sys, "version", "3.9.18 (main) [GCC 12.2.0]")
+        assert cache._key(*args) != here
 
     def test_corrupt_entry_recomputed(self, tmp_path):
         cache = VerdictCache(tmp_path / "verdicts")

@@ -1,7 +1,7 @@
 import pytest
 
 from modeval.promptgen import ParseError, parse_mot_response
-from modeval.sandbox import InfrastructureError, ResourceLimits
+from modeval.sandbox import InfrastructureError, Judge, ResourceLimits
 from modeval.validator import (
     AssessmentResult,
     FilterRecord,
@@ -147,7 +147,7 @@ class TestFunctionalMarker:
     def test_echo_program_accepted(self):
         sol = parse_mot_response(WELL_FORMED["plain"])
         problem = make_problem(tests=(("3\n", "6\n"), ("10\n", "20\n")))
-        result, verdict = assess_functional(sol, problem, self.LIMITS)
+        result, verdict = assess_functional(sol, problem, Judge(self.LIMITS))
         assert result.verdict is Verdict.ACCEPT
         assert verdict.passed
 
@@ -155,7 +155,7 @@ class TestFunctionalMarker:
         raw = WELL_FORMED["plain"].replace(GOOD_BODY, "```python\nprint(7)\n```\n")
         sol = parse_mot_response(raw)
         problem = make_problem(tests=(("1\n", "2\n"), ("2\n", "4\n")))
-        result, verdict = assess_functional(sol, problem, self.LIMITS)
+        result, verdict = assess_functional(sol, problem, Judge(self.LIMITS))
         assert result.marker is Marker.M4_TESTS_FAILED
         assert "test 0" in result.detail
         assert verdict.first_failure == 0
@@ -166,7 +166,7 @@ class TestFunctionalMarker:
         )
         sol = parse_mot_response(raw)
         problem = make_problem(tests=(("1\n", "1\n"),))
-        result, _ = assess_functional(sol, problem, ResourceLimits(wall_time=1.0))
+        result, _ = assess_functional(sol, problem, Judge(ResourceLimits(wall_time=1.0)))
         assert result.marker is Marker.M4_TESTS_FAILED
         assert "timeout" in result.detail
 
@@ -180,7 +180,7 @@ class TestFunctionalMarker:
         sol = parse_mot_response(WELL_FORMED["plain"])
         problem = make_problem(tests=(("1\n", "2\n"),))
         with pytest.raises(InfrastructureError):
-            assess_functional(sol, problem, runner="definitely-not-a-binary {file}")
+            assess_functional(sol, problem, Judge(runner="definitely-not-a-binary {file}"))
 
 
 def records_for(source: str, data_type: str, pre: int, post: int) -> list[FilterRecord]:
