@@ -66,16 +66,16 @@ _NUMBER_RE = re.compile(
 _NAME_RE = re.compile(r"[^\W\d]\w*")  # unicode identifiers allowed, like the language
 _STRING_PREFIX_RE = re.compile(r"[rRbBuUfF]{0,2}(\"\"\"|'''|\"|')")
 
-_OPERATORS = sorted(
-    [
-        "**=", "//=", ">>=", "<<=", "...", "!=", ">=", "<=", "==", "->", ":=",
-        "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "@=", "**", "//",
-        "<<", ">>", "+", "-", "*", "/", "%", "@", "&", "|", "^", "~", "<",
-        ">", "=", "(", ")", "[", "]", "{", "}", ",", ":", ".", ";",
-    ],
-    key=len,
-    reverse=True,
-)
+_OPERATORS = [
+    "**=", "//=", ">>=", "<<=", "...", "!=", ">=", "<=", "==", "->", ":=",
+    "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "@=", "**", "//",
+    "<<", ">>", "+", "-", "*", "/", "%", "@", "&", "|", "^", "~", "<",
+    ">", "=", "(", ")", "[", "]", "{", "}", ",", ":", ".", ";",
+]
+# Operators grouped by width, widest first, for a longest-match lookup.
+_OPERATORS_BY_WIDTH = [
+    (width, frozenset(op for op in _OPERATORS if len(op) == width)) for width in (3, 2, 1)
+]
 
 
 def _scan_string(source: str, start: int, quote: str) -> int:
@@ -177,10 +177,11 @@ def tokenize(source: str) -> TokenStream:
             i = m.end()
             continue
 
-        for op in _OPERATORS:
-            if source.startswith(op, i):
+        for width, operators in _OPERATORS_BY_WIDTH:
+            op = source[i:i + width]
+            if op in operators:
                 tokens.append(Token(TokenKind.OPERATOR, op, line))
-                i += len(op)
+                i += width
                 break
         else:
             tokens.append(Token(TokenKind.ERROR, ch, line))

@@ -15,6 +15,7 @@ duplicate ids, which indicate a broken export.
 from __future__ import annotations
 
 import json
+import math
 import re
 import string
 from dataclasses import dataclass, field, replace
@@ -253,14 +254,76 @@ class DedupReport:
         return len(self.removed)
 
 
+# The filters below may only over-approximate the pairs at Jaccard >= t.  A
+# bound derived from a float ``t * size`` is loosened by this much, far more
+# than its rounding error, so no pair the verification accepts is pruned.
+_SLACK = 1e-9
+
+
+def _prefix_length(size: int, threshold: float) -> int:
+    """How many of a set's first tokens, in the global order, to index or probe.
+
+    Sets ``A`` and ``B`` at Jaccard ``>= t`` share at least ``t * max(|A|, |B|)``
+    tokens, and two sets sharing ``o`` tokens share one among their first
+    ``|A| - o + 1`` and ``|B| - o + 1`` tokens of any common order (prefix
+    filtering).  So each set needs only ``size - ceil(t * size) + 1`` of them.
+    """
+    return size - max(1, math.ceil(threshold * size - _SLACK)) + 1
+
+
+class _PrefixIndex:
+    """Holdout token sets indexed by their prefixes, for an exact Jaccard join.
+
+    Tokens are ordered by ascending holdout document frequency, ties broken by
+    the token itself, so prefixes hold the rarest tokens and posting lists stay
+    short.  Tokens absent from the holdout come first in that order and match
+    nothing, so a probe only counts them against its prefix.
+    """
+
+    def __init__(self, token_sets: list[frozenset[str]], threshold: float) -> None:
+        df: dict[str, int] = {}
+        for tokens in token_sets:
+            for tok in tokens:
+                df[tok] = df.get(tok, 0) + 1
+        self._rank = {tok: r for r, tok in enumerate(sorted(df, key=lambda tok: (df[tok], tok)))}
+        self._threshold = threshold
+        self._sizes = [len(tokens) for tokens in token_sets]
+        self._postings: dict[int, list[int]] = {}
+        for h, tokens in enumerate(token_sets):
+            ranks = sorted(self._rank[tok] for tok in tokens)
+            for r in ranks[:_prefix_length(len(tokens), threshold)]:
+                self._postings.setdefault(r, []).append(h)
+
+    def candidates(self, tokens: frozenset[str]) -> list[int]:
+        """Ascending holdout positions that pass the prefix and size filters."""
+        t, size = self._threshold, len(tokens)
+        known = sorted(self._rank[tok] for tok in tokens if tok in self._rank)
+        unknown = size - len(known)  # the first tokens of the order, in no posting list
+        probe = known[:max(0, _prefix_length(size, t) - unknown)]
+        found = {h for r in probe for h in self._postings.get(r, ())}
+        return sorted(h for h in found
+                      if t * max(size, self._sizes[h]) - _SLACK <= min(size, self._sizes[h]))
+
+
 def dedup_against(
     train: Corpus, holdout: Corpus, jaccard_threshold: float = 0.9
 ) -> tuple[Corpus, DedupReport]:
     """Drop training problems that leak into the holdout set.
 
     A training problem is removed when its normalized statement exactly
-    equals any holdout statement, or when the word-token Jaccard similarity
-    with any holdout statement reaches ``jaccard_threshold``.
+    equals a holdout statement (reason ``"exact"``, first such holdout), or
+    else when the word-token Jaccard similarity with some holdout statement
+    reaches ``jaccard_threshold`` (reason ``"jaccard"``).  The reported match
+    is the most similar holdout; on a tie, the earliest in holdout order.
+
+    The Jaccard stage is an exact similarity join (size and prefix filtering
+    over a global token order, as in AllPairs and PPJoin): it removes exactly
+    the problems a comparison against every holdout statement would, with the
+    same matches.  The filters only skip pairs that cannot reach the
+    threshold; every remaining pair is decided by :func:`jaccard_similarity`.
+    Cost grows with the statements' token counts and the candidate pairs,
+    which are the pairs sharing one of their rarest tokens, instead of with
+    ``len(train) * len(holdout)``.
     """
     if not (0.0 < jaccard_threshold <= 1.0):
         raise ValueError(f"jaccard_threshold must be in (0, 1], got {jaccard_threshold}")
@@ -269,7 +332,8 @@ def dedup_against(
     exact_index: dict[str, str] = {}
     for hid, norm in holdout_norm:
         exact_index.setdefault(norm, hid)
-    holdout_tokens = [(hid, _token_set(norm)) for hid, norm in holdout_norm]
+    holdout_tokens = [_token_set(norm) for _, norm in holdout_norm]
+    index = _PrefixIndex(holdout_tokens, jaccard_threshold)
 
     kept: list[Problem] = []
     removed: list[DedupRemoval] = []
@@ -281,10 +345,10 @@ def dedup_against(
             continue
         tokens = _token_set(norm)
         best: DedupRemoval | None = None
-        for hid, htokens in holdout_tokens:
-            sim = jaccard_similarity(tokens, htokens)
+        for h in index.candidates(tokens):
+            sim = jaccard_similarity(tokens, holdout_tokens[h])
             if sim >= jaccard_threshold and (best is None or sim > best.similarity):
-                best = DedupRemoval(problem.id, hid, sim, "jaccard")
+                best = DedupRemoval(problem.id, holdout_norm[h][0], sim, "jaccard")
         if best is not None:
             removed.append(best)
         else:

@@ -248,7 +248,8 @@ class ResponseCache:
     @staticmethod
     def key(prompt: Prompt, cfg: ProviderConfig) -> str:
         payload = json.dumps(
-            [prompt.system, prompt.user, cfg.model_name, cfg.temperature],
+            [prompt.system, prompt.user, cfg.model_name, cfg.temperature,
+             cfg.max_output_tokens],
             sort_keys=True,
         )
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
@@ -274,6 +275,7 @@ class ResponseCache:
                 ).hexdigest(),
                 "model_name": cfg.model_name,
                 "temperature": cfg.temperature,
+                "max_output_tokens": cfg.max_output_tokens,
             },
             "response": completion.text,
             "meta": completion.provider_meta,

@@ -92,6 +92,39 @@ class TestTokenize:
     def test_empty_source(self):
         assert tokenize("") == []
 
+    def test_every_operator(self):
+        operators = [
+            "**=", "//=", ">>=", "<<=", "...", "!=", ">=", "<=", "==", "->", ":=",
+            "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "@=", "**", "//",
+            "<<", ">>", "+", "-", "*", "/", "%", "@", "&", "|", "^", "~", "<",
+            ">", "=", "(", ")", "[", "]", "{", "}", ",", ":", ".", ";",
+        ]
+        tokens = tokenize(" ".join(operators))
+        assert [(t.kind, t.text) for t in tokens] == [(TokenKind.OPERATOR, op) for op in operators]
+
+    @pytest.mark.parametrize("source, expected", [
+        ("a**=b", [("operand", "a"), ("operator", "**="), ("operand", "b")]),
+        ("a***b", [("operand", "a"), ("operator", "**"), ("operator", "*"), ("operand", "b")]),
+        ("a<<=b<<c<=d", [("operand", "a"), ("operator", "<<="), ("operand", "b"),
+                         ("operator", "<<"), ("operand", "c"), ("operator", "<="),
+                         ("operand", "d")]),
+        ("x[...]", [("operand", "x"), ("operator", "["), ("operator", "..."),
+                    ("operator", "]")]),
+        ("....", [("operator", "..."), ("operator", ".")]),
+        ("f()->int", [("operand", "f"), ("operator", "("), ("operator", ")"),
+                      ("operator", "->"), ("operand", "int")]),
+        ("->>", [("operator", "->"), ("operator", ">")]),
+        ("(n:=5)", [("operator", "("), ("operand", "n"), ("operator", ":="),
+                    ("number", "5"), ("operator", ")")]),
+        ("x=.5", [("operand", "x"), ("operator", "="), ("number", ".5")]),
+        ("a.b", [("operand", "a"), ("operator", "."), ("operand", "b")]),
+        ("a!b", [("operand", "a"), ("error", "!"), ("operand", "b")]),
+        ("a!==b", [("operand", "a"), ("operator", "!="), ("operator", "="), ("operand", "b")]),
+        ("a//", [("operand", "a"), ("operator", "//")]),
+    ])
+    def test_maximal_munch(self, source, expected):
+        assert [(t.kind.value, t.text) for t in tokenize(source)] == expected
+
 
 class TestSlocAndComments:
     def test_pure_code(self):

@@ -1,7 +1,9 @@
 import json
+import random
 
 import pytest
 
+from modeval import corpus
 from modeval.corpus import (
     Corpus,
     CorpusError,
@@ -229,6 +231,144 @@ class TestDedup:
 
     def test_jaccard_of_empty_sets_is_one(self):
         assert jaccard_similarity(frozenset(), frozenset()) == 1.0
+
+
+
+def brute_force_dedup(train, holdout, threshold):
+    """Every train statement against every holdout statement: the reference."""
+    holdout_norm = [(p.id, normalize_statement(p.statement)) for p in holdout.problems]
+    exact = {}
+    for hid, norm in holdout_norm:
+        exact.setdefault(norm, hid)
+    kept, removed = [], []
+    for problem in train.problems:
+        norm = normalize_statement(problem.statement)
+        if norm in exact:
+            removed.append((problem.id, exact[norm], 1.0, "exact"))
+            continue
+        tokens = frozenset(norm.split())
+        best = None
+        for hid, hnorm in holdout_norm:
+            sim = jaccard_similarity(tokens, frozenset(hnorm.split()))
+            if sim >= threshold and (best is None or sim > best[2]):
+                best = (problem.id, hid, sim, "jaccard")
+        if best is None:
+            kept.append(problem.id)
+        else:
+            removed.append(best)
+    return kept, removed
+
+
+def assert_matches_brute_force(train, holdout, threshold):
+    deduped, report = dedup_against(train, holdout, jaccard_threshold=threshold)
+    kept, removed = brute_force_dedup(train, holdout, threshold)
+    assert [p.id for p in deduped] == kept
+    assert [(r.train_id, r.holdout_id, r.similarity, r.reason)
+            for r in report.removed] == removed
+    assert report.kept_count == len(kept)
+    assert report.threshold == threshold
+    return report
+
+
+def random_statement(rng, vocab):
+    roll = rng.random()
+    if roll < 0.05:
+        return ""
+    if roll < 0.1:
+        return rng.choice(["?!", "...", " ;, ", "--"])
+    words = [rng.choice(vocab) for _ in range(rng.randint(1, 10))]
+    words = [w.upper() if rng.random() < 0.2 else w for w in words]
+    return " ".join(w + rng.choice(["", "", ",", "."]) for w in words)
+
+
+def random_corpora(rng):
+    vocab = [f"w{i}" for i in range(rng.choice([2, 3, 5, 8, 12]))]
+    holdout = [random_statement(rng, vocab) for _ in range(rng.randint(0, 8))]
+    train = []
+    for _ in range(rng.randint(0, 10)):
+        if holdout and rng.random() < 0.25:
+            # a token-reordered (or verbatim) copy of a holdout statement
+            words = normalize_statement(rng.choice(holdout)).split()
+            rng.shuffle(words)
+            train.append(" ".join(words))
+        else:
+            train.append(random_statement(rng, vocab))
+    return (corpus_of(*(make_problem(f"t{i}", statement=s) for i, s in enumerate(train))),
+            corpus_of(*(make_problem(f"h{i}", statement=s) for i, s in enumerate(holdout))))
+
+
+THRESHOLDS = [0.1, 1 / 3, 0.5, 2 / 3, 0.7, 0.9, 1.0]
+
+
+class TestDedupEquivalence:
+    @pytest.mark.parametrize("threshold", THRESHOLDS)
+    def test_random_corpora_match_brute_force(self, threshold):
+        rng = random.Random(f"dedup-{threshold}")
+        for _ in range(300):
+            train, holdout = random_corpora(rng)
+            assert_matches_brute_force(train, holdout, threshold)
+
+    @pytest.mark.parametrize("threshold", THRESHOLDS)
+    def test_one_side_empty(self, threshold):
+        some = corpus_of(make_problem("a", statement="alpha beta"),
+                         make_problem("b", statement="?!"))
+        assert_matches_brute_force(some, corpus_of(), threshold)
+        assert_matches_brute_force(corpus_of(), some, threshold)
+
+    @pytest.mark.parametrize("threshold", THRESHOLDS)
+    def test_token_reordered_copy_is_jaccard_one(self, threshold):
+        train = corpus_of(make_problem("t1", statement="Delta gamma, beta alpha."))
+        holdout = corpus_of(make_problem("h0", statement="unrelated words only"),
+                            make_problem("h1", statement="alpha beta gamma delta"),
+                            make_problem("h2", statement="gamma delta alpha beta"))
+        report = assert_matches_brute_force(train, holdout, threshold)
+        [removal] = report.removed
+        assert (removal.holdout_id, removal.similarity, removal.reason) == ("h1", 1.0, "jaccard")
+
+    def test_threshold_equal_to_similarity_is_found(self):
+        # A pair sharing i of u union tokens is removed at threshold i/u: the
+        # filters must not lose it to float rounding (0.1 * 30 > 3.0 in floats).
+        for union in range(1, 41):
+            for shared in range(1, union + 1):
+                extra = union - shared
+                for left in {0, extra // 2, extra}:
+                    train = corpus_of(make_problem("t", statement=" ".join(
+                        [f"s{k}" for k in range(shared)] + [f"a{k}" for k in range(left)])))
+                    holdout = corpus_of(make_problem("h", statement=" ".join(
+                        [f"s{k}" for k in range(shared)]
+                        + [f"b{k}" for k in range(extra - left)])))
+                    report = assert_matches_brute_force(train, holdout, shared / union)
+                    assert report.removed_count == 1
+
+    def test_verifies_few_pairs(self, monkeypatch):
+        calls = []
+
+        def counting(a, b):
+            calls.append(1)
+            return jaccard_similarity(a, b)
+
+        monkeypatch.setattr(corpus, "jaccard_similarity", counting)
+        rng = random.Random(7)
+        common = [f"common{k}" for k in range(15)]
+
+        def private(prefix):
+            return [f"{prefix}x{k}" for k in range(10)]
+
+        holdout_words = [common + private(f"h{h}") for h in range(200)]
+        train_words = [common + private(f"t{t}") for t in range(400)]
+        for t in range(0, 400, 40):  # ten near copies: one word swapped
+            train_words[t] = holdout_words[t // 2][:-1] + [f"t{t}swap"]
+        for words in holdout_words + train_words:
+            rng.shuffle(words)
+        train = corpus_of(*(make_problem(f"t{t}", statement=" ".join(w))
+                            for t, w in enumerate(train_words)))
+        holdout = corpus_of(*(make_problem(f"h{h}", statement=" ".join(w))
+                              for h, w in enumerate(holdout_words)))
+        deduped, report = dedup_against(train, holdout, jaccard_threshold=0.9)
+        assert [(r.train_id, r.holdout_id) for r in report.removed] == [
+            (f"t{t}", f"h{t // 2}") for t in range(0, 400, 40)]
+        assert len(deduped) == 390
+        assert 10 <= len(calls) < 1000  # against 80,000 pairs in a full scan
 
 
 class TestCorpusStats:

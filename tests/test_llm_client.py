@@ -104,6 +104,12 @@ class TestComplete:
         }
         assert len(keys) == 3
 
+    def test_cache_key_distinguishes_max_output_tokens(self):
+        p = prompt_of("q")
+        short = ResponseCache.key(p, ProviderConfig(model_name="a", max_output_tokens=100))
+        long = ResponseCache.key(p, ProviderConfig(model_name="a", max_output_tokens=4000))
+        assert short != long
+
     def test_cache_file_schema(self, tmp_path):
         provider = MockProvider(script=["answer"])
         cache = ResponseCache(tmp_path / "cache")
@@ -111,6 +117,7 @@ class TestComplete:
         entry = json.loads(next((tmp_path / "cache").glob("*.json")).read_text())
         assert entry["response"] == "answer"
         assert entry["key"]["model_name"] == "test-model"
+        assert entry["key"]["max_output_tokens"] == CFG.max_output_tokens
         assert "timestamp" in entry
 
 
