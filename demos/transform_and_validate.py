@@ -9,9 +9,7 @@ from modeval import (
     assess_structure,
     build_mot_prompt,
     complete,
-    parse_mot_response,
 )
-from modeval.promptgen import ParseError
 
 problem = Problem(
     id="demo-1",
@@ -31,9 +29,9 @@ completion = complete(prompt, ProviderConfig(model_name="demo-mock"), provider=M
 print("mock response:")
 print(completion.text)
 
-solution = parse_mot_response(completion.text)
+structure, solution = assess_structure(completion.text)
 print("outline:", [s.name for s in solution.outline])
-print("structural check:", assess_structure(solution).verdict.value)
+print("structural check:", structure.verdict.value)
 
 result, verdict = assess_functional(solution, problem)
 print("functional check:", result.verdict.value,
@@ -52,9 +50,5 @@ bad_responses = {
 }
 print()
 for label, raw in bad_responses.items():
-    try:
-        parsed = parse_mot_response(raw)
-    except ParseError as exc:
-        parsed = exc
-    outcome = assess_structure(parsed)
+    outcome, _ = assess_structure(raw)
     print(f"{label:<36} -> {outcome.marker.value}")

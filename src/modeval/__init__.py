@@ -81,6 +81,7 @@ from .validator import (
     FilterRecord,
     Marker,
     Verdict,
+    assess_clean,
     assess_functional,
     assess_structure,
     filter_pass_rate,

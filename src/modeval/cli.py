@@ -19,7 +19,7 @@ import hashlib
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from . import __version__, codemetrics, evaluate, promptgen, sandbox, validator
@@ -42,9 +42,8 @@ from .llm_client import (
     ResponseCache,
     complete_batch,
 )
-from .promptgen import ModularSolution, ParseError
 from .sandbox import ComparePolicy, InfrastructureError, Judge, ResourceLimits, VerdictCache
-from .validator import AssessmentResult, FilterRecord, Marker, Verdict
+from .validator import AssessmentResult, FilterRecord, Verdict
 
 
 class ConfigError(Exception):
@@ -64,7 +63,7 @@ class PipelineConfig:
     max_reflection_rounds: int = 5
     outdir: str = "out"
     workers: int = 4
-    cache_dir: str | None = ".modeval_cache"
+    cache_dir: str | None = None
     runner: str | None = None
     keep_scratch: bool = False
     data_types: list[str] = field(default_factory=lambda: ["mot", "clean"])
@@ -76,6 +75,10 @@ class PipelineConfig:
     use_cache: bool = True
     top_level_functions_only: bool = False
     raw: dict = field(default_factory=dict)
+
+
+# fields built from nested config sections, or not read from the config at all
+_NOT_PLAIN = {"corpus_paths", "provider", "limits", "policy", "use_cache", "raw"}
 
 
 def _resolve(path: str, base: Path) -> str:
@@ -109,34 +112,20 @@ def load_pipeline_config(config_path: str | Path, overrides: argparse.Namespace)
         raise ConfigError(str(exc)) from exc
 
     cfg = PipelineConfig(
-        corpus_paths=corpus_paths,
-        provider=provider,
-        limits=limits,
-        policy=policy,
-        dedup_threshold=raw.get("dedup_threshold", 0.9),
-        dedup_holdout_split=raw.get("dedup_holdout_split"),
-        solution_cap=raw.get("solution_cap", 100),
-        ks=sorted(set(raw.get("ks", [1]))),
-        max_reflection_rounds=raw.get("max_reflection_rounds", 5),
-        outdir=_resolve(raw.get("outdir", "out"), base),
-        workers=raw.get("workers", 4),
-        cache_dir=_resolve(raw["cache_dir"], base) if raw.get("cache_dir") else None,
-        runner=raw.get("runner"),
-        keep_scratch=raw.get("keep_scratch", False),
-        data_types=raw.get("data_types", ["mot", "clean"]),
-        transform_split=raw.get("transform_split", "train"),
-        eval_split=raw.get("eval_split", "test"),
-        fail_fast=raw.get("fail_fast", False),
-        all_mode=raw.get("all_mode", "problems"),
-        mock_provider=_resolve(raw["mock_provider"], base) if raw.get("mock_provider") else None,
-        top_level_functions_only=raw.get("top_level_functions_only", False),
-        raw=raw,
+        corpus_paths=corpus_paths, provider=provider, limits=limits, policy=policy, raw=raw
     )
+    for f in fields(PipelineConfig):
+        if f.name in raw and f.name not in _NOT_PLAIN:
+            setattr(cfg, f.name, raw[f.name])
+    cfg.ks = sorted(set(cfg.ks))
+    cfg.outdir = _resolve(cfg.outdir, base)
+    cfg.cache_dir = _resolve(cfg.cache_dir, base) if cfg.cache_dir else None
+    cfg.mock_provider = _resolve(cfg.mock_provider, base) if cfg.mock_provider else None
 
     # flags win over config values
     if getattr(overrides, "outdir", None):
         cfg.outdir = overrides.outdir
-    if getattr(overrides, "workers", None):
+    if getattr(overrides, "workers", None) is not None:
         cfg.workers = overrides.workers
     if getattr(overrides, "runner", None):
         cfg.runner = overrides.runner
@@ -151,6 +140,8 @@ def load_pipeline_config(config_path: str | Path, overrides: argparse.Namespace)
     if getattr(overrides, "top_level_only", False):
         cfg.top_level_functions_only = True
 
+    if not isinstance(cfg.workers, int):
+        raise ConfigError(f"workers must be an integer, got {cfg.workers!r}")
     if cfg.workers < 1:
         raise ConfigError("workers must be >= 1")
     for dt in cfg.data_types:
@@ -226,18 +217,6 @@ def _corpus_for(cfg: PipelineConfig, split: str) -> Corpus:
 # --- transform ---------------------------------------------------------------
 
 
-def _assess_clean(text: str) -> tuple[AssessmentResult, str | None]:
-    blocks = [b for b, _ in promptgen.extract_code_blocks(text) if b.strip()]
-    if len(blocks) != 1:
-        result = AssessmentResult(
-            verdict=Verdict.REJECT,
-            marker=Marker.M3_MAIN_CODE_COUNT,
-            detail=f"{len(blocks)} code blocks in rewrite response",
-        )
-        return result, None
-    return AssessmentResult(verdict=Verdict.ACCEPT), blocks[0]
-
-
 def cmd_transform(cfg: PipelineConfig) -> int:
     corpus = _corpus_for(cfg, cfg.transform_split)
     provider = _make_provider(cfg)
@@ -279,20 +258,11 @@ def cmd_transform(cfg: PipelineConfig) -> int:
             staged.append(((problem, si, solution, data_type), None, None, [], str(result)))
             continue
         if data_type == "mot":
-            try:
-                parsed: ModularSolution | ParseError = promptgen.parse_mot_response(result.text)
-            except ParseError as exc:
-                parsed = exc
-            assessment = validator.assess_structure(parsed)
-            final_code = parsed.final_code if isinstance(parsed, ModularSolution) else None
-            outline = (
-                [{"name": s.name, "header": s.header, "docstring": s.docstring}
-                 for s in parsed.outline]
-                if isinstance(parsed, ModularSolution)
-                else []
-            )
+            assessment, parsed = validator.assess_structure(result.text)
+            final_code = parsed.final_code if parsed else None
+            outline = [asdict(s) for s in parsed.outline] if parsed else []
         else:
-            assessment, final_code = _assess_clean(result.text)
+            assessment, final_code = validator.assess_clean(result.text)
             outline = []
         staged.append(((problem, si, solution, data_type), assessment, final_code, outline, None))
 
@@ -386,7 +356,6 @@ def _load_candidates(path: Path) -> list[tuple[str, list[str]]]:
     if not path.exists():
         raise ConfigError(f"candidates file does not exist: {path}")
     grouped: dict[str, list[str]] = {}
-    order: list[str] = []
     for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         if not line.strip():
             continue
@@ -405,11 +374,8 @@ def _load_candidates(path: Path) -> list[tuple[str, list[str]]]:
                 raise ValueError("wrong field types")
         except (ValueError, KeyError, TypeError) as exc:
             raise ConfigError(f"{path}: malformed candidates line {lineno}: {exc}") from exc
-        if pid not in grouped:
-            grouped[pid] = []
-            order.append(pid)
-        grouped[pid].extend(codes)
-    return [(pid, grouped[pid]) for pid in order]
+        grouped.setdefault(pid, []).extend(codes)
+    return list(grouped.items())
 
 
 def _build_records(
@@ -436,45 +402,14 @@ def _build_records(
     )
 
     by_problem: dict[str, list[CandidateResult]] = {}
-    order: list[str] = []
     for (pid, code), verdict in zip(judged, verdicts):
-        if pid not in by_problem:
-            by_problem[pid] = []
-            order.append(pid)
         metrics = codemetrics.analyze(
             code, top_level_functions_only=cfg.top_level_functions_only
         )
-        by_problem[pid].append(CandidateResult(code=code, verdict=verdict, metrics=metrics))
-    return [GenerationRecord(problem_id=pid, candidates=by_problem[pid]) for pid in order]
-
-
-def _report_to_dict(report: evaluate.EvalReport) -> dict:
-    return {
-        "pass_at_k": {
-            label: {str(k): v for k, v in ks.items()}
-            for label, ks in report.pass_at_k.items()
-        },
-        "function_profile": {
-            label: {
-                b: {"count": s.count, "accuracy": s.accuracy} for b, s in bins.items()
-            }
-            for label, bins in report.function_profile.items()
-        },
-        "resource_profile": {
-            label: (
-                None if avg is None else {
-                    "passed_count": avg.passed_count,
-                    "avg_time": avg.avg_time,
-                    "avg_peak_memory": avg.avg_peak_memory,
-                }
-            )
-            for label, avg in report.resource_profile.items()
-        },
-        "mi_profile": report.mi_profile,
-        "mi_profile_by_split": report.mi_profile_by_split,
-        "problem_count": report.problem_count,
-        "candidate_count": report.candidate_count,
-    }
+        by_problem.setdefault(pid, []).append(
+            CandidateResult(code=code, verdict=verdict, metrics=metrics)
+        )
+    return [GenerationRecord(problem_id=pid, candidates=c) for pid, c in by_problem.items()]
 
 
 def _records_rows(records: list[GenerationRecord], corpus: Corpus) -> list[dict]:
@@ -482,7 +417,6 @@ def _records_rows(records: list[GenerationRecord], corpus: Corpus) -> list[dict]
     for record in records:
         problem = corpus.get(record.problem_id)
         for ci, cand in enumerate(record.candidates):
-            m = cand.metrics
             rows.append({
                 "problem_id": record.problem_id,
                 "candidate_index": ci,
@@ -494,14 +428,7 @@ def _records_rows(records: list[GenerationRecord], corpus: Corpus) -> list[dict]
                 "statuses": [r.status.value for r, _ in cand.verdict.per_test],
                 "avg_time": cand.verdict.avg_time,
                 "avg_peak_memory": cand.verdict.avg_peak_memory,
-                "metrics": {
-                    "halstead_volume": m.halstead_volume,
-                    "cyclomatic": m.cyclomatic,
-                    "sloc": m.sloc,
-                    "comment_density": m.comment_density,
-                    "maintainability": m.maintainability,
-                    "function_count": m.function_count,
-                },
+                "metrics": asdict(cand.metrics),
             })
     return rows
 
@@ -518,9 +445,12 @@ def cmd_evaluate(cfg: PipelineConfig, candidates_path: str) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
+    # string pass@k keys, so they sort as strings ("1", "10", "2")
+    report_json = dict(asdict(report), pass_at_k={
+        label: {str(k): v for k, v in rates.items()} for label, rates in report.pass_at_k.items()
+    })
     (out / "report.json").write_text(
-        json.dumps(_report_to_dict(report), sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
+        json.dumps(report_json, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
     _write_csv(
         out / "pass_at_k.csv",
@@ -576,20 +506,15 @@ def cmd_reflect(cfg: PipelineConfig) -> int:
     out = _outdir(cfg, "reflect")
 
     per_problem: dict[str, list[dict]] = {}
-    order: list[str] = []
     for row in rows:
-        pid = row["problem_id"]
-        if pid not in per_problem:
-            per_problem[pid] = []
-            order.append(pid)
-        per_problem[pid].append(row)
-    unknown = sorted(pid for pid in order if pid not in corpus)
+        per_problem.setdefault(row["problem_id"], []).append(row)
+    unknown = sorted(pid for pid in per_problem if pid not in corpus)
     if unknown:
         raise ConfigError(f"records reference unknown problem ids: {', '.join(unknown)}")
 
     failed = [
-        pid for pid in order
-        if not any(r["passed"] for r in per_problem[pid])
+        pid for pid, prows in per_problem.items()
+        if not any(r["passed"] for r in prows)
         and not corpus.get(pid).untestable
     ]
 
@@ -632,7 +557,7 @@ def cmd_reflect(cfg: PipelineConfig) -> int:
 
     solved = {t.problem_id for t in traces if t.solved}
     groups: dict[str, list[str]] = {}
-    for pid in order:
+    for pid in per_problem:
         label = corpus.get(pid).difficulty.value
         groups.setdefault(label, []).append(pid)
         groups.setdefault(evaluate.ALL_LABEL, []).append(pid)
@@ -666,18 +591,9 @@ def cmd_reflect(cfg: PipelineConfig) -> int:
 
 def _records_from_rows(rows: list[dict], path: Path) -> list[GenerationRecord]:
     by_problem: dict[str, list[CandidateResult]] = {}
-    order: list[str] = []
     for lineno, row in enumerate(rows, start=1):
         try:
-            m = row["metrics"]
-            metrics = codemetrics.CodeMetrics(
-                halstead_volume=m["halstead_volume"],
-                cyclomatic=m["cyclomatic"],
-                sloc=m["sloc"],
-                comment_density=m["comment_density"],
-                maintainability=m["maintainability"],
-                function_count=m["function_count"],
-            )
+            metrics = codemetrics.CodeMetrics(**row["metrics"])
             verdict = sandbox.JudgeVerdict(
                 per_test=[],
                 passed=row["passed"],
@@ -687,12 +603,10 @@ def _records_from_rows(rows: list[dict], path: Path) -> list[GenerationRecord]:
             )
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"{path}: malformed records entry {lineno}: {exc}") from exc
-        pid = row["problem_id"]
-        if pid not in by_problem:
-            by_problem[pid] = []
-            order.append(pid)
-        by_problem[pid].append(CandidateResult(code="", verdict=verdict, metrics=metrics))
-    return [GenerationRecord(problem_id=pid, candidates=by_problem[pid]) for pid in order]
+        by_problem.setdefault(row["problem_id"], []).append(
+            CandidateResult(code="", verdict=verdict, metrics=metrics)
+        )
+    return [GenerationRecord(problem_id=pid, candidates=c) for pid, c in by_problem.items()]
 
 
 def cmd_analyze(cfg: PipelineConfig, records_path: str | None = None) -> int:

@@ -264,7 +264,7 @@ class ResponseCache:
         try:
             obj = json.loads(path.read_text(encoding="utf-8"))
             return Completion(text=obj["response"], provider_meta=obj.get("meta", {}), cached=True)
-        except (ValueError, KeyError):
+        except (ValueError, KeyError, TypeError):
             return None
 
     def put(self, key: str, prompt: Prompt, cfg: ProviderConfig, completion: Completion) -> None:

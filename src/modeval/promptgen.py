@@ -89,16 +89,14 @@ class ParseError(Exception):
     """Response does not match the expected two-step grammar.
 
     ``kind`` is one of ``missing_step``, ``no_final_code``, ``multiple_main``;
-    ``byte_offset`` is the UTF-8 offset of the violation in the raw text,
-    which rides along on ``raw`` for downstream checks.
+    ``byte_offset`` is the UTF-8 offset of the violation in the raw text.
     """
 
-    def __init__(self, kind: str, byte_offset: int, message: str, raw: str | None = None) -> None:
+    def __init__(self, kind: str, byte_offset: int, message: str) -> None:
         super().__init__(f"{kind} at byte {byte_offset}: {message}")
         self.kind = kind
         self.byte_offset = byte_offset
         self.message = message
-        self.raw = raw
 
 
 def _byte_offset(text: str, char_index: int) -> int:
@@ -239,12 +237,12 @@ def split_steps(raw: str) -> StepSplit:
     if step1_idx is None:
         raise ParseError(
             "missing_step", _byte_offset(raw, len(raw)),
-            f"no {STEP1_DELIMITER!r} delimiter", raw=raw,
+            f"no {STEP1_DELIMITER!r} delimiter",
         )
     if step2_idx is None:
         raise ParseError(
             "missing_step", _byte_offset(raw, len(raw)),
-            f"no {STEP2_DELIMITER!r} delimiter", raw=raw,
+            f"no {STEP2_DELIMITER!r} delimiter",
         )
 
     step1_start = offsets[step1_idx] + len(lines[step1_idx])
@@ -375,14 +373,12 @@ def parse_mot_response(raw: str) -> ModularSolution:
             "no_final_code",
             _byte_offset(raw, split.step2_char),
             "no fenced code block in the final-solution region",
-            raw=raw,
         )
     if len(blocks) > 1:
         raise ParseError(
             "multiple_main",
             _byte_offset(raw, split.step2_char + blocks[1][1]),
             f"{len(blocks)} fenced code blocks in the final-solution region",
-            raw=raw,
         )
     final_code = blocks[0][0]
     return ModularSolution(outline=outline, final_code=final_code, raw_response=raw)

@@ -67,47 +67,49 @@ def _reject(marker: Marker, detail: str) -> AssessmentResult:
     return AssessmentResult(verdict=Verdict.REJECT, marker=marker, detail=detail)
 
 
-def assess_structure(sol: ModularSolution | ParseError) -> AssessmentResult:
-    """Structural markers m1-m3 over a parsed response (or its parse error).
+def _single_block(text: str, where: str) -> tuple[AssessmentResult, str | None]:
+    """Marker m3: ``text`` must hold exactly one non-empty fenced code block."""
+    blocks = [b for b, _ in promptgen.extract_code_blocks(text) if b.strip()]
+    if len(blocks) != 1:
+        return _reject(Marker.M3_MAIN_CODE_COUNT, f"{len(blocks)} code blocks in {where}"), None
+    return AssessmentResult(verdict=Verdict.ACCEPT), blocks[0]
 
-    The checks run in the fixed m1 -> m2 -> m3 order even when parsing
-    already failed on a later-stage violation, so the first firing marker is
-    always the one reported.
+
+def assess_structure(raw: str) -> tuple[AssessmentResult, ModularSolution | None]:
+    """Structural markers m1-m3 over a raw two-step response, parsed once.
+
+    The checks run in the fixed m1 -> m2 -> m3 order, so the first firing
+    marker is always the one reported.  An accepted response comes back
+    parsed, equal to what :func:`promptgen.parse_mot_response` returns.
     """
-    if isinstance(sol, ParseError):
-        if sol.kind == "missing_step" or sol.raw is None:
-            marker = (
-                Marker.M1_STRATEGY_DIVERGENCE
-                if sol.kind == "missing_step"
-                else Marker.M3_MAIN_CODE_COUNT
-            )
-            return _reject(marker, sol.message)
-        raw = sol.raw
-    else:
-        raw = sol.raw_response
-
-    split = promptgen.split_steps(raw)
+    try:
+        split = promptgen.split_steps(raw)
+    except ParseError as exc:
+        return _reject(Marker.M1_STRATEGY_DIVERGENCE, exc.message), None
     if "```" in raw[: split.step1_char]:
         return _reject(
             Marker.M1_STRATEGY_DIVERGENCE,
             "code block appears before the outline region",
-        )
+        ), None
 
-    entries, strays = promptgen.parse_outline(split.step1)
-    if not entries:
-        return _reject(Marker.M2_NO_SUBMODULES, "no sub-modules outlined")
+    outline, strays = promptgen.parse_outline(split.step1)
+    if not outline:
+        return _reject(Marker.M2_NO_SUBMODULES, "no sub-modules outlined"), None
     if strays:
         return _reject(
             Marker.M2_NO_SUBMODULES,
             f"outline contains more than headers and docstrings: {strays[0]!r}",
-        )
+        ), None
 
-    blocks = [b for b, _ in promptgen.extract_code_blocks(split.step2) if b.strip()]
-    if len(blocks) != 1:
-        return _reject(
-            Marker.M3_MAIN_CODE_COUNT, f"{len(blocks)} code blocks in the final region"
-        )
-    return AssessmentResult(verdict=Verdict.ACCEPT)
+    result, final_code = _single_block(split.step2, "the final region")
+    if final_code is None:
+        return result, None
+    return result, ModularSolution(outline=outline, final_code=final_code, raw_response=raw)
+
+
+def assess_clean(text: str) -> tuple[AssessmentResult, str | None]:
+    """Marker m3 over a readability rewrite; the program when accepted."""
+    return _single_block(text, "rewrite response")
 
 
 def assess_verdict(verdict: JudgeVerdict) -> AssessmentResult:

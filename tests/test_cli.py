@@ -1,9 +1,12 @@
 import csv
 import json
+from dataclasses import fields
 
 import pytest
 
+from modeval import promptgen
 from modeval.cli import main
+from modeval.codemetrics import CodeMetrics
 
 from conftest import FIXTURES
 
@@ -59,6 +62,15 @@ class TestConfig:
     def test_bad_data_type(self, tmp_path):
         config = write_config(tmp_path, data_types=["mot", "weird"])
         assert main(["stats", "--config", str(config)]) == 1
+
+    @pytest.mark.parametrize("flags, overrides", [
+        (["--workers", "0"], {}),
+        ([], {"workers": "2"}),
+    ], ids=["flag_zero", "config_string"])
+    def test_bad_workers_is_config_error(self, tmp_path, capsys, flags, overrides):
+        config = write_config(tmp_path, **overrides)
+        assert main(["stats", "--config", str(config), *flags]) == 1
+        assert "workers must be" in capsys.readouterr().err
 
     def test_relative_paths_resolved_against_config_dir(self, tmp_path):
         (tmp_path / "corpus.jsonl").write_text(
@@ -145,6 +157,23 @@ class TestTransform:
         assert rows[0]["id"] not in {r["problem_id"] for r in clean}
         assert len(clean) == 9
 
+    def test_one_parse_per_mot_response(self, tmp_path, monkeypatch):
+        calls = {"build": 0, "split": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(promptgen, "build_mot_prompt",
+                            counted("build", promptgen.build_mot_prompt))
+        monkeypatch.setattr(promptgen, "split_steps", counted("split", promptgen.split_steps))
+        config = write_config(tmp_path, data_types=["mot"])
+        assert main(["transform", "--config", str(config)]) == 0
+        assert calls["build"] == 10
+        assert calls["split"] == calls["build"]
+
     def test_provider_error_is_data_not_exit_code(self, tmp_path, monkeypatch):
         from modeval import cli as cli_module
         from modeval.llm_client import MockProvider, ProviderError
@@ -166,18 +195,23 @@ class TestTransform:
 
 class TestEvaluate:
     def test_reference_solutions_pass(self, tmp_path):
-        # feed every testable problem's own reference solution back as the candidate
+        # feed every testable problem's own reference solution back as ten
+        # identical candidates; the batch judges each distinct program once
         corpus_rows = read_jsonl(FIXTURES / "corpus10.jsonl")
         candidates = tmp_path / "cands.jsonl"
         with candidates.open("w") as fh:
             for row in corpus_rows:
                 if "input_output" in row:
                     fh.write(json.dumps({"problem_id": row["id"],
-                                         "candidates": [row["solutions"][0]]}) + "\n")
-        config = write_config(tmp_path)
+                                         "candidates": [row["solutions"][0]] * 10}) + "\n")
+        config = write_config(tmp_path, ks=[1, 2, 10])
         assert main(["evaluate", "--config", str(config), "--candidates", str(candidates)]) == 0
-        report = json.loads((tmp_path / "out" / "evaluate" / "report.json").read_text())
+        out = tmp_path / "out" / "evaluate"
+        report = json.loads((out / "report.json").read_text())
         assert report["pass_at_k"]["all"]["1"] == 1.0
+        assert list(report["pass_at_k"]["all"]) == ["1", "10", "2"]  # string key order
+        names = {f.name for f in fields(CodeMetrics)}
+        assert all(set(row["metrics"]) == names for row in read_jsonl(out / "records.jsonl"))
 
     def test_fixture_candidates_report(self, tmp_path):
         config = write_config(tmp_path)

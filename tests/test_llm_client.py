@@ -120,6 +120,16 @@ class TestComplete:
         assert entry["key"]["max_output_tokens"] == CFG.max_output_tokens
         assert "timestamp" in entry
 
+    def test_non_object_entry_is_a_miss(self, tmp_path):
+        provider = MockProvider(script=["first", "second"])
+        cache = ResponseCache(tmp_path / "cache")
+        complete(prompt_of("q"), CFG, provider=provider, cache=cache)
+        entry = next((tmp_path / "cache").glob("*.json"))
+        entry.write_text("[]")
+        again = complete(prompt_of("q"), CFG, provider=provider, cache=cache)
+        assert (again.text, again.cached) == ("second", False)
+        assert json.loads(entry.read_text())["response"] == "second"
+
 
 class TestCompleteBatch:
     def test_empty(self):

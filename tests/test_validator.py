@@ -1,6 +1,6 @@
 import pytest
 
-from modeval.promptgen import ParseError, parse_mot_response
+from modeval.promptgen import parse_mot_response
 from modeval.sandbox import InfrastructureError, Judge, ResourceLimits
 from modeval.validator import (
     AssessmentResult,
@@ -16,11 +16,7 @@ from conftest import make_problem
 
 
 def assess(raw: str) -> AssessmentResult:
-    try:
-        parsed = parse_mot_response(raw)
-    except ParseError as exc:
-        parsed = exc
-    return assess_structure(parsed)
+    return assess_structure(raw)[0]
 
 
 GOOD_BODY = """```python
@@ -133,6 +129,7 @@ class TestStructuralMarkers:
             sol = parse_mot_response(raw)
             assert sol.outline  # nonempty outline
             assert sol.final_code.strip()
+            assert assess_structure(raw)[1] == sol
 
     def test_assessment_result_invariants(self):
         with pytest.raises(ValueError):
