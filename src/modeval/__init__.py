@@ -28,8 +28,8 @@ from .corpus import (
     select_solutions,
 )
 from .evaluate import (
+    CandidateRow,
     EvalReport,
-    GenerationRecord,
     ReflectionTrace,
     evaluate_corpus,
     function_accuracy_profile,

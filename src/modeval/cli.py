@@ -26,6 +26,7 @@ from . import __version__, codemetrics, evaluate, promptgen, sandbox, validator
 from .corpus import (
     Corpus,
     CorpusError,
+    Difficulty,
     Problem,
     Split,
     corpus_stats,
@@ -33,7 +34,7 @@ from .corpus import (
     load_corpus,
     select_solutions,
 )
-from .evaluate import CandidateResult, GenerationRecord
+from .evaluate import CandidateRow
 from .llm_client import (
     HttpProvider,
     MockProvider,
@@ -81,6 +82,17 @@ class PipelineConfig:
 _NOT_PLAIN = {"corpus_paths", "provider", "limits", "policy", "use_cache", "raw"}
 
 
+def _has_type(value, annotation: str) -> bool:
+    """Whether a JSON value fits a ``PipelineConfig`` field annotation; only bool fits bool."""
+    if annotation.endswith(" | None"):
+        return value is None or _has_type(value, annotation.removesuffix(" | None"))
+    if annotation.startswith("list["):
+        return isinstance(value, list) and all(_has_type(v, annotation[5:-1]) for v in value)
+    if isinstance(value, bool):
+        return annotation == "bool"
+    return isinstance(value, {"int": int, "float": (int, float), "str": str, "bool": bool}[annotation])
+
+
 def _resolve(path: str, base: Path) -> str:
     p = Path(path)
     return str(p if p.is_absolute() else base / p)
@@ -94,13 +106,14 @@ def load_pipeline_config(config_path: str | Path, overrides: argparse.Namespace)
         raise ConfigError(f"cannot read config {config_path}: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"config {config_path} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config {config_path} must be a JSON object")
     base = config_path.parent
 
-    corpus_paths = {
-        split: _resolve(p, base)
-        for split, p in (raw.get("corpus") or {}).items()
-        if p
-    }
+    corpus = raw.get("corpus") or {}
+    if not isinstance(corpus, dict) or not all(_has_type(p, "str | None") for p in corpus.values()):
+        raise ConfigError(f"corpus must map split names to paths, got {corpus!r}")
+    corpus_paths = {split: _resolve(p, base) for split, p in corpus.items() if p}
     for split in corpus_paths:
         if split not in (s.value for s in Split):
             raise ConfigError(f"unknown corpus split {split!r}")
@@ -116,6 +129,8 @@ def load_pipeline_config(config_path: str | Path, overrides: argparse.Namespace)
     )
     for f in fields(PipelineConfig):
         if f.name in raw and f.name not in _NOT_PLAIN:
+            if not _has_type(raw[f.name], f.type):
+                raise ConfigError(f"{f.name} must be {f.type}, got {raw[f.name]!r}")
             setattr(cfg, f.name, raw[f.name])
     cfg.ks = sorted(set(cfg.ks))
     cfg.outdir = _resolve(cfg.outdir, base)
@@ -140,8 +155,6 @@ def load_pipeline_config(config_path: str | Path, overrides: argparse.Namespace)
     if getattr(overrides, "top_level_only", False):
         cfg.top_level_functions_only = True
 
-    if not isinstance(cfg.workers, int):
-        raise ConfigError(f"workers must be an integer, got {cfg.workers!r}")
     if cfg.workers < 1:
         raise ConfigError("workers must be >= 1")
     for dt in cfg.data_types:
@@ -378,59 +391,33 @@ def _load_candidates(path: Path) -> list[tuple[str, list[str]]]:
     return list(grouped.items())
 
 
-def _build_records(
+def _build_rows(
     cfg: PipelineConfig,
     corpus: Corpus,
     candidates: list[tuple[str, list[str]]],
     judge: Judge,
-) -> list[GenerationRecord]:
+) -> list[CandidateRow]:
     unknown = sorted({pid for pid, _ in candidates if pid not in corpus})
     if unknown:
         raise ConfigError(f"candidates reference unknown problem ids: {', '.join(unknown)}")
 
-    judged: list[tuple[str, str]] = []
+    judged: list[tuple[Problem, int, str]] = []
     for pid, codes in candidates:
         problem = corpus.get(pid)
         if problem.untestable:
             print(f"skipping untestable problem {pid}")
             continue
-        for code in codes:
-            judged.append((pid, code))
+        judged.extend((problem, index, code) for index, code in enumerate(codes))
 
     verdicts = sandbox.judge_batch(
-        [(code, corpus.get(pid)) for pid, code in judged], judge, workers=cfg.workers
+        [(code, problem) for problem, _, code in judged], judge, workers=cfg.workers
     )
-
-    by_problem: dict[str, list[CandidateResult]] = {}
-    for (pid, code), verdict in zip(judged, verdicts):
-        metrics = codemetrics.analyze(
+    return [
+        CandidateRow.judged(problem, index, verdict, codemetrics.analyze(
             code, top_level_functions_only=cfg.top_level_functions_only
-        )
-        by_problem.setdefault(pid, []).append(
-            CandidateResult(code=code, verdict=verdict, metrics=metrics)
-        )
-    return [GenerationRecord(problem_id=pid, candidates=c) for pid, c in by_problem.items()]
-
-
-def _records_rows(records: list[GenerationRecord], corpus: Corpus) -> list[dict]:
-    rows = []
-    for record in records:
-        problem = corpus.get(record.problem_id)
-        for ci, cand in enumerate(record.candidates):
-            rows.append({
-                "problem_id": record.problem_id,
-                "candidate_index": ci,
-                "difficulty": problem.difficulty.value,
-                "split": problem.split.value,
-                "passed": cand.verdict.passed,
-                "first_failure": cand.verdict.first_failure,
-                "matched": [bool(ok) for _, ok in cand.verdict.per_test],
-                "statuses": [r.status.value for r, _ in cand.verdict.per_test],
-                "avg_time": cand.verdict.avg_time,
-                "avg_peak_memory": cand.verdict.avg_peak_memory,
-                "metrics": asdict(cand.metrics),
-            })
-    return rows
+        ))
+        for (problem, index, code), verdict in zip(judged, verdicts)
+    ]
 
 
 def cmd_evaluate(cfg: PipelineConfig, candidates_path: str) -> int:
@@ -439,9 +426,9 @@ def cmd_evaluate(cfg: PipelineConfig, candidates_path: str) -> int:
     out = _outdir(cfg, "evaluate")
 
     candidates = _load_candidates(Path(candidates_path))
-    records = _build_records(cfg, corpus, candidates, judge)
+    rows = _build_rows(cfg, corpus, candidates, judge)
     try:
-        report = evaluate.evaluate_corpus(corpus, records, cfg.ks, all_mode=cfg.all_mode)
+        report = evaluate.evaluate_corpus(rows, cfg.ks, all_mode=cfg.all_mode)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -471,7 +458,7 @@ def cmd_evaluate(cfg: PipelineConfig, candidates_path: str) -> int:
             for k in cfg.ks
         ],
     )
-    _write_jsonl(out / "records.jsonl", _records_rows(records, corpus))
+    _write_jsonl(out / "records.jsonl", [asdict(row) for row in rows])
     _write_manifest(out, "evaluate", cfg)
 
     for label, rates in report.pass_at_k.items():
@@ -483,7 +470,8 @@ def cmd_evaluate(cfg: PipelineConfig, candidates_path: str) -> int:
 # --- reflect -----------------------------------------------------------------
 
 
-def _load_record_rows(path: Path) -> list[dict]:
+def _load_rows(path: Path, corpus: Corpus) -> list[CandidateRow]:
+    """The candidate rows of an evaluate ``records.jsonl``, checked against ``corpus``."""
     if not path.exists():
         raise ConfigError(f"evaluate records not found: {path} (run evaluate first)")
     rows = []
@@ -491,30 +479,28 @@ def _load_record_rows(path: Path) -> list[dict]:
         if not line.strip():
             continue
         try:
-            row = json.loads(line)
-            row["problem_id"], row["passed"]
+            obj = json.loads(line)
+            row = CandidateRow(**dict(obj, metrics=codemetrics.CodeMetrics(**obj["metrics"])))
+            Difficulty(row.difficulty), Split(row.split)  # known level and split, or ValueError
         except (ValueError, KeyError, TypeError) as exc:
             raise ConfigError(f"{path}: malformed records line {lineno}: {exc}") from exc
         rows.append(row)
+    unknown = sorted({row.problem_id for row in rows if row.problem_id not in corpus})
+    if unknown:
+        raise ConfigError(f"records reference unknown problem ids: {', '.join(unknown)}")
     return rows
 
 
 def cmd_reflect(cfg: PipelineConfig) -> int:
-    records_path = Path(cfg.outdir) / "evaluate" / "records.jsonl"
-    rows = _load_record_rows(records_path)
     corpus = _corpus_for(cfg, cfg.eval_split)
+    problems = evaluate.by_problem(
+        _load_rows(Path(cfg.outdir) / "evaluate" / "records.jsonl", corpus)
+    )
     out = _outdir(cfg, "reflect")
 
-    per_problem: dict[str, list[dict]] = {}
-    for row in rows:
-        per_problem.setdefault(row["problem_id"], []).append(row)
-    unknown = sorted(pid for pid in per_problem if pid not in corpus)
-    if unknown:
-        raise ConfigError(f"records reference unknown problem ids: {', '.join(unknown)}")
-
     failed = [
-        pid for pid, prows in per_problem.items()
-        if not any(r["passed"] for r in prows)
+        pid for pid, prows in problems.items()
+        if not any(r.passed for r in prows)
         and not corpus.get(pid).untestable
     ]
 
@@ -556,26 +542,14 @@ def cmd_reflect(cfg: PipelineConfig) -> int:
     )
 
     solved = {t.problem_id for t in traces if t.solved}
-    groups: dict[str, list[str]] = {}
-    for pid in per_problem:
-        label = corpus.get(pid).difficulty.value
-        groups.setdefault(label, []).append(pid)
-        groups.setdefault(evaluate.ALL_LABEL, []).append(pid)
-
-    def before(pid: str) -> float:
-        rs = per_problem[pid]
-        return sum(1 for r in rs if r["passed"]) / len(rs)
-
-    comparison_rows = []
-    for label in [d for d in evaluate.DIFFICULTY_ORDER if d in groups] + [evaluate.ALL_LABEL]:
-        pids = groups.get(label)
-        if not pids:
-            continue
-        before_rate = sum(before(pid) for pid in pids) / len(pids)
-        after_rate = sum(1.0 if pid in solved else before(pid) for pid in pids) / len(pids)
-        comparison_rows.append(
-            [label, len(pids), round(before_rate, 6), round(after_rate, 6)]
-        )
+    before = {pid: sum(r.passed for r in prows) / len(prows) for pid, prows in problems.items()}
+    groups = evaluate.by_difficulty([(prows[0].difficulty, pid) for pid, prows in problems.items()])
+    comparison_rows = [
+        [label, len(pids),
+         round(sum(before[pid] for pid in pids) / len(pids), 6),
+         round(sum(1.0 if pid in solved else before[pid] for pid in pids) / len(pids), 6)]
+        for label, pids in groups.items() if pids
+    ]
     _write_csv(
         out / "comparison.csv",
         ["difficulty", "problems", "pass_at_1_before", "pass_at_1_after"],
@@ -589,39 +563,14 @@ def cmd_reflect(cfg: PipelineConfig) -> int:
 # --- analyze -----------------------------------------------------------------
 
 
-def _records_from_rows(rows: list[dict], path: Path) -> list[GenerationRecord]:
-    by_problem: dict[str, list[CandidateResult]] = {}
-    for lineno, row in enumerate(rows, start=1):
-        try:
-            metrics = codemetrics.CodeMetrics(**row["metrics"])
-            verdict = sandbox.JudgeVerdict(
-                per_test=[],
-                passed=row["passed"],
-                first_failure=row.get("first_failure"),
-                avg_time=row["avg_time"],
-                avg_peak_memory=row["avg_peak_memory"],
-            )
-        except (KeyError, TypeError) as exc:
-            raise ConfigError(f"{path}: malformed records entry {lineno}: {exc}") from exc
-        by_problem.setdefault(row["problem_id"], []).append(
-            CandidateResult(code="", verdict=verdict, metrics=metrics)
-        )
-    return [GenerationRecord(problem_id=pid, candidates=c) for pid, c in by_problem.items()]
-
-
 def cmd_analyze(cfg: PipelineConfig, records_path: str | None = None) -> int:
     path = Path(records_path) if records_path else Path(cfg.outdir) / "evaluate" / "records.jsonl"
-    rows = _load_record_rows(path)
-    corpus = _corpus_for(cfg, cfg.eval_split)
+    rows = _load_rows(path, _corpus_for(cfg, cfg.eval_split))
     out = _outdir(cfg, "analyze")
 
-    records = _records_from_rows(rows, path)
-    try:
-        profile = evaluate.function_accuracy_profile(records, corpus)
-        resources = evaluate.resource_profile(records, corpus)
-        mi = evaluate.mi_profile(records, corpus)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    profile = evaluate.function_accuracy_profile(rows)
+    resources = evaluate.resource_profile(rows)
+    mi = evaluate.mi_profile(rows)
 
     _write_csv(
         out / "function_profile.csv",

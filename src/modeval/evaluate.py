@@ -20,7 +20,7 @@ import numpy as np
 
 from . import llm_client, promptgen
 from .codemetrics import CodeMetrics
-from .corpus import Corpus, Difficulty, Problem
+from .corpus import Difficulty, Problem
 from .llm_client import ProviderConfig, ProviderError
 from .promptgen import Prompt
 from .sandbox import Judge, JudgeVerdict
@@ -52,24 +52,38 @@ def pass_at_k(n: int, c: int, k: int) -> float:
 
 
 @dataclass
-class CandidateResult:
-    code: str
-    verdict: JudgeVerdict
+class CandidateRow:
+    """One judged candidate program: the schema of a ``records.jsonl`` line."""
+
+    problem_id: str
+    candidate_index: int
+    difficulty: str
+    split: str
+    passed: bool
+    first_failure: int | None
+    matched: list[bool]
+    statuses: list[str]
+    avg_time: float
+    avg_peak_memory: float
     metrics: CodeMetrics
 
-
-@dataclass
-class GenerationRecord:
-    problem_id: str
-    candidates: list[CandidateResult]
-
-    @property
-    def n(self) -> int:
-        return len(self.candidates)
-
-    @property
-    def c(self) -> int:
-        return sum(1 for cand in self.candidates if cand.verdict.passed)
+    @classmethod
+    def judged(
+        cls, problem: Problem, index: int, verdict: JudgeVerdict, metrics: CodeMetrics
+    ) -> CandidateRow:
+        return cls(
+            problem_id=problem.id,
+            candidate_index=index,
+            difficulty=problem.difficulty.value,
+            split=problem.split.value,
+            passed=verdict.passed,
+            first_failure=verdict.first_failure,
+            matched=[bool(ok) for _, ok in verdict.per_test],
+            statuses=[report.status.value for report, _ in verdict.per_test],
+            avg_time=verdict.avg_time,
+            avg_peak_memory=verdict.avg_peak_memory,
+            metrics=metrics,
+        )
 
 
 @dataclass
@@ -96,76 +110,74 @@ class EvalReport:
     candidate_count: int
 
 
-def _check_known(records: list[GenerationRecord], corpus: Corpus) -> None:
-    unknown = sorted({r.problem_id for r in records if r.problem_id not in corpus})
-    if unknown:
-        raise ValueError(f"records reference unknown problem ids: {', '.join(unknown)}")
+def by_problem(rows: list[CandidateRow]) -> dict[str, list[CandidateRow]]:
+    """Rows per problem id, in the order each id first appears."""
+    groups: dict[str, list[CandidateRow]] = {}
+    for row in rows:
+        groups.setdefault(row.problem_id, []).append(row)
+    return groups
 
 
-def _labels_in_use(records: list[GenerationRecord], corpus: Corpus) -> list[str]:
-    present = {corpus.get(r.problem_id).difficulty.value for r in records}
-    return [d for d in DIFFICULTY_ORDER if d in present]
+def by_difficulty(items: list[tuple[str, object]]) -> dict[str, list]:
+    """Values of (difficulty, value) pairs per level present, in DIFFICULTY_ORDER,
+    then all of them, in input order, under "all"."""
+    groups: dict[str, list] = {}
+    for label, value in items:
+        groups.setdefault(label, []).append(value)
+    ordered = {label: groups[label] for label in DIFFICULTY_ORDER if label in groups}
+    ordered[ALL_LABEL] = [value for _, value in items]
+    return ordered
+
+
+def _mean(values: list[float]) -> float | None:
+    """numpy's mean, whose pairwise summation fixes the output bytes; None when empty."""
+    return float(np.mean(values)) if values else None
 
 
 def evaluate_corpus(
-    corpus: Corpus,
-    records: list[GenerationRecord],
+    rows: list[CandidateRow],
     ks: list[int],
     all_mode: str = "problems",
 ) -> EvalReport:
-    """Aggregate records into pass@k tables and the analysis profiles.
+    """Aggregate candidate rows into pass@k tables and the analysis profiles.
 
     ``all_mode="problems"`` averages the "all" row over every problem;
     ``"difficulty-means"`` averages the per-difficulty means instead.
     """
-    _check_known(records, corpus)
     if all_mode not in ("problems", "difficulty-means"):
         raise ValueError(f"unknown all_mode {all_mode!r}")
+    problems = by_problem(rows)
     if ks:
-        starved = sorted(r.problem_id for r in records if 0 < r.n < max(ks))
+        starved = sorted(pid for pid, prows in problems.items() if len(prows) < max(ks))
         if starved:
             raise ValueError(
                 f"pass@{max(ks)} needs at least {max(ks)} candidates per problem; "
                 f"too few for: {', '.join(starved)}"
             )
 
-    per_problem: dict[str, dict[int, float]] = {}
-    for record in records:
-        if record.n == 0:
-            continue
-        per_problem[record.problem_id] = {
-            k: pass_at_k(record.n, record.c, k) for k in ks
-        }
-
-    table: dict[str, dict[int, float]] = {}
-    labels = _labels_in_use(records, corpus)
-    for label in labels:
-        ids = [pid for pid in per_problem
-               if corpus.get(pid).difficulty.value == label]
-        if ids:
-            table[label] = {
-                k: float(np.mean([per_problem[pid][k] for pid in ids])) for k in ks
-            }
-    if per_problem:
+    rates = by_difficulty([
+        (prows[0].difficulty,
+         {k: pass_at_k(len(prows), sum(r.passed for r in prows), k) for k in ks})
+        for prows in problems.values()
+    ])
+    everything = rates.pop(ALL_LABEL)
+    table = {label: {k: _mean([r[k] for r in group]) for k in ks}
+             for label, group in rates.items()}
+    if everything:
         if all_mode == "problems":
-            table[ALL_LABEL] = {
-                k: float(np.mean([vals[k] for vals in per_problem.values()])) for k in ks
-            }
+            table[ALL_LABEL] = {k: _mean([r[k] for r in everything]) for k in ks}
         else:
-            table[ALL_LABEL] = {
-                k: float(np.mean([table[lbl][k] for lbl in labels if lbl in table]))
-                for k in ks
-            }
+            table[ALL_LABEL] = {k: _mean([means[k] for means in table.values()]) for k in ks}
 
-    mi = mi_profile(records, corpus)
+    mi = mi_profile(rows)
     return EvalReport(
         pass_at_k=table,
-        function_profile=function_accuracy_profile(records, corpus),
-        resource_profile=resource_profile(records, corpus),
+        function_profile=function_accuracy_profile(rows),
+        resource_profile=resource_profile(rows),
         mi_profile=mi.by_difficulty,
         mi_profile_by_split=mi.by_split,
-        problem_count=len(per_problem),
-        candidate_count=sum(r.n for r in records),
+        problem_count=len(problems),
+        candidate_count=len(rows),
     )
 
 
@@ -174,25 +186,21 @@ def bin_label(function_count: int, max_bin: int = 8) -> str:
 
 
 def function_accuracy_profile(
-    records: list[GenerationRecord], corpus: Corpus, max_bin: int = 8
+    rows: list[CandidateRow], max_bin: int = 8
 ) -> dict[str, dict[str, BinStat]]:
     """Pass fraction per (difficulty, function-count bin), plus an "all" row."""
-    _check_known(records, corpus)
-    counts: dict[tuple[str, str], list[int]] = {}
-    for record in records:
-        difficulty = corpus.get(record.problem_id).difficulty.value
-        for cand in record.candidates:
-            label = bin_label(cand.metrics.function_count, max_bin)
-            for group in (difficulty, ALL_LABEL):
-                cell = counts.setdefault((group, label), [0, 0])
-                cell[0] += 1
-                cell[1] += cand.verdict.passed
-
     profile: dict[str, dict[str, BinStat]] = {}
-    for (group, label), (total, passed) in sorted(
-        counts.items(), key=lambda kv: (kv[0][0], _bin_sort_key(kv[0][1]))
-    ):
-        profile.setdefault(group, {})[label] = BinStat(count=total, accuracy=passed / total)
+    for label, group in sorted(by_difficulty([(r.difficulty, r) for r in rows]).items()):
+        cells: dict[str, list[int]] = {}
+        for row in group:
+            cell = cells.setdefault(bin_label(row.metrics.function_count, max_bin), [0, 0])
+            cell[0] += 1
+            cell[1] += row.passed
+        if cells:
+            profile[label] = {
+                b: BinStat(count=total, accuracy=passed / total)
+                for b, (total, passed) in sorted(cells.items(), key=lambda kv: _bin_sort_key(kv[0]))
+            }
     return profile
 
 
@@ -200,33 +208,16 @@ def _bin_sort_key(label: str) -> int:
     return int(label.rstrip("+"))
 
 
-def resource_profile(
-    records: list[GenerationRecord], corpus: Corpus
-) -> dict[str, ResourceAverages | None]:
+def resource_profile(rows: list[CandidateRow]) -> dict[str, ResourceAverages | None]:
     """Average judge wall time and peak memory over passed candidates."""
-    _check_known(records, corpus)
-    groups: dict[str, list[tuple[float, float]]] = {}
-    labels = _labels_in_use(records, corpus)
-    for record in records:
-        difficulty = corpus.get(record.problem_id).difficulty.value
-        for cand in record.candidates:
-            if not cand.verdict.passed:
-                continue
-            sample = (cand.verdict.avg_time, cand.verdict.avg_peak_memory)
-            groups.setdefault(difficulty, []).append(sample)
-            groups.setdefault(ALL_LABEL, []).append(sample)
     out: dict[str, ResourceAverages | None] = {}
-    for label in labels + [ALL_LABEL]:
-        samples = groups.get(label)
-        if not samples:
-            out[label] = None
-            continue
-        times, mems = zip(*samples)
+    for label, group in by_difficulty([(r.difficulty, r) for r in rows]).items():
+        passed = [r for r in group if r.passed]
         out[label] = ResourceAverages(
-            passed_count=len(samples),
-            avg_time=float(np.mean(times)),
-            avg_peak_memory=float(np.mean(mems)),
-        )
+            passed_count=len(passed),
+            avg_time=_mean([r.avg_time for r in passed]),
+            avg_peak_memory=_mean([r.avg_peak_memory for r in passed]),
+        ) if passed else None
     return out
 
 
@@ -236,30 +227,27 @@ class MiProfile:
     by_split: dict[str, float | None]
 
 
-def mi_profile(records: list[GenerationRecord], corpus: Corpus) -> MiProfile:
-    """Mean maintainability index over passed candidates, per difficulty and split."""
-    _check_known(records, corpus)
-    by_diff: dict[str, list[float]] = {}
-    by_split: dict[str, list[float]] = {}
-    for record in records:
-        problem = corpus.get(record.problem_id)
-        for cand in record.candidates:
-            if not cand.verdict.passed:
-                continue
-            by_diff.setdefault(problem.difficulty.value, []).append(cand.metrics.maintainability)
-            by_split.setdefault(problem.split.value, []).append(cand.metrics.maintainability)
+def mi_profile(rows: list[CandidateRow]) -> MiProfile:
+    """Mean maintainability index over passed candidates, per difficulty and split.
 
-    labels = _labels_in_use(records, corpus)
-    diff_out: dict[str, float | None] = {
-        label: (float(np.mean(by_diff[label])) if by_diff.get(label) else None)
-        for label in labels
-    }
-    all_values = [v for vals in by_diff.values() for v in vals]
-    diff_out[ALL_LABEL] = float(np.mean(all_values)) if all_values else None
-    split_out: dict[str, float | None] = {
-        split: float(np.mean(vals)) for split, vals in sorted(by_split.items())
-    }
-    return MiProfile(by_difficulty=diff_out, by_split=split_out)
+    The "all" mean sums level by level, the levels in the order each first
+    has a passed candidate; the output bytes depend on that order.
+    """
+    groups = by_difficulty([(r.difficulty, r) for r in rows])
+    del groups[ALL_LABEL]
+    by_diff = {label: _mean([r.metrics.maintainability for r in group if r.passed])
+               for label, group in groups.items()}
+    passed = [r for r in rows if r.passed]
+    first_passed = list(dict.fromkeys(r.difficulty for r in passed))
+    by_diff[ALL_LABEL] = _mean([r.metrics.maintainability for r in
+                                sorted(passed, key=lambda r: first_passed.index(r.difficulty))])
+    by_split: dict[str, list[float]] = {}
+    for row in passed:
+        by_split.setdefault(row.split, []).append(row.metrics.maintainability)
+    return MiProfile(
+        by_difficulty=by_diff,
+        by_split={split: _mean(values) for split, values in sorted(by_split.items())},
+    )
 
 
 # --- self-reflection loop ---------------------------------------------------

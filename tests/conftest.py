@@ -4,7 +4,7 @@ import pytest
 
 from modeval.codemetrics import CodeMetrics, analyze
 from modeval.corpus import Corpus, Difficulty, Problem, Split, TestCase
-from modeval.evaluate import CandidateResult, GenerationRecord
+from modeval.evaluate import CandidateRow
 from modeval.sandbox import ExecStatus, ExecutionReport, JudgeVerdict
 
 TestCase.__test__ = False  # domain type, not a pytest class
@@ -59,19 +59,18 @@ def make_verdict(passed=True, n_tests=1, avg_time=0.01, avg_peak_memory=10_000_0
     )
 
 
-def make_record(pid, n, c, code="print(1)", metrics: CodeMetrics | None = None,
-                avg_time=0.01, avg_peak_memory=10_000_000) -> GenerationRecord:
+def make_rows(problem, n, c, code="print(1)", metrics: CodeMetrics | None = None,
+              avg_time=0.01, avg_peak_memory=10_000_000) -> list[CandidateRow]:
+    """``n`` judged candidates of ``problem``, the first ``c`` passing."""
     metrics = metrics or analyze(code)
-    candidates = [
-        CandidateResult(
-            code=code,
-            verdict=make_verdict(passed=(i < c), avg_time=avg_time,
-                                 avg_peak_memory=avg_peak_memory),
-            metrics=metrics,
+    return [
+        CandidateRow.judged(
+            problem, i,
+            make_verdict(passed=(i < c), avg_time=avg_time, avg_peak_memory=avg_peak_memory),
+            metrics,
         )
         for i in range(n)
     ]
-    return GenerationRecord(problem_id=pid, candidates=candidates)
 
 
 def corpus_of(*problems) -> Corpus:

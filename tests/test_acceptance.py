@@ -16,7 +16,7 @@ from modeval import codemetrics, evaluate, sandbox
 from modeval.cli import main
 from modeval.codemetrics import analyze, maintainability_index
 from modeval.corpus import Split, load_corpus
-from modeval.evaluate import CandidateResult, GenerationRecord, evaluate_corpus, pass_at_k
+from modeval.evaluate import CandidateRow, evaluate_corpus, pass_at_k
 from modeval.sandbox import (
     INTERPRETER_OVERHEAD_BOUND,
     KILL_GRACE,
@@ -175,11 +175,11 @@ def test_criterion_6_self_consistency():
         testable = [p for p in corpus if not p.untestable]
         tasks = [(p.solutions[0], p) for p in testable]
         verdicts = judge_batch(tasks, Judge(ResourceLimits(wall_time=5.0)), workers=4)
-        records = [
-            GenerationRecord(p.id, [CandidateResult(p.solutions[0], v, analyze(p.solutions[0]))])
+        rows = [
+            CandidateRow.judged(p, 0, v, analyze(p.solutions[0]))
             for p, v in zip(testable, verdicts)
         ]
-        report = evaluate_corpus(corpus, records, ks=[1])
+        report = evaluate_corpus(rows, ks=[1])
         for label, rates in report.pass_at_k.items():
             assert rates[1] == 1.0, label
         elapsed = time.perf_counter() - start
@@ -279,11 +279,11 @@ def test_criterion_9_parallel_determinism():
         assert matched_seq == matched_par
 
         def build_report(verdicts):
-            records = [
-                GenerationRecord(p.id, [CandidateResult(code, v, analyze(code))])
+            rows = [
+                CandidateRow.judged(p, 0, v, analyze(code))
                 for (code, p), v in zip(tasks, verdicts)
             ]
-            return evaluate_corpus(corpus, records, ks=[1])
+            return evaluate_corpus(rows, ks=[1])
 
         report_seq = build_report(seq)
         report_par = build_report(par)

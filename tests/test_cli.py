@@ -72,6 +72,28 @@ class TestConfig:
         assert main(["stats", "--config", str(config), *flags]) == 1
         assert "workers must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config, named", [
+        ([], "JSON object"),
+        ({"corpus": ["x"]}, "corpus"),
+        ({"corpus": {"train": 5}}, "corpus"),
+        ({"solution_cap": "3"}, "solution_cap"),
+        ({"dedup_threshold": "0.5"}, "dedup_threshold"),
+        ({"workers": True}, "workers"),
+        ({"ks": "1"}, "ks"),
+        ({"data_types": "mot"}, "data_types"),
+    ], ids=["root_list", "corpus_list", "corpus_path_int", "solution_cap_string",
+            "dedup_threshold_string", "workers_bool", "ks_string", "data_types_string"])
+    def test_mistyped_value_is_config_error(self, tmp_path, capsys, config, named):
+        if isinstance(config, dict):
+            path = write_config(tmp_path, **config)
+        else:
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(config))
+        for command in ("stats", "transform"):
+            assert main([command, "--config", str(path)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and named in err
+
     def test_relative_paths_resolved_against_config_dir(self, tmp_path):
         (tmp_path / "corpus.jsonl").write_text(
             json.dumps({"id": "x", "question": "q", "solutions": ["print(1)"],
@@ -328,6 +350,45 @@ class TestReflect:
         assert all(len(t["rounds"]) <= 1 for t in traces)
 
 
+ECHO_ROW = {
+    "problem_id": "e2e-echo", "candidate_index": 0, "difficulty": "introductory",
+    "split": "test", "passed": False, "first_failure": 0, "matched": [False],
+    "statuses": ["ok"], "avg_time": 0.1, "avg_peak_memory": 1000,
+    "metrics": {"halstead_volume": 1.0, "cyclomatic": 1, "sloc": 1,
+                "comment_density": 0.0, "maintainability": 100.0,
+                "function_count": 0},
+}
+
+
+class TestRecordsLoader:
+    """``reflect`` and ``analyze`` read evaluate's records.jsonl through one loader."""
+
+    def write_records(self, tmp_path, lines):
+        path = tmp_path / "out" / "evaluate" / "records.jsonl"
+        path.parent.mkdir(parents=True)
+        path.write_text("".join(line + "\n" for line in lines))
+
+    @pytest.mark.parametrize("command", ["analyze", "reflect"])
+    def test_unknown_problem_id_named(self, tmp_path, capsys, command):
+        config = write_config(tmp_path)
+        self.write_records(tmp_path, [json.dumps(ECHO_ROW),
+                                      json.dumps(dict(ECHO_ROW, problem_id="ghost"))])
+        assert main([command, "--config", str(config)]) == 1
+        assert "ghost" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["analyze", "reflect"])
+    @pytest.mark.parametrize("row", [
+        {k: v for k, v in ECHO_ROW.items() if k != "avg_time"},
+        dict(ECHO_ROW, code="print(input())"),
+        dict(ECHO_ROW, difficulty="expert"),
+    ], ids=["missing_field", "extra_field", "unknown_difficulty"])
+    def test_bad_row_names_its_file_line(self, tmp_path, capsys, command, row):
+        config = write_config(tmp_path)
+        self.write_records(tmp_path, [json.dumps(ECHO_ROW), "", json.dumps(row)])
+        assert main([command, "--config", str(config)]) == 1
+        assert "malformed records line 3" in capsys.readouterr().err
+
+
 class TestAnalyze:
     def test_profiles_emitted(self, tmp_path):
         config = write_config(tmp_path)
@@ -351,14 +412,7 @@ class TestAnalyze:
     def test_no_passed_candidates_absent_means(self, tmp_path):
         config = write_config(tmp_path)
         records = tmp_path / "records.jsonl"
-        records.write_text(json.dumps({
-            "problem_id": "e2e-echo", "candidate_index": 0, "difficulty": "introductory",
-            "split": "test", "passed": False, "first_failure": 0, "matched": [False],
-            "statuses": ["ok"], "avg_time": 0.1, "avg_peak_memory": 1000,
-            "metrics": {"halstead_volume": 1.0, "cyclomatic": 1, "sloc": 1,
-                        "comment_density": 0.0, "maintainability": 100.0,
-                        "function_count": 0},
-        }) + "\n")
+        records.write_text(json.dumps(ECHO_ROW) + "\n")
         assert main(["analyze", "--config", str(config), "--records", str(records)]) == 0
         mi_rows = read_csv(tmp_path / "out" / "analyze" / "mi_profile.csv")
         values = [r[2] for r in mi_rows[1:] if r[0] == "difficulty"]

@@ -1,12 +1,12 @@
 import random
 
+import numpy as np
 import pytest
 
 from modeval.codemetrics import analyze
 from modeval.corpus import Difficulty, Split
 from modeval.evaluate import (
-    CandidateResult,
-    GenerationRecord,
+    CandidateRow,
     evaluate_corpus,
     function_accuracy_profile,
     mi_profile,
@@ -17,7 +17,7 @@ from modeval.evaluate import (
 from modeval.llm_client import MockProvider, ProviderConfig, ProviderError
 from modeval.sandbox import Judge, ResourceLimits
 
-from conftest import corpus_of, make_problem, make_record, make_verdict
+from conftest import make_problem, make_rows, make_verdict
 from oracles import pass_at_k_enumerated
 
 CFG = ProviderConfig(retry_limit=0, retry_backoff=0.001)
@@ -72,19 +72,15 @@ class TestPassAtK:
 
 class TestEvaluateCorpus:
     def test_all_passing(self):
-        corpus = corpus_of(make_problem("a"), make_problem("b"))
-        records = [make_record("a", 1, 1), make_record("b", 2, 2)]
-        report = evaluate_corpus(corpus, records, ks=[1])
+        rows = make_rows(make_problem("a"), 1, 1) + make_rows(make_problem("b"), 2, 2)
+        report = evaluate_corpus(rows, ks=[1])
         assert report.pass_at_k["all"][1] == 1.0
         assert report.pass_at_k["introductory"][1] == 1.0
 
     def test_two_difficulty_average(self):
-        corpus = corpus_of(
-            make_problem("a", difficulty=Difficulty.INTRODUCTORY),
-            make_problem("b", difficulty=Difficulty.COMPETITION),
-        )
-        records = [make_record("a", 1, 1), make_record("b", 1, 0)]
-        report = evaluate_corpus(corpus, records, ks=[1])
+        rows = (make_rows(make_problem("a", difficulty=Difficulty.INTRODUCTORY), 1, 1)
+                + make_rows(make_problem("b", difficulty=Difficulty.COMPETITION), 1, 0))
+        report = evaluate_corpus(rows, ks=[1])
         assert report.pass_at_k["introductory"][1] == 1.0
         assert report.pass_at_k["competition"][1] == 0.0
         assert report.pass_at_k["all"][1] == 0.5
@@ -94,22 +90,23 @@ class TestEvaluateCorpus:
         # oracle and a plain mean, independently of the estimator under test
         rng = random.Random(7)
         corpus_problems = []
-        records = []
+        counts = []
+        rows = []
         difficulties = [Difficulty.INTRODUCTORY, Difficulty.INTERVIEW, Difficulty.COMPETITION]
         for i in range(30):
             difficulty = difficulties[i % 3]
             n = rng.randint(3, 6)
             c = rng.randint(0, n)
             corpus_problems.append(make_problem(f"p{i}", difficulty=difficulty))
-            records.append(make_record(f"p{i}", n, c))
-        corpus = corpus_of(*corpus_problems)
-        report = evaluate_corpus(corpus, records, ks=[1, 3])
+            counts.append((n, c))
+            rows += make_rows(corpus_problems[-1], n, c)
+        report = evaluate_corpus(rows, ks=[1, 3])
 
         for k in (1, 3):
             by_difficulty = {}
-            for problem, record in zip(corpus_problems, records):
+            for problem, (n, c) in zip(corpus_problems, counts):
                 by_difficulty.setdefault(problem.difficulty.value, []).append(
-                    pass_at_k_enumerated(record.n, record.c, k)
+                    pass_at_k_enumerated(n, c, k)
                 )
             for label, values in by_difficulty.items():
                 assert report.pass_at_k[label][k] == pytest.approx(
@@ -120,30 +117,41 @@ class TestEvaluateCorpus:
                 sum(everything) / len(everything), abs=1e-12
             )
 
-    def test_unknown_problem_id_listed(self):
-        corpus = corpus_of(make_problem("a"))
-        with pytest.raises(ValueError, match="ghost"):
-            evaluate_corpus(corpus, [make_record("ghost", 1, 1)], ks=[1])
-
     def test_per_level_mean_mode(self):
-        corpus = corpus_of(
-            make_problem("a", difficulty=Difficulty.INTRODUCTORY),
-            make_problem("b", difficulty=Difficulty.INTRODUCTORY),
-            make_problem("c", difficulty=Difficulty.COMPETITION),
-        )
-        records = [make_record("a", 1, 1), make_record("b", 1, 1), make_record("c", 1, 0)]
-        problems_weighted = evaluate_corpus(corpus, records, ks=[1])
-        level_weighted = evaluate_corpus(corpus, records, ks=[1], all_mode="difficulty-means")
+        rows = (make_rows(make_problem("a", difficulty=Difficulty.INTRODUCTORY), 1, 1)
+                + make_rows(make_problem("b", difficulty=Difficulty.INTRODUCTORY), 1, 1)
+                + make_rows(make_problem("c", difficulty=Difficulty.COMPETITION), 1, 0))
+        problems_weighted = evaluate_corpus(rows, ks=[1])
+        level_weighted = evaluate_corpus(rows, ks=[1], all_mode="difficulty-means")
         assert problems_weighted.pass_at_k["all"][1] == pytest.approx(2 / 3)
         assert level_weighted.pass_at_k["all"][1] == pytest.approx(0.5)
 
     def test_record_order_does_not_matter(self):
-        corpus = corpus_of(*[make_problem(f"p{i}") for i in range(6)])
-        records = [make_record(f"p{i}", 2, i % 3) for i in range(6)]
-        forward = evaluate_corpus(corpus, records, ks=[1, 2])
-        backward = evaluate_corpus(corpus, list(reversed(records)), ks=[1, 2])
+        rows = [row for i in range(6) for row in make_rows(make_problem(f"p{i}"), 2, i % 3)]
+        forward = evaluate_corpus(rows, ks=[1, 2])
+        backward = evaluate_corpus(list(reversed(rows)), ks=[1, 2])
         assert forward.pass_at_k == backward.pass_at_k
         assert forward.mi_profile == backward.mi_profile
+
+    def test_all_means_keep_their_summation_order(self):
+        # passed candidates in record order interview, introductory, interview;
+        # the MI "all" mean sums level by level, in the order each level first
+        # passed (interview, interview, introductory), while the resource "all"
+        # mean sums in record order; the output bytes depend on both
+        values = [0.1, 0.2, 0.4]
+        levels = [Difficulty.INTERVIEW, Difficulty.INTRODUCTORY, Difficulty.INTERVIEW]
+        rows = []
+        for i, (value, level) in enumerate(zip(values, levels)):
+            row, = make_rows(make_problem(f"p{i}", difficulty=level), 1, 1,
+                             metrics=analyze("print(1)"), avg_time=value)
+            row.metrics.maintainability = value
+            rows.append(row)
+        level_order = [values[0], values[2], values[1]]
+        assert float(np.mean(level_order)) != float(np.mean(values))
+
+        report = evaluate_corpus(rows, ks=[1])
+        assert report.mi_profile["all"] == float(np.mean(level_order))
+        assert report.resource_profile["all"].avg_time == float(np.mean(values))
 
 
 FUNC0 = "print(input())"
@@ -152,106 +160,85 @@ FUNC2 = "def f():\n    pass\ndef g():\n    pass\nprint(1)"
 
 class TestFunctionAccuracyProfile:
     def test_single_bin_all_passing(self):
-        corpus = corpus_of(make_problem("a"))
-        records = [make_record("a", 3, 3, code=FUNC0)]
-        profile = function_accuracy_profile(records, corpus)
+        rows = make_rows(make_problem("a"), 3, 3, code=FUNC0)
+        profile = function_accuracy_profile(rows)
         assert profile["introductory"]["0"].accuracy == 1.0
         assert profile["introductory"]["0"].count == 3
         assert profile["all"]["0"].accuracy == 1.0
 
     def test_two_function_pass_zero_function_fail(self):
-        corpus = corpus_of(make_problem("a"))
-        record = GenerationRecord(
-            problem_id="a",
-            candidates=[
-                CandidateResult(FUNC2, make_verdict(passed=True), analyze(FUNC2)),
-                CandidateResult(FUNC0, make_verdict(passed=False), analyze(FUNC0)),
-            ],
-        )
-        profile = function_accuracy_profile([record], corpus)
+        problem = make_problem("a")
+        rows = [
+            CandidateRow.judged(problem, 0, make_verdict(passed=True), analyze(FUNC2)),
+            CandidateRow.judged(problem, 1, make_verdict(passed=False), analyze(FUNC0)),
+        ]
+        profile = function_accuracy_profile(rows)
         assert profile["introductory"]["2"].accuracy == 1.0
         assert profile["introductory"]["0"].accuracy == 0.0
 
     def test_empty_records(self):
-        assert function_accuracy_profile([], corpus_of()) == {}
+        assert function_accuracy_profile([]) == {}
 
     def test_overflow_bin(self):
         many = "\n".join(f"def f{i}():\n    pass" for i in range(9))
-        corpus = corpus_of(make_problem("a"))
-        record = GenerationRecord(
-            "a", [CandidateResult(many, make_verdict(passed=True), analyze(many))]
-        )
-        profile = function_accuracy_profile([record], corpus)
+        rows = [CandidateRow.judged(make_problem("a"), 0, make_verdict(passed=True), analyze(many))]
+        profile = function_accuracy_profile(rows)
         assert profile["introductory"]["8+"].count == 1
 
 
 class TestResourceProfile:
     def test_single_passed_candidate(self):
-        corpus = corpus_of(make_problem("a"))
-        records = [make_record("a", 1, 1, avg_time=1.0, avg_peak_memory=10 * 10 ** 6)]
-        profile = resource_profile(records, corpus)
+        rows = make_rows(make_problem("a"), 1, 1, avg_time=1.0, avg_peak_memory=10 * 10 ** 6)
+        profile = resource_profile(rows)
         assert profile["introductory"].avg_time == pytest.approx(1.0)
         assert profile["introductory"].avg_peak_memory == pytest.approx(10 * 10 ** 6)
 
     def test_mean_over_passed(self):
-        corpus = corpus_of(make_problem("a"), make_problem("b"))
-        records = [
-            make_record("a", 1, 1, avg_time=1.0),
-            make_record("b", 1, 1, avg_time=3.0),
-        ]
-        profile = resource_profile(records, corpus)
+        rows = (make_rows(make_problem("a"), 1, 1, avg_time=1.0)
+                + make_rows(make_problem("b"), 1, 1, avg_time=3.0))
+        profile = resource_profile(rows)
         assert profile["all"].avg_time == pytest.approx(2.0)
 
     def test_failed_candidates_excluded(self):
-        corpus = corpus_of(make_problem("a"))
-        record = GenerationRecord(
-            problem_id="a",
-            candidates=[
-                CandidateResult(FUNC0, make_verdict(passed=True, avg_time=1.0), analyze(FUNC0)),
-                CandidateResult(FUNC0, make_verdict(passed=False, avg_time=99.0), analyze(FUNC0)),
-            ],
-        )
-        profile = resource_profile([record], corpus)
+        problem = make_problem("a")
+        rows = [
+            CandidateRow.judged(problem, 0, make_verdict(passed=True, avg_time=1.0), analyze(FUNC0)),
+            CandidateRow.judged(problem, 1, make_verdict(passed=False, avg_time=99.0), analyze(FUNC0)),
+        ]
+        profile = resource_profile(rows)
         assert profile["introductory"].avg_time == pytest.approx(1.0)
         assert profile["introductory"].passed_count == 1
 
     def test_no_passed_candidates_absent(self):
-        corpus = corpus_of(make_problem("a"))
-        profile = resource_profile([make_record("a", 1, 0)], corpus)
+        profile = resource_profile(make_rows(make_problem("a"), 1, 0))
         assert profile["introductory"] is None
 
 
 class TestMiProfile:
     def test_single_value(self):
-        corpus = corpus_of(make_problem("a"))
-        record = make_record("a", 1, 1)
-        record.candidates[0].metrics.maintainability = 122.31
-        profile = mi_profile([record], corpus)
+        rows = make_rows(make_problem("a"), 1, 1)
+        rows[0].metrics.maintainability = 122.31
+        profile = mi_profile(rows)
         assert profile.by_difficulty["introductory"] == pytest.approx(122.31)
 
     def test_mean_of_two(self):
-        corpus = corpus_of(make_problem("a"), make_problem("b"))
-        r1, r2 = make_record("a", 1, 1), make_record("b", 1, 1)
-        r1.candidates[0].metrics.maintainability = 100.0
-        r2.candidates[0].metrics.maintainability = 150.0
-        profile = mi_profile([r1, r2], corpus)
+        r1, r2 = make_rows(make_problem("a"), 1, 1), make_rows(make_problem("b"), 1, 1)
+        r1[0].metrics.maintainability = 100.0
+        r2[0].metrics.maintainability = 150.0
+        profile = mi_profile(r1 + r2)
         assert profile.by_difficulty["all"] == pytest.approx(125.0)
 
     def test_absent_when_nothing_passed(self):
-        corpus = corpus_of(make_problem("a"))
-        profile = mi_profile([make_record("a", 2, 0)], corpus)
+        profile = mi_profile(make_rows(make_problem("a"), 2, 0))
         assert profile.by_difficulty["introductory"] is None
         assert profile.by_difficulty["all"] is None
 
     def test_split_breakdown(self):
-        corpus = corpus_of(
-            make_problem("a", split=Split.VALID),
-            make_problem("b", split=Split.TEST),
-        )
-        r1, r2 = make_record("a", 1, 1), make_record("b", 1, 1)
-        r1.candidates[0].metrics.maintainability = 80.0
-        r2.candidates[0].metrics.maintainability = 120.0
-        profile = mi_profile([r1, r2], corpus)
+        r1 = make_rows(make_problem("a", split=Split.VALID), 1, 1)
+        r2 = make_rows(make_problem("b", split=Split.TEST), 1, 1)
+        r1[0].metrics.maintainability = 80.0
+        r2[0].metrics.maintainability = 120.0
+        profile = mi_profile(r1 + r2)
         assert profile.by_split == {"test": 120.0, "valid": 80.0}
 
 
