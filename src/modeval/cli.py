@@ -157,6 +157,12 @@ def load_pipeline_config(config_path: str | Path, overrides: argparse.Namespace)
 
     if cfg.workers < 1:
         raise ConfigError("workers must be >= 1")
+    if cfg.solution_cap < 1:
+        raise ConfigError(f"solution_cap must be >= 1, got {cfg.solution_cap}")
+    if not 0 < cfg.dedup_threshold <= 1:
+        raise ConfigError(f"dedup_threshold must be in (0, 1], got {cfg.dedup_threshold}")
+    if cfg.max_reflection_rounds < 1:
+        raise ConfigError(f"max_reflection_rounds must be >= 1, got {cfg.max_reflection_rounds}")
     for dt in cfg.data_types:
         if dt not in ("mot", "clean"):
             raise ConfigError(f"unknown data type {dt!r}")

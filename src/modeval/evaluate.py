@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import llm_client, promptgen
 from .codemetrics import CodeMetrics
 from .corpus import Difficulty, Problem
@@ -129,9 +127,40 @@ def by_difficulty(items: list[tuple[str, object]]) -> dict[str, list]:
     return ordered
 
 
+def _pairwise_sum(xs: list[float]) -> float:
+    """numpy's pairwise summation, step for step: a plain loop below 8 items,
+    8 strided accumulators up to 128, and halving at a multiple of 8 above."""
+    n = len(xs)
+    if n < 8:
+        total = 0.0
+        for x in xs:
+            total += x
+        return total
+    if n <= 128:
+        acc = xs[:8]
+        tail = n - n % 8
+        for i in range(8, tail, 8):
+            acc = [a + b for a, b in zip(acc, xs[i:i + 8])]
+        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+        for x in xs[tail:]:
+            total += x
+        return total
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(xs[:half]) + _pairwise_sum(xs[half:])
+
+
 def _mean(values: list[float]) -> float | None:
-    """numpy's mean, whose pairwise summation fixes the output bytes; None when empty."""
-    return float(np.mean(values)) if values else None
+    """``float(np.mean(values))`` to the last bit, which fixes the output bytes;
+    None when empty.
+
+    numpy adds the pairwise sum to its identity 0.0, so an all -0.0 sum reads
+    0.0.  The match holds for float lists of any length; numpy casts int and
+    bool lists in 8192-item buffers, so those match up to that length.
+    """
+    if not values:
+        return None
+    return (0.0 + _pairwise_sum([float(v) for v in values])) / len(values)
 
 
 def evaluate_corpus(

@@ -7,7 +7,7 @@ fixture directory, and otherwise synthesizes a structurally valid response
 from the content embedded in the prompt itself.
 
 Responses are cached on disk, content-addressed by (prompt text, model,
-temperature), so pipeline reruns cost nothing.
+temperature, max_output_tokens), so pipeline reruns cost nothing.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
-
-import requests
 
 from . import promptgen
 from .promptgen import Prompt, PromptTag, ModularSolution, SubModule
@@ -68,6 +66,31 @@ class ProviderError(Exception):
         self.kind = kind
 
 
+def _post(url: str, body: bytes, headers: dict[str, str], timeout: float) -> tuple[int, str]:
+    """POST ``body`` to ``url``; the HTTP status and response text, error statuses included.
+
+    A failure to get any response (refused connection, timeout, broken
+    stream) is a transient ProviderError.  urllib is imported here, not at
+    module level: it costs tens of milliseconds and mock runs never send.
+    """
+    import http.client
+    import urllib.error
+    import urllib.request
+
+    if not url.startswith(("http://", "https://")):
+        raise ProviderError("protocol", f"endpoint is not an http(s) URL: {url!r}")
+    request = urllib.request.Request(url, data=body, headers=headers, method="POST")
+    try:
+        try:
+            resp = urllib.request.urlopen(request, timeout=timeout)
+        except urllib.error.HTTPError as exc:
+            resp = exc  # an error status still carries its body
+        with resp:
+            return resp.status, resp.read().decode("utf-8", errors="replace")
+    except (OSError, http.client.HTTPException) as exc:  # URLError and timeouts are OSErrors
+        raise ProviderError("transient", f"request failed: {exc}") from exc
+
+
 class HttpProvider:
     """POSTs chat-completion requests to a hosted-model-compatible endpoint."""
 
@@ -86,23 +109,20 @@ class HttpProvider:
                 {"role": "user", "content": prompt.user},
             ],
         }
+        status, reply = _post(
+            cfg.endpoint,
+            json.dumps(payload).encode("utf-8"),
+            {"Authorization": f"Bearer {api_key}", "Content-Type": "application/json"},
+            cfg.timeout,
+        )
+        if status in (401, 403):
+            raise ProviderError("auth", f"HTTP {status}")
+        if status == 429 or status >= 500:
+            raise ProviderError("transient", f"HTTP {status}")
+        if status != 200:
+            raise ProviderError("protocol", f"HTTP {status}: {reply[:200]}")
         try:
-            resp = requests.post(
-                cfg.endpoint,
-                json=payload,
-                headers={"Authorization": f"Bearer {api_key}"},
-                timeout=cfg.timeout,
-            )
-        except requests.RequestException as exc:
-            raise ProviderError("transient", f"request failed: {exc}") from exc
-        if resp.status_code in (401, 403):
-            raise ProviderError("auth", f"HTTP {resp.status_code}")
-        if resp.status_code == 429 or resp.status_code >= 500:
-            raise ProviderError("transient", f"HTTP {resp.status_code}")
-        if resp.status_code != 200:
-            raise ProviderError("protocol", f"HTTP {resp.status_code}: {resp.text[:200]}")
-        try:
-            body = resp.json()
+            body = json.loads(reply)
             choice = body["choices"][0]
             text = choice["message"]["content"]
             finish = choice.get("finish_reason", "")

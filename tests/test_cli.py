@@ -1,6 +1,10 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -93,6 +97,19 @@ class TestConfig:
             assert main([command, "--config", str(path)]) == 1
             err = capsys.readouterr().err
             assert err.startswith("error:") and named in err
+
+    @pytest.mark.parametrize("config, named, command", [
+        ({"solution_cap": 0}, "solution_cap", "transform"),
+        ({"dedup_threshold": 1.5, "dedup_holdout_split": "test"}, "dedup_threshold", "transform"),
+        ({"max_reflection_rounds": 0}, "max_reflection_rounds", "reflect"),
+    ], ids=["solution_cap_zero", "dedup_threshold_above_one", "max_reflection_rounds_zero"])
+    def test_out_of_range_value_is_config_error(self, tmp_path, capsys, config, named, command):
+        if command == "reflect":
+            run_evaluate(tmp_path, write_config(tmp_path))
+        path = write_config(tmp_path, **config)
+        assert main([command, "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err
 
     def test_relative_paths_resolved_against_config_dir(self, tmp_path):
         (tmp_path / "corpus.jsonl").write_text(
@@ -465,3 +482,15 @@ class TestFlagOverrides:
         assert main([*args, "--no-cache", "--top-level-only"]) == 0
         top_only = read_jsonl(tmp_path / "out" / "evaluate" / "records.jsonl")
         assert top_only[0]["metrics"]["function_count"] == 1
+
+
+def test_import_loads_no_third_party_or_network_module():
+    # every CLI start pays for what `import modeval.cli` loads; the runtime is
+    # stdlib-only and urllib.request waits until an HTTP provider sends
+    probe = ("import modeval.cli, sys; "
+             "print(sorted({'numpy', 'requests', 'urllib.request'} & set(sys.modules)))")
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

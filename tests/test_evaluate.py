@@ -7,6 +7,8 @@ from modeval.codemetrics import analyze
 from modeval.corpus import Difficulty, Split
 from modeval.evaluate import (
     CandidateRow,
+    _mean,
+    _pairwise_sum,
     evaluate_corpus,
     function_accuracy_profile,
     mi_profile,
@@ -68,6 +70,51 @@ class TestPassAtK:
         for n in range(1, 9):
             for c in range(n + 1):
                 assert pass_at_k(n, c, n) == (1.0 if c >= 1 else 0.0)
+
+
+# lengths at numpy's pairwise-summation seams: the plain loop below 8, the
+# 8-accumulator block up to 128, the halving above, and a remainder of 8
+MEAN_LENGTHS = [*range(1, 9), 127, 128, 129, 136, 255, 256, 257, 1000]
+
+
+def mean_inputs(make_item, rng, extra=300):
+    lengths = MEAN_LENGTHS + [rng.randint(1, 1000) for _ in range(extra)]
+    return [[make_item(rng) for _ in range(n)] for n in lengths]
+
+
+def wide_float(rng):
+    return rng.choice((-1.0, 1.0)) * rng.uniform(1.0, 10.0) * 10.0 ** rng.randint(-8, 8)
+
+
+class TestMean:
+    """``_mean`` stands in for ``float(np.mean(xs))`` and must agree to the bit,
+    sign of zero included; float.hex compares exactly that."""
+
+    @pytest.mark.parametrize("make_item", [
+        wide_float,
+        lambda rng: rng.randint(-10**6, 10**6),
+        lambda rng: rng.random() < 0.3,
+    ], ids=["floats", "ints", "bools"])
+    def test_matches_numpy_bit_for_bit(self, make_item):
+        for xs in mean_inputs(make_item, random.Random(8)):
+            assert _mean(xs).hex() == float(np.mean(xs)).hex(), len(xs)
+
+    def test_negative_zero_reads_positive_like_numpy(self):
+        for xs in ([-0.0], [-0.0] * 8, [-0.0] * 200):
+            assert float(np.mean(xs)).hex() == "0x0.0p+0"
+            assert _mean(xs).hex() == "0x0.0p+0"
+
+    def test_empty_is_none(self):
+        assert _mean([]) is None
+
+    def test_the_inputs_tell_summation_orders_apart(self):
+        # seeding the sum with the first item is a plausible near miss; the
+        # inputs above must catch it, or the bit-for-bit test proves nothing
+        def seeded(xs):
+            return (xs[0] + _pairwise_sum([float(x) for x in xs[1:]])) / len(xs)
+
+        inputs = mean_inputs(wide_float, random.Random(8))
+        assert any(seeded(xs).hex() != float(np.mean(xs)).hex() for xs in inputs)
 
 
 class TestEvaluateCorpus:

@@ -1,5 +1,7 @@
 import json
+import socket
 import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -167,31 +169,21 @@ class TestCompleteBatch:
         assert len(list((tmp_path / "cache").glob("*.json"))) == 1
 
 
-class FakeResponse:
-    def __init__(self, status_code, body=None):
-        self.status_code = status_code
-        self._body = body or {}
-        self.text = json.dumps(self._body)
-
-    def json(self):
-        return self._body
-
-
 class TestHttpProvider:
     def test_happy_path_and_truncation_flag(self, monkeypatch):
         monkeypatch.setenv("TEST_KEY_VAR", "secret")
         captured = {}
 
-        def fake_post(url, json=None, headers=None, timeout=None):
+        def fake_post(url, body, headers, timeout):
             captured["url"] = url
-            captured["payload"] = json
+            captured["payload"] = json.loads(body)
             captured["auth"] = headers["Authorization"]
-            return FakeResponse(200, {
+            return 200, json.dumps({
                 "choices": [{"message": {"content": "hello"}, "finish_reason": "length"}],
                 "usage": {"total_tokens": 7},
             })
 
-        monkeypatch.setattr("modeval.llm_client.requests.post", fake_post)
+        monkeypatch.setattr("modeval.llm_client._post", fake_post)
         cfg = ProviderConfig(endpoint="https://api.example/v1/chat", api_key_env="TEST_KEY_VAR",
                              model_name="m1", temperature=0.3)
         text, meta = HttpProvider().send(prompt_of("question"), cfg)
@@ -206,12 +198,115 @@ class TestHttpProvider:
     ])
     def test_status_mapping(self, monkeypatch, status, kind):
         monkeypatch.setenv("TEST_KEY_VAR", "secret")
-        monkeypatch.setattr("modeval.llm_client.requests.post",
-                            lambda *a, **k: FakeResponse(status))
+        monkeypatch.setattr("modeval.llm_client._post", lambda *a, **k: (status, "{}"))
         cfg = ProviderConfig(endpoint="https://api.example/v1", api_key_env="TEST_KEY_VAR")
         with pytest.raises(ProviderError) as exc:
             HttpProvider().send(prompt_of("q"), cfg)
         assert exc.value.kind == kind
+
+
+class ScriptedHandler(BaseHTTPRequestHandler):
+    """Answers each POST with the server's ``reply`` (status, body text), after
+    waiting up to ``delay`` seconds for the server's ``release`` event."""
+
+    def do_POST(self):
+        length = int(self.headers["Content-Length"])
+        self.server.received.append((dict(self.headers), json.loads(self.rfile.read(length))))
+        self.server.release.wait(self.server.delay)
+        status, body = self.server.reply
+        data = body.encode("utf-8")
+        try:
+            self.send_response(status)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(data)))
+            self.end_headers()
+            self.wfile.write(data)
+        except OSError:  # the client gave up waiting
+            pass
+
+    def log_message(self, format, *args):
+        pass
+
+
+@pytest.fixture
+def loopback_env(monkeypatch):
+    monkeypatch.setenv("TEST_KEY_VAR", "secret")
+    monkeypatch.setenv("no_proxy", "127.0.0.1")  # a proxy set in the environment must not intercept
+
+
+@pytest.fixture
+def server(loopback_env):
+    srv = ThreadingHTTPServer(("127.0.0.1", 0), ScriptedHandler)
+    srv.reply, srv.delay, srv.release, srv.received = (200, "{}"), 0.0, threading.Event(), []
+    thread = threading.Thread(target=srv.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    try:
+        yield srv
+    finally:
+        srv.release.set()
+        srv.shutdown()
+        srv.server_close()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+
+
+def endpoint_cfg(port, **kwargs):
+    return ProviderConfig(endpoint=f"http://127.0.0.1:{port}/v1/chat",
+                          api_key_env="TEST_KEY_VAR", model_name="m1", **kwargs)
+
+
+class TestHttpTransport:
+    """HttpProvider over a real loopback HTTP server: no patched seam."""
+
+    def test_truncated_reply_with_usage(self, server):
+        server.reply = (200, json.dumps({
+            "choices": [{"message": {"content": "hello"}, "finish_reason": "length"}],
+            "usage": {"total_tokens": 7},
+        }))
+        text, meta = HttpProvider().send(prompt_of("question"), endpoint_cfg(server.server_port))
+        assert text == "hello"
+        assert meta == {"finish_reason": "length", "truncated": True,
+                        "usage": {"total_tokens": 7}}
+        (headers, payload), = server.received
+        assert headers["Authorization"] == "Bearer secret"
+        assert headers["Content-Type"] == "application/json"
+        assert payload["model"] == "m1"
+        assert payload["messages"][1]["content"] == "question"
+
+    @pytest.mark.parametrize("status,kind", [
+        (500, "transient"), (429, "transient"), (401, "auth"), (403, "auth"), (400, "protocol"),
+    ])
+    def test_status_mapping(self, server, status, kind):
+        server.reply = (status, json.dumps({"error": "scripted"}))
+        with pytest.raises(ProviderError) as exc:
+            HttpProvider().send(prompt_of("q"), endpoint_cfg(server.server_port))
+        assert exc.value.kind == kind
+
+    def test_malformed_body_is_protocol(self, server):
+        server.reply = (200, "not json")
+        with pytest.raises(ProviderError) as exc:
+            HttpProvider().send(prompt_of("q"), endpoint_cfg(server.server_port))
+        assert exc.value.kind == "protocol"
+
+    def test_closed_port_is_transient(self, loopback_env):
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        with pytest.raises(ProviderError) as exc:
+            HttpProvider().send(prompt_of("q"), endpoint_cfg(port))
+        assert exc.value.kind == "transient"
+
+    def test_timeout_is_transient(self, server):
+        server.delay = 5.0  # released at teardown, long after the client gives up
+        with pytest.raises(ProviderError) as exc:
+            HttpProvider().send(prompt_of("q"), endpoint_cfg(server.server_port, timeout=0.2))
+        assert exc.value.kind == "transient"
+
+    def test_non_http_endpoint_is_protocol(self, loopback_env):
+        cfg = ProviderConfig(endpoint="file:///etc/hostname", api_key_env="TEST_KEY_VAR")
+        with pytest.raises(ProviderError) as exc:
+            HttpProvider().send(prompt_of("q"), cfg)
+        assert exc.value.kind == "protocol"
 
 
 class TestMockSynthesis:
