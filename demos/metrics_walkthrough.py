@@ -1,7 +1,5 @@
 #!/usr/bin/env python3
 """Tour of the static code metrics: tokens, SLOC, complexity, volume, MI."""
-import numpy as np
-
 from modeval import analyze, cyclomatic_complexity, maintainability_index, tokenize
 from modeval.codemetrics import TokenKind, halstead_volume
 
@@ -40,13 +38,13 @@ print("full record:", metrics)
 print("\nMI sweeps (other inputs held at V=100, CC=5, LOC=50, C=0.1):")
 for volume in (10, 100, 1000, 10000):
     print(f"  V={volume:>6} -> MI {maintainability_index(volume, 5, 50, 0.1):7.2f}")
-for density in np.linspace(0.0, 1.0, 5):
+for density in (i / 4 for i in range(5)):
     print(f"  C={density:.2f}  -> MI {maintainability_index(100, 5, 50, density):7.2f}")
 
 # comment density has a diminishing effect: the sin term flattens as
 # sqrt(2.46*C) approaches pi/2
-densities = np.linspace(0, 1, 101)
-mi_values = np.array([maintainability_index(100, 5, 50, c) for c in densities])
-gains = np.diff(mi_values)
-print("\nlargest single-step MI gain from comments: %.3f (near C=0)" % gains.max())
-print("smallest: %.5f (near C=1)" % gains.min())
+densities = [i / 100 for i in range(101)]
+mi_values = [maintainability_index(100, 5, 50, c) for c in densities]
+gains = [b - a for a, b in zip(mi_values, mi_values[1:])]
+print("\nlargest single-step MI gain from comments: %.3f (near C=0)" % max(gains))
+print("smallest: %.5f (near C=1)" % min(gains))

@@ -2,8 +2,6 @@
 """The unbiased pass@k estimator, checked against brute-force enumeration."""
 from itertools import combinations
 
-import numpy as np
-
 from modeval import pass_at_k
 
 # --- estimator vs. enumerating every k-subset ---------------------------------
@@ -27,9 +25,9 @@ for c in (0, 1, 2, 5, 10):
     print(f"  {c:>2}  " + "".join(f"{v:<9.4f}" for v in row))
 
 # the curve is concave in k: the marginal value of extra samples shrinks
-values = np.array([pass_at_k(n, 3, k) for k in range(1, n + 1)])
-marginal = np.diff(values)
+values = [pass_at_k(n, 3, k) for k in range(1, n + 1)]
+marginal = [b - a for a, b in zip(values, values[1:])]
 print("\nmarginal gain of each extra draw (c=3):",
-      np.array2string(marginal[:6], precision=4), "...")
-assert (np.diff(marginal) <= 1e-12).all()
+      "[" + " ".join(f"{m:.4f}" for m in marginal[:6]) + "]", "...")
+assert all(b - a <= 1e-12 for a, b in zip(marginal, marginal[1:]))
 print("concavity holds across the whole range")

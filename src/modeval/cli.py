@@ -83,7 +83,7 @@ _NOT_PLAIN = {"corpus_paths", "provider", "limits", "policy", "use_cache", "raw"
 
 
 def _has_type(value, annotation: str) -> bool:
-    """Whether a JSON value fits a ``PipelineConfig`` field annotation; only bool fits bool."""
+    """Whether a JSON value fits a dataclass field annotation; only bool fits bool."""
     if annotation.endswith(" | None"):
         return value is None or _has_type(value, annotation.removesuffix(" | None"))
     if annotation.startswith("list["):
@@ -176,7 +176,10 @@ def load_pipeline_config(config_path: str | Path, overrides: argparse.Namespace)
 
 def _make_provider(cfg: PipelineConfig):
     if cfg.mock_provider:
-        return MockProvider(fixture_dir=cfg.mock_provider)
+        try:
+            return MockProvider(fixture_dir=cfg.mock_provider)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     return HttpProvider()
 
 
@@ -487,6 +490,11 @@ def _load_rows(path: Path, corpus: Corpus) -> list[CandidateRow]:
         try:
             obj = json.loads(line)
             row = CandidateRow(**dict(obj, metrics=codemetrics.CodeMetrics(**obj["metrics"])))
+            for record in (row, row.metrics):
+                for f in fields(record):
+                    value = getattr(record, f.name)
+                    if f.name != "metrics" and not _has_type(value, f.type):
+                        raise TypeError(f"{f.name} must be {f.type}, got {value!r}")
             Difficulty(row.difficulty), Split(row.split)  # known level and split, or ValueError
         except (ValueError, KeyError, TypeError) as exc:
             raise ConfigError(f"{path}: malformed records line {lineno}: {exc}") from exc
@@ -552,8 +560,8 @@ def cmd_reflect(cfg: PipelineConfig) -> int:
     groups = evaluate.by_difficulty([(prows[0].difficulty, pid) for pid, prows in problems.items()])
     comparison_rows = [
         [label, len(pids),
-         round(sum(before[pid] for pid in pids) / len(pids), 6),
-         round(sum(1.0 if pid in solved else before[pid] for pid in pids) / len(pids), 6)]
+         round(evaluate._mean([before[pid] for pid in pids]), 6),
+         round(evaluate._mean([1.0 if pid in solved else before[pid] for pid in pids]), 6)]
         for label, pids in groups.items() if pids
     ]
     _write_csv(

@@ -9,11 +9,14 @@ computed in product form for numerical stability; it is verified against
 exhaustive subset enumeration in the test suite.  Aggregations average over
 problems (the "all" row is problem-weighted by default; a per-level mean is
 available).  Resource and maintainability profiles follow the passed-only
-population: failed candidates are excluded.
+population: failed candidates are excluded.  Every mean is the correctly
+rounded sum (``math.fsum``) over the count, so no aggregate depends on the
+order of the rows.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from . import llm_client, promptgen
@@ -127,40 +130,12 @@ def by_difficulty(items: list[tuple[str, object]]) -> dict[str, list]:
     return ordered
 
 
-def _pairwise_sum(xs: list[float]) -> float:
-    """numpy's pairwise summation, step for step: a plain loop below 8 items,
-    8 strided accumulators up to 128, and halving at a multiple of 8 above."""
-    n = len(xs)
-    if n < 8:
-        total = 0.0
-        for x in xs:
-            total += x
-        return total
-    if n <= 128:
-        acc = xs[:8]
-        tail = n - n % 8
-        for i in range(8, tail, 8):
-            acc = [a + b for a, b in zip(acc, xs[i:i + 8])]
-        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
-        for x in xs[tail:]:
-            total += x
-        return total
-    half = n // 2
-    half -= half % 8
-    return _pairwise_sum(xs[:half]) + _pairwise_sum(xs[half:])
-
-
 def _mean(values: list[float]) -> float | None:
-    """``float(np.mean(values))`` to the last bit, which fixes the output bytes;
-    None when empty.
-
-    numpy adds the pairwise sum to its identity 0.0, so an all -0.0 sum reads
-    0.0.  The match holds for float lists of any length; numpy casts int and
-    bool lists in 8192-item buffers, so those match up to that length.
-    """
+    """The correctly rounded sum over the count, so the result depends on no
+    order of ``values``; None when empty."""
     if not values:
         return None
-    return (0.0 + _pairwise_sum([float(v) for v in values])) / len(values)
+    return math.fsum(values) / len(values)
 
 
 def evaluate_corpus(
@@ -189,14 +164,11 @@ def evaluate_corpus(
          {k: pass_at_k(len(prows), sum(r.passed for r in prows), k) for k in ks})
         for prows in problems.values()
     ])
-    everything = rates.pop(ALL_LABEL)
     table = {label: {k: _mean([r[k] for r in group]) for k in ks}
-             for label, group in rates.items()}
-    if everything:
-        if all_mode == "problems":
-            table[ALL_LABEL] = {k: _mean([r[k] for r in everything]) for k in ks}
-        else:
-            table[ALL_LABEL] = {k: _mean([means[k] for means in table.values()]) for k in ks}
+             for label, group in rates.items() if group}
+    if table and all_mode == "difficulty-means":
+        levels = [means for label, means in table.items() if label != ALL_LABEL]
+        table[ALL_LABEL] = {k: _mean([means[k] for means in levels]) for k in ks}
 
     mi = mi_profile(rows)
     return EvalReport(
@@ -257,24 +229,16 @@ class MiProfile:
 
 
 def mi_profile(rows: list[CandidateRow]) -> MiProfile:
-    """Mean maintainability index over passed candidates, per difficulty and split.
-
-    The "all" mean sums level by level, the levels in the order each first
-    has a passed candidate; the output bytes depend on that order.
-    """
-    groups = by_difficulty([(r.difficulty, r) for r in rows])
-    del groups[ALL_LABEL]
-    by_diff = {label: _mean([r.metrics.maintainability for r in group if r.passed])
-               for label, group in groups.items()}
-    passed = [r for r in rows if r.passed]
-    first_passed = list(dict.fromkeys(r.difficulty for r in passed))
-    by_diff[ALL_LABEL] = _mean([r.metrics.maintainability for r in
-                                sorted(passed, key=lambda r: first_passed.index(r.difficulty))])
+    """Mean maintainability index over passed candidates, per difficulty and split."""
     by_split: dict[str, list[float]] = {}
-    for row in passed:
-        by_split.setdefault(row.split, []).append(row.metrics.maintainability)
+    for row in rows:
+        if row.passed:
+            by_split.setdefault(row.split, []).append(row.metrics.maintainability)
     return MiProfile(
-        by_difficulty=by_diff,
+        by_difficulty={
+            label: _mean([r.metrics.maintainability for r in group if r.passed])
+            for label, group in by_difficulty([(r.difficulty, r) for r in rows]).items()
+        },
         by_split={split: _mean(values) for split, values in sorted(by_split.items())},
     )
 

@@ -186,7 +186,8 @@ class MockProvider:
     prompt content.  Rules live in ``rules.jsonl``: one JSON object per line
     with ``contains`` (substring, or list of substrings that must all appear,
     in the prompt user text), optional ``tag``, and either ``response`` or
-    ``response_file``.
+    ``response_file``.  A malformed rule or an unreadable response file raises
+    ValueError naming the file and line when the provider is built.
     """
 
     def __init__(
@@ -209,24 +210,39 @@ class MockProvider:
         if self.fixture_dir is not None:
             rules_path = self.fixture_dir / "rules.jsonl"
             if rules_path.exists():
-                for line in rules_path.read_text(encoding="utf-8").splitlines():
+                lines = rules_path.read_text(encoding="utf-8").splitlines()
+                for lineno, line in enumerate(lines, start=1):
                     if line.strip():
-                        self._rules.append(json.loads(line))
+                        self._rules.append(self._load_rule(line, f"{rules_path}:{lineno}"))
             default_path = self.fixture_dir / "default.txt"
             if default_path.exists():
                 self._default = default_path.read_text(encoding="utf-8")
+
+    def _load_rule(self, line: str, where: str) -> dict:
+        """One rules.jsonl line, ``contains`` as a list and ``response_file``
+        read into ``response``."""
+        try:
+            rule = json.loads(line)
+            if not isinstance(rule, dict):
+                raise ValueError("a rule must be a JSON object")
+            if "response_file" in rule:
+                path = self.fixture_dir / rule.pop("response_file")
+                rule["response"] = path.read_text(encoding="utf-8")
+            needles = rule.get("contains") or []
+            rule["contains"] = needles if isinstance(needles, list) else [needles]
+            texts = [*rule["contains"], rule.get("tag") or "", rule.get("response", "")]
+            if not all(isinstance(text, str) for text in texts):
+                raise ValueError("contains, tag and response must be strings")
+        except (ValueError, TypeError, OSError) as exc:
+            raise ValueError(f"{where}: bad mock rule: {exc}") from exc
+        return rule
 
     def _rule_response(self, prompt: Prompt) -> str | None:
         for rule in self._rules:
             if rule.get("tag") and rule["tag"] != prompt.tag.value:
                 continue
-            needles = rule.get("contains") or []
-            if isinstance(needles, str):
-                needles = [needles]
-            if any(needle not in prompt.user for needle in needles):
+            if any(needle not in prompt.user for needle in rule["contains"]):
                 continue
-            if "response_file" in rule:
-                return (self.fixture_dir / rule["response_file"]).read_text(encoding="utf-8")
             return rule.get("response", "")
         return None
 
@@ -327,7 +343,6 @@ def complete(
         if hit is not None:
             return hit
 
-    last: ProviderError | None = None
     for attempt in range(cfg.retry_limit + 1):
         try:
             text, meta = provider.send(prompt, cfg)
@@ -335,10 +350,7 @@ def complete(
         except ProviderError as exc:
             if exc.kind != "transient" or attempt == cfg.retry_limit:
                 raise
-            last = exc
             time.sleep(cfg.retry_backoff * (2 ** attempt))
-    else:  # pragma: no cover - loop always breaks or raises
-        raise last or ProviderError("transient", "retries exhausted")
 
     completion = Completion(text=text, provider_meta=meta, cached=False)
     if cache is not None:

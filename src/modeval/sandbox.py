@@ -207,6 +207,9 @@ class _Broker:
             self.proc.wait(timeout=2)
         except (OSError, subprocess.TimeoutExpired, ValueError):
             self.proc.kill()
+            self.proc.wait()
+        finally:
+            self.proc.stdout.close()
 
 
 _broker_pool: list[_Broker] = []  # idle, reusable brokers

@@ -9,7 +9,6 @@ import math
 import time
 from contextlib import contextmanager
 
-import numpy as np
 import pytest
 
 from modeval import codemetrics, evaluate, sandbox
@@ -82,7 +81,7 @@ def test_criterion_3_maintainability_formula_and_monotonicity():
 
         violations = 0
         eps = 1e-12
-        volumes = np.logspace(0, 6, 100)
+        volumes = [10 ** (6 * i / 99) for i in range(100)]
         values = [maintainability_index(v, 5, 50, 0.1) for v in volumes]
         violations += sum(b > a + eps for a, b in zip(values, values[1:]))
 
@@ -90,14 +89,14 @@ def test_criterion_3_maintainability_formula_and_monotonicity():
         values = [maintainability_index(100.0, cc, 50, 0.1) for cc in ccs]
         violations += sum(b > a + eps for a, b in zip(values, values[1:]))
 
-        locs = np.unique(np.logspace(0, 5, 100).astype(int))
+        locs = sorted({int(10 ** (5 * i / 99)) for i in range(100)})
         values = [maintainability_index(100.0, 5, loc, 0.1) for loc in locs]
         violations += sum(b > a + eps for a, b in zip(values, values[1:]))
 
         # the sin term peaks at sqrt(2.46*C) = pi/2, i.e. C* ~ 1.003 > 1,
         # so MI is non-decreasing in C over the whole [0, 1] domain
         c_star = min(1.0, (math.pi / 2) ** 2 / 2.46)
-        cs = np.linspace(0.0, c_star, 100)
+        cs = [c_star * i / 99 for i in range(100)]
         values = [maintainability_index(100.0, 5, 50, c) for c in cs]
         violations += sum(b < a - eps for a, b in zip(values, values[1:]))
 

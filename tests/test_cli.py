@@ -111,6 +111,24 @@ class TestConfig:
         err = capsys.readouterr().err
         assert err.startswith("error:") and named in err
 
+    @pytest.mark.parametrize("rules", [
+        "{not json",
+        "[1, 2]",
+        json.dumps({"contains": "", "response_file": "missing.txt"}),
+        json.dumps({"contains": 5, "response": "x"}),
+        json.dumps({"contains": "", "response": 5}),
+    ], ids=["bad_json", "not_an_object", "missing_response_file", "contains_int",
+            "response_int"])
+    def test_malformed_mock_fixture_is_config_error(self, tmp_path, capsys, rules):
+        mock = tmp_path / "mock"
+        mock.mkdir()
+        (mock / "rules.jsonl").write_text(json.dumps({"contains": "x", "response": "y"})
+                                          + "\n\n" + rules + "\n")
+        config = write_config(tmp_path, mock_provider=str(mock))
+        assert main(["transform", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "rules.jsonl:3" in err
+
     def test_relative_paths_resolved_against_config_dir(self, tmp_path):
         (tmp_path / "corpus.jsonl").write_text(
             json.dumps({"id": "x", "question": "q", "solutions": ["print(1)"],
@@ -398,7 +416,11 @@ class TestRecordsLoader:
         {k: v for k, v in ECHO_ROW.items() if k != "avg_time"},
         dict(ECHO_ROW, code="print(input())"),
         dict(ECHO_ROW, difficulty="expert"),
-    ], ids=["missing_field", "extra_field", "unknown_difficulty"])
+        dict(ECHO_ROW, passed="yes"),
+        dict(ECHO_ROW, statuses=[1]),
+        dict(ECHO_ROW, metrics=dict(ECHO_ROW["metrics"], function_count=1.5)),
+    ], ids=["missing_field", "extra_field", "unknown_difficulty", "passed_string",
+            "statuses_ints", "function_count_float"])
     def test_bad_row_names_its_file_line(self, tmp_path, capsys, command, row):
         config = write_config(tmp_path)
         self.write_records(tmp_path, [json.dumps(ECHO_ROW), "", json.dumps(row)])

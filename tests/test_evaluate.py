@@ -1,14 +1,14 @@
 import random
+from dataclasses import asdict
+from fractions import Fraction
 
-import numpy as np
 import pytest
 
-from modeval.codemetrics import analyze
+from modeval.codemetrics import CodeMetrics, analyze
 from modeval.corpus import Difficulty, Split
 from modeval.evaluate import (
     CandidateRow,
     _mean,
-    _pairwise_sum,
     evaluate_corpus,
     function_accuracy_profile,
     mi_profile,
@@ -72,13 +72,8 @@ class TestPassAtK:
                 assert pass_at_k(n, c, n) == (1.0 if c >= 1 else 0.0)
 
 
-# lengths at numpy's pairwise-summation seams: the plain loop below 8, the
-# 8-accumulator block up to 128, the halving above, and a remainder of 8
-MEAN_LENGTHS = [*range(1, 9), 127, 128, 129, 136, 255, 256, 257, 1000]
-
-
 def mean_inputs(make_item, rng, extra=300):
-    lengths = MEAN_LENGTHS + [rng.randint(1, 1000) for _ in range(extra)]
+    lengths = [*range(1, 9), 1000] + [rng.randint(1, 1000) for _ in range(extra)]
     return [[make_item(rng) for _ in range(n)] for n in lengths]
 
 
@@ -86,35 +81,53 @@ def wide_float(rng):
     return rng.choice((-1.0, 1.0)) * rng.uniform(1.0, 10.0) * 10.0 ** rng.randint(-8, 8)
 
 
+def exact_mean(xs):
+    """The exact sum, rounded once, over the count."""
+    return float(sum(map(Fraction, xs))) / len(xs)
+
+
 class TestMean:
-    """``_mean`` stands in for ``float(np.mean(xs))`` and must agree to the bit,
-    sign of zero included; float.hex compares exactly that."""
+    """``_mean`` is the correctly rounded sum over the count, whatever the order
+    of the items; float.hex compares to the bit, sign of zero included."""
 
     @pytest.mark.parametrize("make_item", [
         wide_float,
         lambda rng: rng.randint(-10**6, 10**6),
         lambda rng: rng.random() < 0.3,
     ], ids=["floats", "ints", "bools"])
-    def test_matches_numpy_bit_for_bit(self, make_item):
+    def test_matches_fraction_oracle(self, make_item):
         for xs in mean_inputs(make_item, random.Random(8)):
-            assert _mean(xs).hex() == float(np.mean(xs)).hex(), len(xs)
+            assert _mean(xs).hex() == exact_mean(xs).hex(), len(xs)
 
-    def test_negative_zero_reads_positive_like_numpy(self):
+    def test_negative_zero_reads_positive(self):
         for xs in ([-0.0], [-0.0] * 8, [-0.0] * 200):
-            assert float(np.mean(xs)).hex() == "0x0.0p+0"
             assert _mean(xs).hex() == "0x0.0p+0"
 
     def test_empty_is_none(self):
         assert _mean([]) is None
 
     def test_the_inputs_tell_summation_orders_apart(self):
-        # seeding the sum with the first item is a plausible near miss; the
-        # inputs above must catch it, or the bit-for-bit test proves nothing
-        def seeded(xs):
-            return (xs[0] + _pairwise_sum([float(x) for x in xs[1:]])) / len(xs)
-
+        # a plain left-to-right sum rounds at every step; the inputs above
+        # must catch it, or the oracle test proves nothing
         inputs = mean_inputs(wide_float, random.Random(8))
-        assert any(seeded(xs).hex() != float(np.mean(xs)).hex() for xs in inputs)
+        assert any((sum(xs) / len(xs)).hex() != exact_mean(xs).hex() for xs in inputs)
+
+
+def random_rows(rng):
+    """Candidate rows of 1-40 problems over every level and split, with wide-
+    magnitude times, memory and maintainability, 3-5 candidates each."""
+    rows = []
+    for i in range(rng.randint(1, 40)):
+        problem = make_problem(f"p{i}", difficulty=rng.choice(list(Difficulty)),
+                               split=rng.choice([Split.TRAIN, Split.VALID, Split.TEST]))
+        for index in range(rng.randint(3, 5)):
+            metrics = CodeMetrics(halstead_volume=1.0, cyclomatic=1, sloc=1,
+                                  comment_density=0.0, maintainability=wide_float(rng),
+                                  function_count=rng.randint(0, 9))
+            verdict = make_verdict(passed=rng.random() < 0.5, avg_time=abs(wide_float(rng)),
+                                   avg_peak_memory=abs(wide_float(rng)))
+            rows.append(CandidateRow.judged(problem, index, verdict, metrics))
+    return rows
 
 
 class TestEvaluateCorpus:
@@ -175,30 +188,15 @@ class TestEvaluateCorpus:
 
     def test_record_order_does_not_matter(self):
         rows = [row for i in range(6) for row in make_rows(make_problem(f"p{i}"), 2, i % 3)]
-        forward = evaluate_corpus(rows, ks=[1, 2])
-        backward = evaluate_corpus(list(reversed(rows)), ks=[1, 2])
-        assert forward.pass_at_k == backward.pass_at_k
-        assert forward.mi_profile == backward.mi_profile
-
-    def test_all_means_keep_their_summation_order(self):
-        # passed candidates in record order interview, introductory, interview;
-        # the MI "all" mean sums level by level, in the order each level first
-        # passed (interview, interview, introductory), while the resource "all"
-        # mean sums in record order; the output bytes depend on both
-        values = [0.1, 0.2, 0.4]
-        levels = [Difficulty.INTERVIEW, Difficulty.INTRODUCTORY, Difficulty.INTERVIEW]
-        rows = []
-        for i, (value, level) in enumerate(zip(values, levels)):
-            row, = make_rows(make_problem(f"p{i}", difficulty=level), 1, 1,
-                             metrics=analyze("print(1)"), avg_time=value)
-            row.metrics.maintainability = value
-            rows.append(row)
-        level_order = [values[0], values[2], values[1]]
-        assert float(np.mean(level_order)) != float(np.mean(values))
-
-        report = evaluate_corpus(rows, ks=[1])
-        assert report.mi_profile["all"] == float(np.mean(level_order))
-        assert report.resource_profile["all"].avg_time == float(np.mean(values))
+        orders = [(rows, [1, 2], list(reversed(rows)))]
+        rng = random.Random(9)
+        for _ in range(150):
+            rows = random_rows(rng)
+            orders.append((rows, [1, 2, 3], rng.sample(rows, len(rows))))
+        for rows, ks, reordered in orders:
+            for all_mode in ("problems", "difficulty-means"):
+                assert asdict(evaluate_corpus(rows, ks, all_mode)) == \
+                       asdict(evaluate_corpus(reordered, ks, all_mode)), (len(rows), all_mode)
 
 
 FUNC0 = "print(input())"

@@ -1,3 +1,5 @@
+import subprocess
+
 import pytest
 
 from modeval.sandbox import (
@@ -10,6 +12,7 @@ from modeval.sandbox import (
     Judge,
     ResourceLimits,
     VerdictCache,
+    _Broker,
     compare_output,
     judge,
     judge_batch,
@@ -236,3 +239,21 @@ class TestVerdictCache:
         verdict = cache.judge("print(input())", problem, FAST)
         assert verdict.passed
         assert cache.misses == 2
+
+
+class TestBroker:
+    @pytest.mark.parametrize("hangs", [False, True], ids=["exits", "killed"])
+    def test_close_releases_pipe_and_reaps(self, monkeypatch, hangs):
+        broker = _Broker()
+        if hangs:
+            wait = broker.proc.wait
+
+            def slow_wait(timeout=None):
+                if timeout is not None:
+                    raise subprocess.TimeoutExpired(broker.proc.args, timeout)
+                return wait()
+
+            monkeypatch.setattr(broker.proc, "wait", slow_wait)
+        broker.close()
+        assert broker.proc.stdout.closed
+        assert broker.proc.returncode is not None
