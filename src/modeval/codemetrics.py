@@ -1,9 +1,16 @@
 """Static source metrics: SLOC, comment density, cyclomatic complexity,
 Halstead volume, maintainability index, function count.
 
-Everything is computed lexically from a tolerant hand-rolled tokenizer, not
-a parse tree, so slightly broken generated code still gets measured.  The
-maintainability index is
+Everything is computed lexically from a tolerant tokenizer, not a parse
+tree, so slightly broken generated code still gets measured.  The tokenizer
+is one compiled regular expression whose alternatives are tried in priority
+order at each position (newline, blanks, line continuation, comment, string,
+number, name, operator, any other character as an error token); the loop
+over its matches keeps only the line number and whether it stands at the
+start of a line.  Every metric then comes from a single counting pass over
+the token stream.  Lines are the ``\\n``-terminated lines of the source.
+
+The maintainability index is
 
     MI = max(0, 171 - 5.2*log2(V) - 0.23*CC - 16.2*log2(LOC)
                 + 50*sin(sqrt(2.46*C)))
@@ -54,50 +61,50 @@ DECISION_KEYWORDS = frozenset({"if", "elif", "for", "while", "and", "or", "excep
 
 _KEYWORDS = frozenset(keyword.kwlist)
 
-_NUMBER_RE = re.compile(
-    r"""
-    0[xX][0-9a-fA-F_]+ | 0[oO][0-7_]+ | 0[bB][01_]+
-    | (?:\d[\d_]*)?\.\d[\d_]*(?:[eE][+-]?\d+)?[jJ]?
-    | \d[\d_]*\.(?!\.)(?:[eE][+-]?\d+)?[jJ]?
-    | \d[\d_]*(?:[eE][+-]?\d+)?[jJ]?
-    """,
-    re.VERBOSE,
-)
-_NAME_RE = re.compile(r"[^\W\d]\w*")  # unicode identifiers allowed, like the language
-_STRING_PREFIX_RE = re.compile(r"[rRbBuUfF]{0,2}(\"\"\"|'''|\"|')")
-
 _OPERATORS = [
     "**=", "//=", ">>=", "<<=", "...", "!=", ">=", "<=", "==", "->", ":=",
     "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "@=", "**", "//",
     "<<", ">>", "+", "-", "*", "/", "%", "@", "&", "|", "^", "~", "<",
     ">", "=", "(", ")", "[", "]", "{", "}", ",", ":", ".", ";",
 ]
-# Operators grouped by width, widest first, for a longest-match lookup.
-_OPERATORS_BY_WIDTH = [
-    (width, frozenset(op for op in _OPERATORS if len(op) == width)) for width in (3, 2, 1)
-]
 
-
-def _scan_string(source: str, start: int, quote: str) -> int:
-    """Index just past the closing quote, honoring backslash escapes.
-
-    Unterminated strings run to end of source (single-quote flavors stop at
-    the end of the line) so lexing can continue.
-    """
-    i = start
-    n = len(source)
-    triple = len(quote) == 3
-    while i < n:
-        ch = source[i]
-        if ch == "\\":
-            i += 2
-            continue
-        if not triple and ch == "\n":
-            return i  # unterminated single-line string
-        if source.startswith(quote, i):
-            return i + len(quote)
-        i += 1
-    return n
+# Strings take up to two prefix letters and honor backslash escapes.  An
+# unterminated string runs to the end of the source, except that a
+# single-quote one stops before its line break, so lexing can continue.
+# Operators are listed longest first, so the longest one at a position wins.
+_TOKEN_RE = re.compile(
+    r"""
+      (?P<newline>\n)
+    | (?P<blank>[ \t]+)
+    | (?P<space>[\r\f]+)
+    | (?P<continuation>\\\n)
+    | (?P<comment>\#[^\n]*)
+    | (?P<string>[rRbBuUfF]{0,2}(?:
+          '''[^\\']*(?:(?:\\[\s\S]?|'(?!''))[^\\']*)*(?:''')?
+        | \"\"\"[^\\"]*(?:(?:\\[\s\S]?|"(?!""))[^\\"]*)*(?:\"\"\")?
+        | '[^\\'\n]*(?:\\[\s\S]?[^\\'\n]*)*'?
+        | "[^\\"\n]*(?:\\[\s\S]?[^\\"\n]*)*"?
+      ))
+    | (?P<number>
+          0[xX][0-9a-fA-F_]+ | 0[oO][0-7_]+ | 0[bB][01_]+
+        | (?:\d[\d_]*)?\.\d[\d_]*(?:[eE][+-]?\d+)?[jJ]?
+        | \d[\d_]*\.(?!\.)(?:[eE][+-]?\d+)?[jJ]?
+        | \d[\d_]*(?:[eE][+-]?\d+)?[jJ]?
+      )
+    | (?P<name>[^\W\d]\w*)
+    | (?P<operator>"""
+    + "|".join(re.escape(op) for op in sorted(_OPERATORS, key=len, reverse=True))
+    + r""")
+    | (?P<error>.)
+    """,
+    re.VERBOSE,
+)
+_GROUP_KINDS = {
+    "comment": TokenKind.COMMENT,
+    "number": TokenKind.NUMBER,
+    "operator": TokenKind.OPERATOR,
+    "error": TokenKind.ERROR,
+}
 
 
 def tokenize(source: str) -> TokenStream:
@@ -105,149 +112,51 @@ def tokenize(source: str) -> TokenStream:
 
     Unknown characters become error tokens and lexing continues.  Every
     non-whitespace character of the source lands in some token, so the
-    stream reproduces the source's line structure.
+    stream reproduces the source's line structure.  A run of blanks and
+    tabs opening a line that holds anything else is an INDENT token; an
+    explicit line continuation is an error token ``\\`` that does not start
+    a new line.
     """
     tokens: TokenStream = []
-    i = 0
-    n = len(source)
+    append = tokens.append
+    token = tuple.__new__  # token(Token, fields) skips Token's pure-Python __new__
+    keywords = _KEYWORDS
+    # per-token loops read kinds from locals: TokenKind.X is a slow class lookup
+    indent, newline, keyword, operand, string, error = (
+        TokenKind.INDENT, TokenKind.NEWLINE, TokenKind.KEYWORD, TokenKind.OPERAND,
+        TokenKind.STRING, TokenKind.ERROR,
+    )
+    kinds = _GROUP_KINDS
     line = 1
     at_line_start = True
-    while i < n:
-        ch = source[i]
-        if at_line_start:
-            j = i
-            while j < n and source[j] in " \t":
-                j += 1
-            if j >= n:
-                break
-            if source[j] == "\n":
-                tokens.append(Token(TokenKind.NEWLINE, "\n", line))
-                line += 1
-                i = j + 1
-                continue
-            if j > i:
-                tokens.append(Token(TokenKind.INDENT, source[i:j], line))
-            i = j
-            at_line_start = False
+    for m in _TOKEN_RE.finditer(source):
+        group = m.lastgroup
+        if group == "blank":
+            if at_line_start:
+                at_line_start = False
+                end = m.end()
+                if source[end:end + 1] not in ("", "\n"):
+                    append(token(Token, (indent, m.group(), line)))
             continue
-        if ch == "\n":
-            tokens.append(Token(TokenKind.NEWLINE, "\n", line))
+        if group == "newline":
+            append(token(Token, (newline, "\n", line)))
             line += 1
-            i += 1
             at_line_start = True
             continue
-        if ch in " \t\r\f":
-            i += 1
-            continue
-        if ch == "\\" and i + 1 < n and source[i + 1] == "\n":
-            # explicit line continuation: swallow, logical line continues
-            tokens.append(Token(TokenKind.ERROR, "\\", line))
-            line += 1
-            i += 2
-            continue
-        if ch == "#":
-            end = source.find("\n", i)
-            end = n if end == -1 else end
-            tokens.append(Token(TokenKind.COMMENT, source[i:end], line))
-            i = end
-            continue
-
-        m = _STRING_PREFIX_RE.match(source, i)
-        if m:
-            quote = m.group(1)
-            end = _scan_string(source, m.end(), quote)
-            text = source[i:end]
-            tokens.append(Token(TokenKind.STRING, text, line))
-            line += text.count("\n")
-            i = end
-            continue
-
-        if ch.isdigit() or (ch == "." and i + 1 < n and source[i + 1].isdigit()):
-            m = _NUMBER_RE.match(source, i)
-            if m:
-                tokens.append(Token(TokenKind.NUMBER, m.group(), line))
-                i = m.end()
-                continue
-
-        m = _NAME_RE.match(source, i)
-        if m:
+        at_line_start = False
+        if group == "name":
             text = m.group()
-            kind = TokenKind.KEYWORD if text in _KEYWORDS else TokenKind.OPERAND
-            tokens.append(Token(kind, text, line))
-            i = m.end()
-            continue
-
-        for width, operators in _OPERATORS_BY_WIDTH:
-            op = source[i:i + width]
-            if op in operators:
-                tokens.append(Token(TokenKind.OPERATOR, op, line))
-                i += width
-                break
-        else:
-            tokens.append(Token(TokenKind.ERROR, ch, line))
-            i += 1
+            append(token(Token, (keyword if text in keywords else operand, text, line)))
+        elif group == "string":
+            text = m.group()
+            append(token(Token, (string, text, line)))
+            line += text.count("\n")
+        elif group == "continuation":
+            append(token(Token, (error, "\\", line)))
+            line += 1
+        elif group != "space":
+            append(token(Token, (kinds[group], m.group(), line)))
     return tokens
-
-
-_CONTENT_KINDS = frozenset(
-    {TokenKind.OPERATOR, TokenKind.OPERAND, TokenKind.KEYWORD,
-     TokenKind.STRING, TokenKind.NUMBER, TokenKind.ERROR}
-)
-
-
-def _standalone_string_spans(tokens: TokenStream) -> set[int]:
-    """Lines covered by docstring-style standalone string literals."""
-    spans: set[int] = set()
-    content = [t for t in tokens if t.kind in _CONTENT_KINDS or t.kind is TokenKind.NEWLINE]
-    for idx, tok in enumerate(content):
-        if tok.kind is not TokenKind.STRING:
-            continue
-        prev_ok = idx == 0 or content[idx - 1].kind is TokenKind.NEWLINE
-        nxt = content[idx + 1] if idx + 1 < len(content) else None
-        next_ok = nxt is None or nxt.kind is TokenKind.NEWLINE
-        if prev_ok and next_ok:
-            spans.update(range(tok.line, tok.line + tok.text.count("\n") + 1))
-    return spans
-
-
-def sloc_and_comments(source: str) -> tuple[int, int, int, float]:
-    """(sloc, comment_lines, total_lines, comment_density).
-
-    sloc counts lines holding at least one non-comment, non-blank token;
-    comment lines are pure-comment lines plus docstring-only lines; the
-    density is comment_lines / total_lines (0 for empty source).
-    """
-    return _line_counts(tokenize(source), len(source.splitlines()))
-
-
-def _line_counts(tokens: TokenStream, total_lines: int) -> tuple[int, int, int, float]:
-    doc_lines = _standalone_string_spans(tokens)
-    code_lines: set[int] = set()
-    comment_lines: set[int] = set()
-    for tok in tokens:
-        if tok.kind is TokenKind.COMMENT:
-            comment_lines.add(tok.line)
-        elif tok.kind in _CONTENT_KINDS:
-            span = range(tok.line, tok.line + tok.text.count("\n") + 1)
-            if tok.kind is TokenKind.STRING and tok.line in doc_lines:
-                comment_lines.update(span)
-            else:
-                code_lines.update(span)
-    comment_only = (comment_lines - code_lines) & set(range(1, total_lines + 1))
-    sloc = len(code_lines)
-    c = len(comment_only) / total_lines if total_lines else 0.0
-    return sloc, len(comment_only), total_lines, c
-
-
-def cyclomatic_complexity(source: str) -> int:
-    """1 + number of decision tokens (see DECISION_KEYWORDS)."""
-    return _cyclomatic(tokenize(source))
-
-
-def _cyclomatic(tokens: TokenStream) -> int:
-    return 1 + sum(
-        1 for t in tokens if t.kind is TokenKind.KEYWORD and t.text in DECISION_KEYWORDS
-    )
 
 
 @lru_cache(maxsize=None)
@@ -265,31 +174,127 @@ def halstead_classes() -> dict[str, str]:
     return table
 
 
-def _halstead_class(token: Token) -> str | None:
-    if token.kind in (TokenKind.COMMENT, TokenKind.NEWLINE, TokenKind.INDENT, TokenKind.ERROR):
-        return None
-    if token.kind is TokenKind.KEYWORD:
-        return halstead_classes().get(token.text, "operator")
-    if token.kind is TokenKind.OPERATOR:
-        return "operator"
-    return "operand"  # identifiers, numbers, strings
+@dataclass(frozen=True)
+class _Counts:
+    """What one pass over a token stream counts."""
+
+    volume: float
+    decisions: int
+    functions: int
+    top_level_functions: int
+    code_lines: set[int]
+    comment_lines: set[int]
+
+    def line_stats(self, source: str) -> tuple[int, int, int, float]:
+        """(sloc, comment_lines, total_lines, comment_density) of ``source``."""
+        total = source.count("\n")
+        if source and not source.endswith("\n"):
+            total += 1
+        comment_only = len({ln for ln in self.comment_lines - self.code_lines if ln <= total})
+        return len(self.code_lines), comment_only, total, comment_only / total if total else 0.0
+
+
+def _count(tokens: TokenStream) -> _Counts:
+    """Count everything the metrics need in one pass over ``tokens``.
+
+    Halstead: operators are operator tokens and the keywords the table calls
+    operators; operands are names, numbers, strings and the other keywords.
+    Lines: a line is code when a token other than a comment covers it, and
+    comment when a comment or a docstring does; a docstring is a string that
+    is the only token of its logical line besides comments.  A ``def`` is
+    top level when no INDENT opens its line.
+    """
+    keyword_class = halstead_classes()
+    operators: set[str] = set()
+    operands: set[str] = set()
+    code_lines: set[int] = set()
+    comment_lines: set[int] = set()
+    add_operator, add_operand = operators.add, operands.add
+    add_code, add_comment = code_lines.add, comment_lines.add
+    operator, operand, keyword, string, number, newline, indent, comment = (
+        TokenKind.OPERATOR, TokenKind.OPERAND, TokenKind.KEYWORD, TokenKind.STRING,
+        TokenKind.NUMBER, TokenKind.NEWLINE, TokenKind.INDENT, TokenKind.COMMENT,
+    )
+    uncounted = decisions = functions = top_level_functions = 0  # uncounted: not Halstead
+    indented = 0  # line of the latest INDENT token
+    opened = False  # a token other than a comment stands on this logical line
+    # A string that opens its logical line stays pending until the NEWLINE:
+    # it is a docstring unless a token lands on its last line after it.
+    doc = range(0)
+    for kind, text, line in tokens:
+        if kind is operator:
+            add_operator(text)
+            add_code(line)
+        elif kind is operand:
+            add_operand(text)
+            add_code(line)
+        elif kind is newline:
+            if doc:
+                (code_lines if doc[-1] in code_lines else comment_lines).update(doc)
+                doc = range(0)
+            uncounted += 1
+            opened = False
+            continue
+        elif kind is indent:
+            indented = line
+            uncounted += 1
+            continue
+        elif kind is keyword:
+            if keyword_class.get(text, "operator") == "operator":
+                add_operator(text)
+            else:
+                add_operand(text)
+            add_code(line)
+            if text in DECISION_KEYWORDS:
+                decisions += 1
+            elif text == "def":
+                functions += 1
+                if line != indented:
+                    top_level_functions += 1
+        elif kind is string:
+            add_operand(text)
+            lines = range(line, line + text.count("\n") + 1)
+            if opened:
+                code_lines.update(lines)
+            else:
+                doc = lines
+        elif kind is number:
+            add_operand(text)
+            add_code(line)
+        elif kind is comment:
+            add_comment(line)
+            uncounted += 1
+            continue
+        else:  # error tokens
+            add_code(line)
+            uncounted += 1
+        opened = True
+    if doc:
+        (code_lines if doc[-1] in code_lines else comment_lines).update(doc)
+    distinct = len(operators) + len(operands)
+    volume = (len(tokens) - uncounted) * math.log2(distinct) if distinct > 1 else 0.0
+    return _Counts(volume, decisions, functions, top_level_functions, code_lines, comment_lines)
+
+
+def sloc_and_comments(source: str) -> tuple[int, int, int, float]:
+    """(sloc, comment_lines, total_lines, comment_density).
+
+    sloc counts lines holding at least one non-comment, non-blank token;
+    comment lines are pure-comment lines plus docstring-only lines; the
+    density is comment_lines / total_lines (0 for empty source), where the
+    total counts the ``\\n``-terminated lines, plus an unterminated last one.
+    """
+    return _count(tokenize(source)).line_stats(source)
+
+
+def cyclomatic_complexity(source: str) -> int:
+    """1 + number of decision tokens (see DECISION_KEYWORDS)."""
+    return 1 + _count(tokenize(source)).decisions
 
 
 def halstead_volume(stream: Iterable[Token]) -> float:
     """V = N * log2(n): total vs distinct operator/operand occurrences."""
-    operators: dict[str, int] = {}
-    operands: dict[str, int] = {}
-    for token in stream:
-        klass = _halstead_class(token)
-        if klass == "operator":
-            operators[token.text] = operators.get(token.text, 0) + 1
-        elif klass == "operand":
-            operands[token.text] = operands.get(token.text, 0) + 1
-    total = sum(operators.values()) + sum(operands.values())
-    distinct = len(operators) + len(operands)
-    if distinct <= 1:
-        return 0.0
-    return total * math.log2(distinct)
+    return _count(list(stream)).volume
 
 
 def maintainability_index(
@@ -325,21 +330,8 @@ def maintainability_index(
 
 def function_count(source: str, top_level_only: bool = False) -> int:
     """Number of ``def`` definitions, at any nesting depth by default."""
-    return _count_defs(tokenize(source), top_level_only)
-
-
-def _count_defs(tokens: TokenStream, top_level_only: bool) -> int:
-    indents: dict[int, str] = {}
-    for tok in tokens:
-        if tok.kind is TokenKind.INDENT and tok.line not in indents:
-            indents[tok.line] = tok.text
-    count = 0
-    for tok in tokens:
-        if tok.kind is TokenKind.KEYWORD and tok.text == "def":
-            if top_level_only and indents.get(tok.line, ""):
-                continue
-            count += 1
-    return count
+    counts = _count(tokenize(source))
+    return counts.top_level_functions if top_level_only else counts.functions
 
 
 @dataclass
@@ -353,18 +345,15 @@ class CodeMetrics:
 
 
 def analyze(source: str, variant: str = "log2", top_level_functions_only: bool = False) -> CodeMetrics:
-    """All metrics for one program in a single pass over the token stream."""
-    tokens = tokenize(source)
-    sloc, _, _, density = _line_counts(tokens, len(source.splitlines()))
-    cc = _cyclomatic(tokens)
-    volume = halstead_volume(tokens)
-    mi = maintainability_index(volume, cc, sloc, density, variant=variant)
-    defs = _count_defs(tokens, top_level_functions_only)
+    """All metrics for one program from one tokenization and one counting pass."""
+    counts = _count(tokenize(source))
+    sloc, _, _, density = counts.line_stats(source)
+    cc = 1 + counts.decisions
     return CodeMetrics(
-        halstead_volume=volume,
+        halstead_volume=counts.volume,
         cyclomatic=cc,
         sloc=sloc,
         comment_density=density,
-        maintainability=mi,
-        function_count=defs,
+        maintainability=maintainability_index(counts.volume, cc, sloc, density, variant=variant),
+        function_count=counts.top_level_functions if top_level_functions_only else counts.functions,
     )

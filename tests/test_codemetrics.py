@@ -1,6 +1,10 @@
 import math
+import random
+from pathlib import Path
 
 import pytest
+
+import modeval
 
 from modeval.codemetrics import (
     CodeMetrics,
@@ -16,6 +20,7 @@ from modeval.codemetrics import (
 )
 
 from conftest import FIXTURES
+from oracles import analyze_reference, tokenize_reference
 
 PROGRAMS = sorted((FIXTURES / "programs").glob("p*.py"))
 
@@ -155,6 +160,15 @@ class TestSlocAndComments:
     def test_assigned_string_is_code(self):
         sloc, comments, total, c = sloc_and_comments('s = """not a docstring"""\n')
         assert (sloc, comments) == (1, 0)
+
+    @pytest.mark.parametrize("source, expected", [
+        ("a = 1\n\x0c\n# c\n", (1, 1, 3, 1 / 3)),  # form feed is no line break
+        ('x = "\u2028"\n# c\n', (1, 1, 2, 0.5)),  # nor is a line separator in a string
+        ("a = 1\r# c\r", (1, 0, 1, 0.0)),  # nor a lone carriage return
+    ], ids=["form_feed", "line_separator", "carriage_return"])
+    def test_total_counts_newline_terminated_lines(self, source, expected):
+        assert sloc_and_comments(source) == expected
+        assert analyze(source).comment_density == expected[3]
 
 
 class TestCyclomaticComplexity:
@@ -395,3 +409,45 @@ class TestTokenizerRobustness:
         for source in cases:
             metrics = analyze(source)
             assert metrics.cyclomatic >= 1
+
+
+# Pieces that reach every branch of the lexer: string prefixes, quotes,
+# continuations, whitespace it skips or rejects, every operator character,
+# characters no rule takes, a digit that is not a decimal digit ("\u00b2"),
+# a non-ASCII letter, number parts, keywords and indentation.
+PIECES = (
+    list("rRbBuUfF'\"") + ["'''", '"""', "\\\n", "\\"]
+    + list("\t\r\x0c\x0b\xa0 \n#") + list("*/=><.!-:+%&|^@~()[]{},;")
+    + list("$?\u00b2\u00e90123456789.eEjJxXoO_") + ["def ", "if ", "True", "\n    "]
+)
+
+
+def random_source(rng: random.Random) -> str:
+    length = rng.randint(0, 60)
+    pieces = []
+    while sum(map(len, pieces)) < length:
+        pieces.append(rng.choice(PIECES))
+    return "".join(pieces)[:length]
+
+
+class TestDifferentialOracle:
+    """Tokens and metrics equal the earlier character-at-a-time lexer's."""
+
+    @staticmethod
+    def assert_same(source):
+        assert tokenize(source) == tokenize_reference(source), repr(source)
+        for top_level_only in (False, True):
+            assert (analyze(source, top_level_functions_only=top_level_only)
+                    == analyze_reference(source, top_level_functions_only=top_level_only)), \
+                repr(source)
+
+    def test_fixture_programs_and_library_sources(self):
+        library = sorted(Path(modeval.__file__).parent.glob("*.py"))
+        assert len(PROGRAMS) == 10 and library
+        for path in PROGRAMS + library:
+            self.assert_same(path.read_text(encoding="utf-8"))
+
+    def test_random_sources(self):
+        rng = random.Random(20261018)
+        for _ in range(20000):
+            self.assert_same(random_source(rng))
