@@ -1,19 +1,40 @@
-"""Run candidate programs against I/O tests in isolated subprocesses.
+"""Run candidate programs against I/O tests in isolated processes.
 
-Each run gets a fresh scratch directory and a fresh process in its own
-session.  Wall time is enforced by polling with a hard kill of the whole
-process group; memory is enforced through an address-space rlimit installed
-by a small ``sh`` wrapper (no fork hooks, so it is safe to launch runs from
-worker threads).  Peak memory is the child's max resident set as reported by
-the kernel at reap time (``wait4``), which is the usual notion of peak for
-single-process candidates.
+Runs go through a pool of broker processes.  A broker is an interpreter of
+this host started with ``site`` (so ``exit`` and ``quit`` exist) that serves
+one run at a time as a fork server: it forks a child, and the child
 
-Candidates are not forked from this (potentially large) process directly: a
-forked child starts with the parent's resident pages and Linux folds that
-into the child's reported max RSS, which would put a harness-sized floor
-under every memory reading.  Instead runs go through a pool of slim broker
-processes (``python -S``) that do the fork/exec/wait4 dance from their own
-small images, so peak-memory readings reflect the candidate alone.
+* starts its own session (``setsid``);
+* sets its address-space and file-size rlimits with ``resource.setrlimit``;
+  a limit that cannot be set is an ``InfrastructureError``, never ignored;
+* puts the run's stdin, stdout and stderr files on fds 0-2 and closes every
+  other descriptor;
+* with the default runner, runs ``main.py`` as a fresh ``__main__`` module
+  with new ``sys.std*`` streams, ``sys.argv`` and ``sys.path[0]``, and exits
+  as the interpreter does: the same exit code for ``SystemExit`` and uncaught
+  exceptions, the same traceback on stderr, atexit functions run and the
+  streams flushed;
+* with a custom ``runner`` command, ``exec``s that command instead (split
+  with ``shlex``; no shell).
+
+Forking the warm broker skips interpreter start-up, which is most of the cost
+of a typical test run.  Forked children share their broker's hash seed, so
+string hashes (and set order) are the same in every run a broker serves,
+where separately started interpreters each draw their own unless
+``PYTHONHASHSEED`` is set.
+
+The broker waits on a pidfd with ``select`` until the wall-time deadline, then
+kills the child and its process group; where ``os.pidfd_open`` is missing it
+polls.  On Linux (3.4 or later) the broker is a child subreaper: processes a
+run leaves behind, even in a new session, are re-parented to the broker, which
+kills and reaps every one of them before it replies.  Other platforms have no
+subreaper, so there a detached descendant can outlive its run.
+
+Peak memory is the child's max resident set as reported by the kernel at
+reap time (``wait4``).  Candidates are not forked from this (potentially
+large) process: a forked child starts with its parent's resident pages, which
+would put a harness-sized floor under every memory reading.  Brokers are
+small, single-threaded processes, so forking them is safe and cheap.
 
 This is resource isolation, not a security boundary: candidates can read the
 filesystem and open sockets.  Do not run untrusted code outside a disposable
@@ -27,6 +48,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import shlex
 import shutil
 import signal
@@ -34,7 +56,9 @@ import subprocess
 import sys
 import tempfile
 import threading
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -53,10 +77,13 @@ ADDRESS_SPACE_SLACK = 128 * MB
 INTERPRETER_OVERHEAD_BOUND = 64 * MB
 
 # Extra seconds a timed-out process may run past its wall limit before the
-# kill lands (scheduler / poll granularity).
+# kill lands (scheduler granularity).
 KILL_GRACE = 0.5
 
-_POLL_INTERVAL = 0.004
+# Part of every verdict-cache key.  Bump it when a change to how programs run
+# or how outputs compare can change a verdict, so verdicts recorded before
+# the change miss once instead of being replayed.
+SANDBOX_SEMANTICS = 2
 
 
 class ExecStatus(str, Enum):
@@ -107,19 +134,16 @@ class JudgeVerdict:
     avg_peak_memory: float
 
 
-def _runner_command(runner: str | None, src: Path) -> str:
-    if runner is None:
-        return f"{shlex.quote(sys.executable)} {shlex.quote(str(src))}"
-    return runner.format(file=shlex.quote(str(src)))
-
-
-def _check_interpreter(command: str) -> None:
+def _runner_argv(runner: str, src: Path) -> list[str]:
+    """The argv of a custom ``runner`` template for ``src``; its interpreter must exist."""
+    command = runner.format(file=shlex.quote(str(src)))
     try:
-        argv0 = shlex.split(command)[0]
+        argv = shlex.split(command)
     except ValueError as exc:
         raise InfrastructureError(f"unparseable runner command {command!r}: {exc}") from exc
-    if not argv0 or shutil.which(argv0) is None:
-        raise InfrastructureError(f"interpreter {argv0!r} not found on this host")
+    if not argv or shutil.which(argv[0]) is None:
+        raise InfrastructureError(f"interpreter {argv[0] if argv else ''!r} not found on this host")
+    return argv
 
 
 def _read_capped(path: Path, cap: int) -> tuple[str, int]:
@@ -129,48 +153,218 @@ def _read_capped(path: Path, cap: int) -> tuple[str, int]:
     return data.decode("utf-8", errors="replace"), size
 
 
-# Runs inside a slim `python -S` helper so candidate processes fork from a
-# small image; forking from the main process would bequeath its resident set
-# to every child's reported max RSS.
+# The fork server.  It runs in its own interpreter so candidates fork from a
+# small image; forking the main process would bequeath its resident set to
+# every child's reported max RSS (and it has threads).
 _BROKER_SOURCE = r"""
-import json, os, signal, subprocess, sys, time
-for line in sys.stdin:
-    req = json.loads(line)
-    fi = open(req["stdin"], "rb"); fo = open(req["stdout"], "wb"); fe = open(req["stderr"], "wb")
+import sys
+del sys.path[0]  # the caller's cwd: the broker's own imports come from the interpreter
+import atexit, builtins, gc, io, json, os, resource, select, signal, time, warnings
+
+MAXFD = os.sysconf("SC_OPEN_MAX")
+CHILDREN = f"/proc/self/task/{os.getpid()}/children"
+POLL = 0.004  # only where there is no pidfd
+ENCODING, ERRORS = sys.stdout.encoding, sys.stdout.errors
+last = (None, None, None)  # (path, source, code) of the last program compiled
+
+
+def become_subreaper():
+    # orphaned descendants of a run re-parent to this process, which kills them
+    if sys.platform.startswith("linux"):
+        import ctypes
+        libc = ctypes.CDLL(None, use_errno=True)
+        libc.prctl.argtypes = [ctypes.c_int] + [ctypes.c_ulong] * 4
+        libc.prctl.restype = ctypes.c_int
+        libc.prctl(36, 1, 0, 0, 0)  # PR_SET_CHILD_SUBREAPER
+
+
+def kill_descendants():
+    while True:
+        try:
+            with open(CHILDREN) as fh:
+                pids = [int(p) for p in fh.read().split()]
+        except OSError:  # no /proc children list: not Linux
+            return
+        if not pids:
+            return
+        for pid in pids:
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+        for pid in pids:  # their own children re-parent here: list again
+            try:
+                os.waitpid(pid, 0)
+            except ChildProcessError:
+                pass
+
+
+def stdio(fd, mode, errors, line_buffering):
+    # built as the interpreter builds sys.stdin, sys.stdout and sys.stderr
+    buf = open(fd, mode + "b", closefd=False)
+    buf.raw.name = ("<stdin>", "<stdout>", "<stderr>")[fd]
+    stream = io.TextIOWrapper(buf, ENCODING, errors, "\n", line_buffering)
+    stream.mode = mode
+    return stream
+
+
+def exit_status(code):
+    if code is None:
+        return 0
+    if isinstance(code, int):
+        return code & 0xFF
+    sys.stderr.write(f"{code}\n")
+    return 1
+
+
+def compiled(path):
+    # Compiled here, warm, and reused by the program's next test: compiling
+    # in each fresh child costs several times more.  On an error or a warning
+    # the child compiles again and reports it on its own stderr.
+    global last
+    with open(path, "rb") as fh:
+        source = fh.read()
+    if last[:2] != (path, source):
+        code = None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                code = compile(source, path, "exec", dont_inherit=True)
+            except Exception:
+                pass
+        last = (path, source, code)
+    return last[2]
+
+
+def run_program(path, code):
+    sys.stdin = sys.__stdin__ = stdio(0, "r", ERRORS, False)
+    sys.stdout = sys.__stdout__ = stdio(1, "w", ERRORS, False)
+    sys.stderr = sys.__stderr__ = stdio(2, "w", "backslashreplace", True)
+    sys.argv = [path]
+    sys.path.insert(0, os.path.dirname(path))
+    main = type(sys)("__main__")
+    main.__file__, main.__cached__, main.__builtins__ = path, None, builtins
+    sys.modules["__main__"] = main
     try:
-        start = time.perf_counter()
-        try:
-            proc = subprocess.Popen(["/bin/sh", "-c", req["shell"]], stdin=fi, stdout=fo,
-                                    stderr=fe, cwd=req["cwd"], start_new_session=True)
-        except OSError as exc:
-            sys.stdout.write(json.dumps({"spawn_error": str(exc)}) + "\n")
-            sys.stdout.flush()
+        if code is None:
+            with open(path, "rb") as fh:
+                code = compile(fh.read(), path, "exec", dont_inherit=True)
+        exec(code, vars(main))
+        status = 0
+    except SystemExit as exc:
+        status = exit_status(exc.code)
+    except BaseException as exc:
+        tb = exc.__traceback__.tb_next  # from the program's frame on
+        sys.excepthook(type(exc), exc.with_traceback(tb), tb)
+        # the interpreter re-raises an uncaught Ctrl-C as SIGINT
+        status = -signal.SIGINT if isinstance(exc, KeyboardInterrupt) else 1
+    threading = sys.modules.get("threading")
+    if threading is not None:
+        threading._shutdown()  # wait for non-daemon threads
+    atexit._run_exitfuncs()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is None or getattr(stream, "closed", False):
             continue
-        deadline = start + req["wall_time"]
-        timed_out = False
-        while True:
-            pid, status, ru = os.wait4(proc.pid, os.WNOHANG)
-            if pid != 0:
-                break
-            if time.perf_counter() >= deadline:
-                timed_out = True
-                try:
-                    os.killpg(proc.pid, signal.SIGKILL)
-                except ProcessLookupError:
-                    pass
-                pid, status, ru = os.wait4(proc.pid, 0)
-                break
-            time.sleep(req["poll"])
-        wall = time.perf_counter() - start
-        proc.returncode = 0  # reaped via wait4
         try:
-            exit_code = os.waitstatus_to_exitcode(status)
-        except ValueError:
-            exit_code = -1
+            stream.flush()
+        except Exception as exc:
+            if stream is sys.stdout:
+                sys.stderr.write(f"Exception ignored in: {stream!r}\n")
+                sys.__excepthook__(type(exc), exc, None)
+            status = 120
+    return status
+
+
+def child(req, err_w, code):
+    # never returns: a failure before the program runs goes to err_w
+    status = 127
+    try:
+        try:
+            os.setsid()
+            for limit, value in ((resource.RLIMIT_AS, req["as_bytes"]),
+                                 (resource.RLIMIT_FSIZE, req["fsize_bytes"])):
+                resource.setrlimit(limit, (value, value))
+            os.chdir(req["cwd"])
+            for fd, (name, flags) in enumerate((("stdin", os.O_RDONLY),
+                                                ("stdout", os.O_WRONLY | os.O_CREAT | os.O_TRUNC),
+                                                ("stderr", os.O_WRONLY | os.O_CREAT | os.O_TRUNC))):
+                os.dup2(os.open(req[name], flags, 0o644), fd)
+            os.closerange(3, err_w)
+            os.closerange(err_w + 1, MAXFD)
+            if req["argv"]:
+                for sig in (signal.SIGPIPE, signal.SIGXFSZ):  # as subprocess restores them
+                    signal.signal(sig, signal.SIG_DFL)
+                os.execvp(req["argv"][0], req["argv"])
+        except BaseException as exc:
+            os.write(err_w, f"{type(exc).__name__}: {exc}".encode())
+            return
+        os.close(err_w)
+        status = run_program(req["file"], code)
+        if status < 0:
+            signal.signal(-status, signal.SIG_DFL)
+            os.kill(os.getpid(), -status)
     finally:
-        fi.close(); fo.close(); fe.close()
-    sys.stdout.write(json.dumps({"exit_code": exit_code, "timed_out": timed_out,
-                                 "wall": wall, "maxrss_kb": ru.ru_maxrss}) + "\n")
+        os._exit(status)
+
+
+def reap(pid, deadline):
+    # (wait status, rusage, timed out); past the deadline the child's group is killed
+    try:
+        pidfd = os.pidfd_open(pid)
+    except (AttributeError, OSError):  # no pidfd here: poll
+        while time.perf_counter() < deadline:
+            done, status, usage = os.wait4(pid, os.WNOHANG)
+            if done:
+                return status, usage, False
+            time.sleep(POLL)
+    else:
+        try:
+            exited = select.select([pidfd], [], [], max(0.0, deadline - time.perf_counter()))[0]
+        finally:
+            os.close(pidfd)
+        if exited:
+            _, status, usage = os.wait4(pid, 0)
+            return status, usage, False
+    try:
+        os.killpg(pid, signal.SIGKILL)  # the child leads its own group
+    except ProcessLookupError:
+        pass
+    _, status, usage = os.wait4(pid, 0)
+    return status, usage, True
+
+
+def run(req):
+    start = time.perf_counter()
+    code = None if req["argv"] else compiled(req["file"])
+    err_r, err_w = os.pipe()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    try:
+        pid = os.fork()
+    except OSError as exc:
+        os.close(err_r)
+        os.close(err_w)
+        return {"spawn_error": f"fork: {exc}"}
+    if pid == 0:
+        os.close(err_r)
+        child(req, err_w, code)
+    os.close(err_w)
+    with open(err_r, "rb") as fh:
+        error = fh.read()  # EOF once the program starts
+    if error:
+        os.waitpid(pid, 0)
+        return {"spawn_error": error.decode("utf-8", "replace")}
+    status, usage, timed_out = reap(pid, start + req["wall_time"])
+    wall = time.perf_counter() - start
+    kill_descendants()
+    return {"exit_code": os.waitstatus_to_exitcode(status), "timed_out": timed_out,
+            "wall": wall, "maxrss_kb": usage.ru_maxrss}
+
+
+become_subreaper()
+gc.freeze()  # the broker's objects stay out of every child's collections
+for line in sys.stdin:
+    sys.stdout.write(json.dumps(run(json.loads(line))) + "\n")
     sys.stdout.flush()
 """
 
@@ -179,7 +373,7 @@ class _Broker:
     def __init__(self) -> None:
         try:
             self.proc = subprocess.Popen(
-                [sys.executable, "-S", "-c", _BROKER_SOURCE],
+                [sys.executable, "-c", _BROKER_SOURCE],
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
                 text=True,
@@ -242,6 +436,24 @@ def _shutdown_brokers() -> None:
         _broker_pool.clear()
 
 
+# A scratch directory holding a program as ``main.py``, and the argv that
+# starts it (None: the broker runs main.py itself).
+_Scratch = tuple[Path, list[str] | None]
+
+
+@contextmanager
+def _scratch(program: str, runner: str | None, root: str | Path | None,
+             keep: bool) -> Iterator[_Scratch]:
+    workdir = Path(tempfile.mkdtemp(prefix="modeval-run-", dir=root))
+    try:
+        src = workdir / "main.py"
+        src.write_text(program, encoding="utf-8")
+        yield workdir, None if runner is None else _runner_argv(runner, src)
+    finally:
+        if not keep:
+            shutil.rmtree(workdir, ignore_errors=True)
+
+
 def run_once(
     program: str,
     stdin_text: str,
@@ -250,99 +462,97 @@ def run_once(
     runner: str | None = None,
     scratch_root: str | Path | None = None,
     keep_scratch: bool = False,
+    scratch: _Scratch | None = None,
 ) -> ExecutionReport:
-    """Execute ``program`` once with ``stdin_text`` on stdin, under ``limits``."""
-    workdir = Path(tempfile.mkdtemp(prefix="modeval-run-", dir=scratch_root))
+    """Execute ``program`` once with ``stdin_text`` on stdin, under ``limits``.
+
+    ``scratch`` is an open scratch directory that already holds ``program``
+    (``judge`` passes one, so all tests of a program share it); ``runner``,
+    ``scratch_root`` and ``keep_scratch`` were applied when it was made and
+    are then not used.
+    """
+    if scratch is None:
+        with _scratch(program, runner, scratch_root, keep_scratch) as scratch:
+            return _run_in(scratch, stdin_text, limits)
+    return _run_in(scratch, stdin_text, limits)
+
+
+def _run_in(scratch: _Scratch, stdin_text: str, limits: ResourceLimits) -> ExecutionReport:
+    workdir, argv = scratch
+    stdin_path = workdir / "stdin.txt"
+    stdin_path.write_text(stdin_text, encoding="utf-8")
+    out_path = workdir / "stdout.txt"
+    err_path = workdir / "stderr.txt"
+
+    broker = _checkout_broker()
     try:
-        src = workdir / "main.py"
-        src.write_text(program, encoding="utf-8")
-        command = _runner_command(runner, src)
-        _check_interpreter(command)
-
-        as_kb = (limits.memory + ADDRESS_SPACE_SLACK) // 1024
-        fsize_blocks = limits.output_cap // 512 + 2
-        shell_line = (
-            f"ulimit -v {as_kb} 2>/dev/null; "
-            f"ulimit -f {fsize_blocks} 2>/dev/null; "
-            f"exec {command}"
-        )
-
-        stdin_path = workdir / "stdin.txt"
-        stdin_path.write_text(stdin_text, encoding="utf-8")
-        out_path = workdir / "stdout.txt"
-        err_path = workdir / "stderr.txt"
-        out_path.touch()
-        err_path.touch()
-
-        broker = _checkout_broker()
-        try:
-            result = broker.request(
-                {
-                    "shell": shell_line,
-                    "stdin": str(stdin_path),
-                    "stdout": str(out_path),
-                    "stderr": str(err_path),
-                    "cwd": str(workdir),
-                    "wall_time": limits.wall_time,
-                    "poll": _POLL_INTERVAL,
-                }
-            )
-        finally:
-            _checkin_broker(broker)
-        if "spawn_error" in result:
-            raise InfrastructureError(f"cannot spawn candidate process: {result['spawn_error']}")
-        exit_code = result["exit_code"]
-        timed_out = result["timed_out"]
-        wall = result["wall"]
-        peak_memory = result["maxrss_kb"] * 1024  # kernel reports KiB
-
-        stdout, stdout_size = _read_capped(out_path, limits.output_cap)
-        stderr, _ = _read_capped(err_path, limits.output_cap)
-
-        if timed_out:
-            status_enum = ExecStatus.TIMEOUT
-        elif stdout_size > limits.output_cap or exit_code == -signal.SIGXFSZ:
-            status_enum = ExecStatus.OUTPUT_OVERFLOW
-        elif exit_code != 0:
-            if "MemoryError" in stderr or peak_memory >= limits.memory:
-                status_enum = ExecStatus.OOM
-            else:
-                status_enum = ExecStatus.RUNTIME_ERROR
-        else:
-            status_enum = ExecStatus.OK
-
-        return ExecutionReport(
-            status=status_enum,
-            stdout=stdout,
-            stderr=stderr,
-            wall_time_used=wall,
-            peak_memory=peak_memory,
-            exit_code=exit_code,
+        result = broker.request(
+            {
+                "file": str(workdir / "main.py"),
+                "argv": argv,
+                "stdin": str(stdin_path),
+                "stdout": str(out_path),
+                "stderr": str(err_path),
+                "cwd": str(workdir),
+                "wall_time": limits.wall_time,
+                "as_bytes": limits.memory + ADDRESS_SPACE_SLACK,
+                # room past the cap, so an overflow shows as a larger file
+                "fsize_bytes": limits.output_cap + 1024,
+            }
         )
     finally:
-        if not keep_scratch:
-            shutil.rmtree(workdir, ignore_errors=True)
+        _checkin_broker(broker)
+    if "spawn_error" in result:
+        raise InfrastructureError(f"cannot start candidate process: {result['spawn_error']}")
+    exit_code = result["exit_code"]
+    peak_memory = result["maxrss_kb"] * 1024  # kernel reports KiB
+
+    stdout, stdout_size = _read_capped(out_path, limits.output_cap)
+    stderr, _ = _read_capped(err_path, limits.output_cap)
+
+    if result["timed_out"]:
+        status = ExecStatus.TIMEOUT
+    elif stdout_size > limits.output_cap or exit_code == -signal.SIGXFSZ:
+        status = ExecStatus.OUTPUT_OVERFLOW
+    elif exit_code != 0:
+        last_line = stderr.rstrip().rpartition("\n")[2]
+        if last_line.startswith("MemoryError") or peak_memory >= limits.memory:
+            status = ExecStatus.OOM
+        else:
+            status = ExecStatus.RUNTIME_ERROR
+    else:
+        status = ExecStatus.OK
+
+    return ExecutionReport(
+        status=status,
+        stdout=stdout,
+        stderr=stderr,
+        wall_time_used=result["wall"],
+        peak_memory=peak_memory,
+        exit_code=exit_code,
+    )
+
+
+_NUMBER = re.compile(r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?", re.ASCII)
 
 
 def _tokens_match(expected: str, actual: str, tolerance: float) -> bool:
     if expected == actual:
         return True
-    try:
-        fe = float(expected)
-        fa = float(actual)
-    except ValueError:
+    if not (_NUMBER.fullmatch(expected) and _NUMBER.fullmatch(actual)):
         return False
-    if not (math.isfinite(fe) and math.isfinite(fa)):
-        return False
-    return abs(fe - fa) <= tolerance
+    fe = float(expected)
+    fa = float(actual)
+    return math.isfinite(fe) and math.isfinite(fa) and abs(fe - fa) <= tolerance
 
 
 def compare_output(expected: str, actual: str, policy: ComparePolicy = ComparePolicy()) -> bool:
     """Compare judge outputs.
 
     The default ``token`` policy splits both texts on whitespace and compares
-    token sequences, treating tokens that parse as finite numbers as equal
-    within an absolute tolerance.  The ``exact`` policy compares lines after
+    token sequences.  Two tokens that are both finite ASCII decimal numbers
+    (``_NUMBER``) are equal within an absolute tolerance; any other tokens
+    must be identical strings.  The ``exact`` policy compares lines after
     stripping trailing whitespace and trailing blank lines.
     """
     if policy.mode == "exact":
@@ -376,20 +586,22 @@ def judge(
     """Run ``program`` against every test of ``problem`` and aggregate.
 
     Averages are over executed tests; with ``fail_fast`` the remaining tests
-    after the first failure are not executed.
+    after the first failure are not executed.  The program is written to one
+    scratch directory for all its tests.
     """
     if problem.untestable or not problem.tests:
         raise ValueError(f"problem {problem.id!r} has no tests (untestable)")
 
     per_test: list[tuple[ExecutionReport, bool]] = []
-    for test in problem.tests:
-        report = run_once(program, test.input, limits, runner=runner, keep_scratch=keep_scratch)
-        matched = report.status is ExecStatus.OK and compare_output(
-            test.expected_output, report.stdout, policy
-        )
-        per_test.append((report, matched))
-        if fail_fast and not matched:
-            break
+    with _scratch(program, runner, None, keep_scratch) as scratch:
+        for test in problem.tests:
+            report = run_once(program, test.input, limits, scratch=scratch)
+            matched = report.status is ExecStatus.OK and compare_output(
+                test.expected_output, report.stdout, policy
+            )
+            per_test.append((report, matched))
+            if fail_fast and not matched:
+                break
 
     all_matched = all(m for _, m in per_test)
     passed = all_matched and len(per_test) == len(problem.tests)
@@ -467,7 +679,8 @@ def _verdict_from_json(obj: dict) -> JudgeVerdict:
 
 @dataclass
 class VerdictCache:
-    """Disk cache of judge verdicts keyed by program, tests, limits, policy and runner.
+    """Disk cache of judge verdicts keyed by program, tests, limits, policy, runner
+    and ``SANDBOX_SEMANTICS``.
 
     Makes pipeline reruns cheap and byte-stable: a rerun with an unchanged
     candidate reuses the recorded verdict, including its timing fields.
@@ -495,6 +708,7 @@ class VerdictCache:
                 runner,
                 fail_fast,
                 interpreter,
+                SANDBOX_SEMANTICS,
             ],
             sort_keys=True,
         )

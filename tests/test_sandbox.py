@@ -1,7 +1,13 @@
+import math
+import random
+import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from modeval import sandbox
 from modeval.sandbox import (
     INTERPRETER_OVERHEAD_BOUND,
     KILL_GRACE,
@@ -22,6 +28,50 @@ from modeval.sandbox import (
 from conftest import make_problem
 
 FAST = ResourceLimits(wall_time=5.0)
+EXEC = f"{sys.executable} {{file}}"  # the exec path: a fresh interpreter per run
+PROGRAMS = sorted((Path(__file__).parent / "fixtures" / "programs").glob("p*.py"))
+
+
+def _is_decimal(token: str) -> bool:
+    """[+-]? (D+ (. D*)? | . D+) ([eE] [+-]? D+)? with D the ASCII digits, written out."""
+    digits = "0123456789"
+    i, n = 0, len(token)
+
+    def run_of_digits(j: int) -> int:
+        while j < n and token[j] in digits:
+            j += 1
+        return j
+
+    if i < n and token[i] in "+-":
+        i += 1
+    end = run_of_digits(i)
+    whole = end > i
+    i = end
+    fraction = False
+    if i < n and token[i] == ".":
+        end = run_of_digits(i + 1)
+        fraction = end > i + 1
+        i = end
+    if not (whole or fraction):
+        return False
+    if i < n and token[i] in "eE":
+        i += 1
+        if i < n and token[i] in "+-":
+            i += 1
+        end = run_of_digits(i)
+        if end == i:
+            return False
+        i = end
+    return i == n
+
+
+def _reference_match(expected: str, actual: str, tolerance: float) -> bool:
+    if expected == actual:
+        return True
+    if not (_is_decimal(expected) and _is_decimal(actual)):
+        return False
+    fe, fa = float(expected), float(actual)
+    return math.isfinite(fe) and math.isfinite(fa) and abs(fe - fa) <= tolerance
 
 
 class TestRunOnce:
@@ -61,6 +111,34 @@ class TestRunOnce:
         report = run_once("b = bytearray(512 * 1024 * 1024)\nprint('ok')", "", limits)
         assert report.status is ExecStatus.OOM
 
+    def test_word_memoryerror_on_stderr_is_not_oom(self):
+        program = "import sys\nsys.stderr.write('no MemoryError here\\n')\nsys.exit(1)"
+        report = run_once(program, "", FAST)
+        assert report.status is ExecStatus.RUNTIME_ERROR
+        assert report.exit_code == 1
+
+    @pytest.mark.parametrize("runner", [None, EXEC], ids=["fork", "exec"])
+    def test_limit_that_cannot_be_set_is_infrastructure_error(self, runner):
+        limits = ResourceLimits(wall_time=5.0, memory=2**70)  # beyond any rlimit value
+        with pytest.raises(InfrastructureError, match="cannot start candidate process"):
+            run_once("print(1)", "", limits, runner=runner)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux")
+                        or shutil.which("setsid") is None or shutil.which("pgrep") is None,
+                        reason="the broker is a subreaper on Linux only")
+    @pytest.mark.parametrize("runner", [None, EXEC], ids=["fork", "exec"])
+    def test_detached_child_dies_with_the_run(self, runner):
+        # exactly one detached process: setsid execs sleep in a new session
+        program = "import subprocess\nsubprocess.Popen(['setsid', 'sleep', '3.123'])\n"
+        pattern = r"^(setsid )?sleep 3\.123$"
+        try:
+            report = run_once(program, "", FAST, runner=runner)
+            found = subprocess.run(["pgrep", "-f", pattern], capture_output=True, text=True).stdout
+        finally:
+            subprocess.run(["pkill", "-f", pattern], check=False)
+        assert report.status is ExecStatus.OK
+        assert found == ""
+
     def test_output_overflow(self):
         limits = ResourceLimits(wall_time=5.0, output_cap=64 * 1024)
         report = run_once("print('x' * 1000000)", "", limits)
@@ -72,8 +150,7 @@ class TestRunOnce:
             run_once("print(1)", "", FAST, runner="no-such-interpreter-xyz {file}")
 
     def test_runner_template(self):
-        import sys
-        report = run_once("print(40 + 2)", "", FAST, runner=f"{sys.executable} {{file}}")
+        report = run_once("print(40 + 2)", "", FAST, runner=EXEC)
         assert report.stdout == "42\n"
 
     def test_keep_scratch(self, tmp_path):
@@ -85,6 +162,49 @@ class TestRunOnce:
     def test_scratch_cleaned_by_default(self, tmp_path):
         run_once("print(1)", "", FAST, scratch_root=tmp_path)
         assert list(tmp_path.iterdir()) == []
+
+
+PARITY_LIMITS = ResourceLimits(wall_time=1.0, memory=128 * MB, output_cap=64 * 1024)
+PARITY_CASES = {
+    **{path.stem: (path.read_text(), "3\n1 2 3\n2 3 4\n") for path in PROGRAMS},
+    "ok": ("print(int(input()) * 2)", "21\n"),
+    "timeout": ("while True: pass", ""),
+    "oom": ("b = bytearray(512 * 1024 * 1024)\nprint(len(b))", ""),
+    "runtime_error": ("def f():\n    raise RuntimeError('boom')\nf()", ""),
+    "syntax_error": ("x = (", ""),
+    "output_overflow": ("print('x' * 1000000)", ""),
+    "exit_3": ("exit(3)", ""),
+    "quit": ("print('before')\nquit()\nprint('after')", ""),
+    "sys_exit_msg": ("import sys\nsys.exit('msg')", ""),
+    "sys_exit_none": ("import sys\nsys.exit(None)", ""),
+    "input_until_eof": ("lines = []\nwhile True:\n    try:\n        lines.append(input())\n"
+                        "    except EOFError:\n        break\nprint(len(lines), lines[-1])",
+                        "a\r\nb\nc"),
+    "main_guard": ("import sys\nif __name__ == '__main__':\n"
+                   "    print(__name__, sys.argv[0] == __file__, sys.stdout.name)", ""),
+    "atexit_prints": ("import atexit\natexit.register(print, 'bye')\nprint('hi')", ""),
+    "stdout_closed": ("import sys\nprint('a')\nsys.stdout.close()", ""),
+    "keyboard_interrupt": ("raise KeyboardInterrupt", ""),
+    "thread_outlives_main": ("import threading, time\n"
+                             "threading.Thread(target=lambda: (time.sleep(0.2), print('late'))).start()\n"
+                             "print('early')", ""),
+}
+
+
+class TestForkExecParity:
+    """The fork server and a fresh interpreter per run judge programs alike."""
+
+    @pytest.mark.parametrize("name", sorted(PARITY_CASES))
+    def test_same_report(self, name):
+        program, stdin = PARITY_CASES[name]
+        forked = run_once(program, stdin, PARITY_LIMITS)
+        execed = run_once(program, stdin, PARITY_LIMITS, runner=EXEC)
+        assert forked.status is execed.status
+        assert forked.stdout == execed.stdout
+        assert forked.exit_code == execed.exit_code
+        assert forked.stderr.splitlines()[-1:] == execed.stderr.splitlines()[-1:]
+        if name in {status.value for status in ExecStatus}:  # a case named for its status
+            assert forked.status.value == name
 
 
 class TestResourceLimits:
@@ -116,6 +236,49 @@ class TestCompareOutput:
     def test_nan_never_matches_numerically(self):
         assert compare_output("nan", "nan") is True    # exact string equality
         assert compare_output("nan", "NaN") is False   # no numeric comparison for nan
+
+    @pytest.mark.parametrize("expected, actual, equal", [
+        ("100", "1e2", True),
+        ("1", "+1", True),
+        ("3", "3.0000004", True),
+        ("0.5", ".5", True),
+        ("2", "2.", True),
+        ("10", "1_0", False),
+        ("12", "\u0661\u0662", False),  # Arabic-Indic digits
+        ("5", "\uff15", False),  # fullwidth digit
+        ("1e999", "1e999", True),  # identical strings
+        ("1e999", "2e999", False),  # not finite
+        ("inf", "Infinity", False),
+        ("1", "0x1", False),
+    ])
+    def test_number_policy(self, expected, actual, equal):
+        assert compare_output(expected, actual) is equal
+        assert compare_output(actual, expected) is equal
+
+    def test_numbers_match_written_grammar(self):
+        rng = random.Random(20231)
+        noise = ["0", "1", ".", "+", "-", "e", "E", "_", "x", "\u0661", "\uff15", "\u00b2"]
+
+        def token() -> str:
+            text = (rng.choice(["", "+", "-"])
+                    + "".join(rng.choice("0159") for _ in range(rng.randint(0, 3)))
+                    + rng.choice(["", ".", ".0", ".5", ".0000004"])
+                    + rng.choice(["", "", "e1", "E-2", "e+0", "e"]))
+            while rng.random() < 0.3:  # a stray character anywhere
+                at = rng.randint(0, len(text))
+                text = text[:at] + rng.choice(noise) + text[at:]
+            return text or "0"
+
+        same_value = [lambda t: "+" + t, lambda t: "0" + t, lambda t: t + "e0",
+                      lambda t: t.replace("1", "\u0661"), lambda t: t.replace("0", "_0")]
+        numeric_pairs = 0
+        for _ in range(4000):
+            expected = token()
+            actual = rng.choice(same_value)(expected) if rng.random() < 0.3 else token()
+            want = _reference_match(expected, actual, 1e-6)
+            numeric_pairs += want and expected != actual
+            assert compare_output(expected, actual) is want, (expected, actual)
+        assert numeric_pairs > 100  # the numeric branch is exercised, not just string equality
 
     def test_exact_mode(self):
         policy = ComparePolicy(mode="exact")
@@ -163,6 +326,26 @@ class TestJudge:
         times = [r.wall_time_used for r, _ in verdict.per_test]
         assert verdict.avg_time == pytest.approx(sum(times) / len(times))
 
+    def test_one_scratch_directory_and_one_run_per_test(self, monkeypatch):
+        made, runs = [], []
+        mkdtemp, run = sandbox.tempfile.mkdtemp, sandbox.run_once
+        monkeypatch.setattr(sandbox.tempfile, "mkdtemp",
+                            lambda *a, **kw: made.append(1) or mkdtemp(*a, **kw))
+        monkeypatch.setattr(sandbox, "run_once", lambda *a, **kw: runs.append(1) or run(*a, **kw))
+        problem = make_problem(tests=(("1\n", "1\n"), ("2\n", "2\n"), ("3\n", "3\n")))
+        verdict = judge("print(input())", problem, FAST)
+        assert verdict.passed
+        assert (len(made), len(runs)) == (1, 3)
+
+    @pytest.mark.parametrize("runner, lookups", [(None, 0), (EXEC, 1)], ids=["fork", "exec"])
+    def test_runner_checked_once_per_judge(self, monkeypatch, runner, lookups):
+        calls = []
+        which = sandbox.shutil.which
+        monkeypatch.setattr(sandbox.shutil, "which", lambda *a, **kw: calls.append(a) or which(*a, **kw))
+        problem = make_problem(tests=(("1\n", "1\n"), ("2\n", "2\n"), ("3\n", "3\n")))
+        assert judge("print(input())", problem, FAST, runner=runner).passed
+        assert len(calls) == lookups
+
 
 class TestJudgeBatch:
     def test_parallel_matches_sequential(self):
@@ -186,8 +369,6 @@ class TestJudgeBatch:
             judge_batch([], workers=0)
 
     def test_duplicate_pair_judged_once(self, monkeypatch):
-        from modeval import sandbox
-
         calls = []
         real = sandbox.judge
         monkeypatch.setattr(sandbox, "judge", lambda *a, **kw: calls.append(1) or real(*a, **kw))
@@ -220,14 +401,20 @@ class TestVerdictCache:
         assert not v.passed
 
     def test_key_names_default_interpreter(self, tmp_path, monkeypatch):
-        import sys
-
         cache = VerdictCache(tmp_path / "verdicts")
         problem = make_problem(tests=(("1\n", "1\n"),))
         args = ("print(input())", problem, FAST, ComparePolicy(), None, False)
         here = cache._key(*args)
         monkeypatch.setattr(sys, "executable", "/usr/bin/python3.9")
         monkeypatch.setattr(sys, "version", "3.9.18 (main) [GCC 12.2.0]")
+        assert cache._key(*args) != here
+
+    def test_key_names_sandbox_semantics(self, tmp_path, monkeypatch):
+        cache = VerdictCache(tmp_path / "verdicts")
+        problem = make_problem(tests=(("1\n", "1\n"),))
+        args = ("print(input())", problem, FAST, ComparePolicy(), None, False)
+        here = cache._key(*args)
+        monkeypatch.setattr(sandbox, "SANDBOX_SEMANTICS", sandbox.SANDBOX_SEMANTICS + 1)
         assert cache._key(*args) != here
 
     def test_corrupt_entry_recomputed(self, tmp_path):
