@@ -12,8 +12,8 @@ one run at a time as a fork server: it forks a child, and the child
 * with the default runner, runs ``main.py`` as a fresh ``__main__`` module
   with new ``sys.std*`` streams, ``sys.argv`` and ``sys.path[0]``, and exits
   as the interpreter does: the same exit code for ``SystemExit`` and uncaught
-  exceptions, the same traceback on stderr, atexit functions run and the
-  streams flushed;
+  exceptions, the same traceback on stderr, atexit functions run, and the
+  streams and the program's unclosed files flushed as at shutdown;
 * with a custom ``runner`` command, ``exec``s that command instead (split
   with ``shlex``; no shell).
 
@@ -56,9 +56,7 @@ import subprocess
 import sys
 import tempfile
 import threading
-from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -165,7 +163,7 @@ MAXFD = os.sysconf("SC_OPEN_MAX")
 CHILDREN = f"/proc/self/task/{os.getpid()}/children"
 POLL = 0.004  # only where there is no pidfd
 ENCODING, ERRORS = sys.stdout.encoding, sys.stdout.errors
-last = (None, None, None)  # (path, source, code) of the last program compiled
+UNBUFFERED = sys.stdout.write_through  # -u or PYTHONUNBUFFERED
 
 
 def become_subreaper():
@@ -199,11 +197,13 @@ def kill_descendants():
                 pass
 
 
-def stdio(fd, mode, errors, line_buffering):
+def stdio(fd, mode, errors):
     # built as the interpreter builds sys.stdin, sys.stdout and sys.stderr
-    buf = open(fd, mode + "b", closefd=False)
-    buf.raw.name = ("<stdin>", "<stdout>", "<stderr>")[fd]
-    stream = io.TextIOWrapper(buf, ENCODING, errors, "\n", line_buffering)
+    unbuffered = mode == "w" and UNBUFFERED
+    buf = open(fd, mode + "b", 0 if unbuffered else -1, closefd=False)
+    (buf if unbuffered else buf.raw).name = ("<stdin>", "<stdout>", "<stderr>")[fd]
+    stream = io.TextIOWrapper(buf, ENCODING, errors, "\n",
+                              line_buffering=fd == 2 and not unbuffered, write_through=unbuffered)
     stream.mode = mode
     return stream
 
@@ -218,28 +218,23 @@ def exit_status(code):
 
 
 def compiled(path):
-    # Compiled here, warm, and reused by the program's next test: compiling
-    # in each fresh child costs several times more.  On an error or a warning
-    # the child compiles again and reports it on its own stderr.
-    global last
+    # Compiled here, warm: compiling in the fresh child costs several times
+    # more.  On an error or a warning the child compiles again and reports it
+    # on its own stderr.
     with open(path, "rb") as fh:
         source = fh.read()
-    if last[:2] != (path, source):
-        code = None
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            try:
-                code = compile(source, path, "exec", dont_inherit=True)
-            except Exception:
-                pass
-        last = (path, source, code)
-    return last[2]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return compile(source, path, "exec", dont_inherit=True)
+        except Exception:
+            return None
 
 
 def run_program(path, code):
-    sys.stdin = sys.__stdin__ = stdio(0, "r", ERRORS, False)
-    sys.stdout = sys.__stdout__ = stdio(1, "w", ERRORS, False)
-    sys.stderr = sys.__stderr__ = stdio(2, "w", "backslashreplace", True)
+    sys.stdin = sys.__stdin__ = stdio(0, "r", ERRORS)
+    sys.stdout = sys.__stdout__ = stdio(1, "w", ERRORS)
+    sys.stderr = sys.__stderr__ = stdio(2, "w", "backslashreplace")
     sys.argv = [path]
     sys.path.insert(0, os.path.dirname(path))
     main = type(sys)("__main__")
@@ -270,8 +265,24 @@ def run_program(path, code):
         except Exception as exc:
             if stream is sys.stdout:
                 sys.stderr.write(f"Exception ignored in: {stream!r}\n")
-                sys.__excepthook__(type(exc), exc, None)
+                sys.__excepthook__(type(exc), exc.with_traceback(None), None)
             status = 120
+    # Then, as the interpreter's shutdown does: collect garbage, put the
+    # original streams back, free the program's globals (an unclosed file
+    # flushes as it closes), collect again and flush once more, ignoring
+    # failures this time.
+    gc.collect()
+    sys.stdin, sys.stdout, sys.stderr = sys.__stdin__, sys.__stdout__, sys.__stderr__
+    names = vars(main)
+    for name in list(names):
+        if name != "__builtins__":
+            names[name] = None
+    gc.collect()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except Exception:
+            pass
     return status
 
 
@@ -436,22 +447,51 @@ def _shutdown_brokers() -> None:
         _broker_pool.clear()
 
 
-# A scratch directory holding a program as ``main.py``, and the argv that
-# starts it (None: the broker runs main.py itself).
-_Scratch = tuple[Path, list[str] | None]
+class _Scratch:
+    """A scratch directory holding one program as ``main.py``.
 
+    Each run gets a fresh subdirectory as its working directory, holding its
+    stdin, stdout and stderr files, so nothing a run leaves there is seen by
+    the next.  ``main.py`` is written once and rewritten before a run only if
+    an earlier run changed or removed it.
+    """
 
-@contextmanager
-def _scratch(program: str, runner: str | None, root: str | Path | None,
-             keep: bool) -> Iterator[_Scratch]:
-    workdir = Path(tempfile.mkdtemp(prefix="modeval-run-", dir=root))
-    try:
-        src = workdir / "main.py"
-        src.write_text(program, encoding="utf-8")
-        yield workdir, None if runner is None else _runner_argv(runner, src)
-    finally:
-        if not keep:
-            shutil.rmtree(workdir, ignore_errors=True)
+    def __init__(self, program: str, runner: str | None, root: str | Path | None,
+                 keep: bool) -> None:
+        self.dir = Path(tempfile.mkdtemp(prefix="modeval-run-", dir=root))
+        self.keep = keep
+        self.src = self.dir / "main.py"
+        self.source = program.encode("utf-8")
+        self.runs = 0
+        try:
+            self.src.write_bytes(self.source)
+            # None: the broker runs main.py itself
+            self.argv = None if runner is None else _runner_argv(runner, self.src)
+        except BaseException:
+            self.close()
+            raise
+
+    def __enter__(self) -> _Scratch:
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+    def close(self) -> None:
+        if not self.keep:
+            shutil.rmtree(self.dir, ignore_errors=True)
+
+    def next_workdir(self) -> Path:
+        try:
+            intact = self.src.read_bytes() == self.source
+        except OSError:
+            intact = False
+        if not intact:
+            self.src.write_bytes(self.source)
+        workdir = self.dir / str(self.runs)
+        self.runs += 1
+        workdir.mkdir()
+        return workdir
 
 
 def run_once(
@@ -462,23 +502,19 @@ def run_once(
     runner: str | None = None,
     scratch_root: str | Path | None = None,
     keep_scratch: bool = False,
-    scratch: _Scratch | None = None,
+    _scratch: _Scratch | None = None,
 ) -> ExecutionReport:
-    """Execute ``program`` once with ``stdin_text`` on stdin, under ``limits``.
-
-    ``scratch`` is an open scratch directory that already holds ``program``
-    (``judge`` passes one, so all tests of a program share it); ``runner``,
-    ``scratch_root`` and ``keep_scratch`` were applied when it was made and
-    are then not used.
-    """
-    if scratch is None:
-        with _scratch(program, runner, scratch_root, keep_scratch) as scratch:
-            return _run_in(scratch, stdin_text, limits)
-    return _run_in(scratch, stdin_text, limits)
+    """Execute ``program`` once with ``stdin_text`` on stdin, under ``limits``."""
+    # ``_scratch`` is judge's: an open scratch directory that already holds
+    # ``program`` and was made with judge's runner and keep flag.
+    if _scratch is not None:
+        return _run_in(_scratch, stdin_text, limits)
+    with _Scratch(program, runner, scratch_root, keep_scratch) as scratch:
+        return _run_in(scratch, stdin_text, limits)
 
 
 def _run_in(scratch: _Scratch, stdin_text: str, limits: ResourceLimits) -> ExecutionReport:
-    workdir, argv = scratch
+    workdir = scratch.next_workdir()
     stdin_path = workdir / "stdin.txt"
     stdin_path.write_text(stdin_text, encoding="utf-8")
     out_path = workdir / "stdout.txt"
@@ -488,8 +524,8 @@ def _run_in(scratch: _Scratch, stdin_text: str, limits: ResourceLimits) -> Execu
     try:
         result = broker.request(
             {
-                "file": str(workdir / "main.py"),
-                "argv": argv,
+                "file": str(scratch.src),
+                "argv": scratch.argv,
                 "stdin": str(stdin_path),
                 "stdout": str(out_path),
                 "stderr": str(err_path),
@@ -587,15 +623,16 @@ def judge(
 
     Averages are over executed tests; with ``fail_fast`` the remaining tests
     after the first failure are not executed.  The program is written to one
-    scratch directory for all its tests.
+    scratch directory for all its tests; each test runs in a fresh
+    subdirectory of it.
     """
     if problem.untestable or not problem.tests:
         raise ValueError(f"problem {problem.id!r} has no tests (untestable)")
 
     per_test: list[tuple[ExecutionReport, bool]] = []
-    with _scratch(program, runner, None, keep_scratch) as scratch:
+    with _Scratch(program, runner, None, keep_scratch) as scratch:
         for test in problem.tests:
-            report = run_once(program, test.input, limits, scratch=scratch)
+            report = run_once(program, test.input, limits, _scratch=scratch)
             matched = report.status is ExecStatus.OK and compare_output(
                 test.expected_output, report.stdout, policy
             )

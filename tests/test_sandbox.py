@@ -188,9 +188,32 @@ PARITY_CASES = {
     "thread_outlives_main": ("import threading, time\n"
                              "threading.Thread(target=lambda: (time.sleep(0.2), print('late'))).start()\n"
                              "print('early')", ""),
+    # what only interpreter shutdown flushes
+    "stdout_replaced": ("import sys, io\nsys.stdout = io.StringIO()\nprint(1)\n"
+                        "sys.__stdout__.write(sys.stdout.getvalue())", ""),
+    "unclosed_writer": ("out = open(1, 'w')\nout.write('42\\n')", ""),
+    "unclosed_writer_in_cycle": ("class Node:\n    pass\nnode = Node()\nnode.me = node\n"
+                                 "node.out = open(1, 'w')\nnode.out.write('42\\n')", ""),
+    "finalizer_prints": ("class Noisy:\n    def __del__(self):\n        print('del')\n"
+                         "noisy = Noisy()\nprint('main')", ""),
+    "stdout_fd_closed": ("import os\nprint('x')\nos.close(1)", ""),  # exit 120 when buffered
 }
 
 
+@pytest.fixture(scope="class", params=["buffered", "unbuffered"])
+def stdio_buffering(request):
+    """Brokers, and the interpreters they exec, with block-buffered or unbuffered std streams."""
+    with pytest.MonkeyPatch.context() as mp:
+        if request.param == "unbuffered":
+            mp.setenv("PYTHONUNBUFFERED", "1")
+        else:
+            mp.delenv("PYTHONUNBUFFERED", raising=False)
+        sandbox._shutdown_brokers()  # brokers started from here on see this environment
+        yield request.param
+    sandbox._shutdown_brokers()
+
+
+@pytest.mark.usefixtures("stdio_buffering")
 class TestForkExecParity:
     """The fork server and a fresh interpreter per run judge programs alike."""
 
@@ -336,6 +359,24 @@ class TestJudge:
         verdict = judge("print(input())", problem, FAST)
         assert verdict.passed
         assert (len(made), len(runs)) == (1, 3)
+
+    @pytest.mark.parametrize("runner", [None, EXEC], ids=["fork", "exec"])
+    def test_tests_do_not_see_each_others_files(self, runner):
+        program = "import os\nprint(sorted(os.listdir()))\nopen('left.txt', 'w').write('x')"
+        expected = "['stderr.txt', 'stdin.txt', 'stdout.txt']\n"
+        problem = make_problem(tests=(("", expected), ("", expected)))
+        verdict = judge(program, problem, FAST, runner=runner)
+        assert [r.stdout for r, _ in verdict.per_test] == [expected, expected]
+
+    @pytest.mark.parametrize("change", ["open(__file__, 'a').write('print(2)\\n')",
+                                        "import os\nos.remove(__file__)"],
+                             ids=["appended", "removed"])
+    @pytest.mark.parametrize("runner", [None, EXEC], ids=["fork", "exec"])
+    def test_every_test_runs_the_program_as_written(self, runner, change):
+        program = f"print(input())\n{change}\n"
+        problem = make_problem(tests=(("1\n", "1\n"), ("2\n", "2\n"), ("3\n", "3\n")))
+        verdict = judge(program, problem, FAST, runner=runner)
+        assert [r.stdout for r, _ in verdict.per_test] == ["1\n", "2\n", "3\n"]
 
     @pytest.mark.parametrize("runner, lookups", [(None, 0), (EXEC, 1)], ids=["fork", "exec"])
     def test_runner_checked_once_per_judge(self, monkeypatch, runner, lookups):
