@@ -520,19 +520,15 @@ def cmd_reflect(cfg: PipelineConfig) -> int:
 
     provider = _make_provider(cfg)
     rcache, judge = _caches(cfg)
-    traces: list[evaluate.ReflectionTrace] = []
-    if failed:
-        def reflect_one(pid: str) -> evaluate.ReflectionTrace:
-            return evaluate.self_reflect(
-                corpus.get(pid), cfg.provider, judge, cfg.max_reflection_rounds,
-                provider=provider, cache=rcache,
-            )
 
-        if cfg.workers == 1 or len(failed) == 1:
-            traces = [reflect_one(pid) for pid in failed]
-        else:
-            with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-                traces = list(pool.map(reflect_one, failed))
+    def reflect_one(pid: str) -> evaluate.ReflectionTrace:
+        return evaluate.self_reflect(
+            corpus.get(pid), cfg.provider, judge, cfg.max_reflection_rounds,
+            provider=provider, cache=rcache,
+        )
+
+    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+        traces = list(pool.map(reflect_one, failed))
 
     _write_jsonl(
         out / "traces.jsonl",

@@ -190,8 +190,9 @@ class _Counts:
         total = source.count("\n")
         if source and not source.endswith("\n"):
             total += 1
+        sloc = len({ln for ln in self.code_lines if ln <= total})
         comment_only = len({ln for ln in self.comment_lines - self.code_lines if ln <= total})
-        return len(self.code_lines), comment_only, total, comment_only / total if total else 0.0
+        return sloc, comment_only, total, comment_only / total if total else 0.0
 
 
 def _count(tokens: TokenStream) -> _Counts:

@@ -125,11 +125,26 @@ class ComparePolicy:
 
 @dataclass
 class JudgeVerdict:
+    """The result of each executed test, in test order; the rest is derived from it."""
+
     per_test: list[tuple[ExecutionReport, bool]]
-    passed: bool
-    first_failure: int | None
-    avg_time: float
-    avg_peak_memory: float
+
+    @property
+    def passed(self) -> bool:
+        # judge stops early only after a failure, so this also means every test ran
+        return all(matched for _, matched in self.per_test)
+
+    @property
+    def first_failure(self) -> int | None:
+        return next((i for i, (_, matched) in enumerate(self.per_test) if not matched), None)
+
+    @property
+    def avg_time(self) -> float:
+        return sum(r.wall_time_used for r, _ in self.per_test) / len(self.per_test)
+
+    @property
+    def avg_peak_memory(self) -> float:
+        return sum(r.peak_memory for r, _ in self.per_test) / len(self.per_test)
 
 
 def _runner_argv(runner: str, src: Path) -> list[str]:
@@ -253,6 +268,7 @@ def run_program(path, code):
         sys.excepthook(type(exc), exc.with_traceback(tb), tb)
         # the interpreter re-raises an uncaught Ctrl-C as SIGINT
         status = -signal.SIGINT if isinstance(exc, KeyboardInterrupt) else 1
+    # Not via interpreter finalization: tearing down the inherited broker heap adds ~8 ms a run.
     threading = sys.modules.get("threading")
     if threading is not None:
         threading._shutdown()  # wait for non-daemon threads
@@ -456,9 +472,8 @@ class _Scratch:
     an earlier run changed or removed it.
     """
 
-    def __init__(self, program: str, runner: str | None, root: str | Path | None,
-                 keep: bool) -> None:
-        self.dir = Path(tempfile.mkdtemp(prefix="modeval-run-", dir=root))
+    def __init__(self, program: str, runner: str | None, keep: bool) -> None:
+        self.dir = Path(tempfile.mkdtemp(prefix="modeval-run-"))
         self.keep = keep
         self.src = self.dir / "main.py"
         self.source = program.encode("utf-8")
@@ -500,8 +515,6 @@ def run_once(
     limits: ResourceLimits = ResourceLimits(),
     *,
     runner: str | None = None,
-    scratch_root: str | Path | None = None,
-    keep_scratch: bool = False,
     _scratch: _Scratch | None = None,
 ) -> ExecutionReport:
     """Execute ``program`` once with ``stdin_text`` on stdin, under ``limits``."""
@@ -509,7 +522,7 @@ def run_once(
     # ``program`` and was made with judge's runner and keep flag.
     if _scratch is not None:
         return _run_in(_scratch, stdin_text, limits)
-    with _Scratch(program, runner, scratch_root, keep_scratch) as scratch:
+    with _Scratch(program, runner, False) as scratch:
         return _run_in(scratch, stdin_text, limits)
 
 
@@ -630,7 +643,7 @@ def judge(
         raise ValueError(f"problem {problem.id!r} has no tests (untestable)")
 
     per_test: list[tuple[ExecutionReport, bool]] = []
-    with _Scratch(program, runner, None, keep_scratch) as scratch:
+    with _Scratch(program, runner, keep_scratch) as scratch:
         for test in problem.tests:
             report = run_once(program, test.input, limits, _scratch=scratch)
             matched = report.status is ExecStatus.OK and compare_output(
@@ -639,18 +652,7 @@ def judge(
             per_test.append((report, matched))
             if fail_fast and not matched:
                 break
-
-    all_matched = all(m for _, m in per_test)
-    passed = all_matched and len(per_test) == len(problem.tests)
-    first_failure = next((i for i, (_, m) in enumerate(per_test) if not m), None)
-    n = len(per_test)
-    return JudgeVerdict(
-        per_test=per_test,
-        passed=passed,
-        first_failure=first_failure,
-        avg_time=sum(r.wall_time_used for r, _ in per_test) / n,
-        avg_peak_memory=sum(r.peak_memory for r, _ in per_test) / n,
-    )
+    return JudgeVerdict(per_test)
 
 
 @dataclass(frozen=True)
@@ -670,8 +672,13 @@ class Judge:
     cache: VerdictCache | None = None
 
     def __call__(self, program: str, problem: Problem) -> JudgeVerdict:
-        run = judge if self.cache is None else self.cache.judge
-        return run(
+        if self.cache is None:
+            return self.uncached(program, problem)
+        return self.cache.judge(program, problem, self)
+
+    def uncached(self, program: str, problem: Problem) -> JudgeVerdict:
+        """Judge ``program`` in the sandbox under these settings, past any cache."""
+        return judge(
             program, problem, self.limits, self.policy,
             runner=self.runner, fail_fast=self.fail_fast, keep_scratch=self.keep_scratch,
         )
@@ -692,12 +699,8 @@ def judge_batch(
     if workers < 1:
         raise ValueError("workers must be >= 1")
     distinct = {(program, id(problem)): (program, problem) for program, problem in tasks}
-    pairs = list(distinct.values())
-    if workers == 1 or len(pairs) <= 1:
-        verdicts = [judge(*pair) for pair in pairs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            verdicts = list(pool.map(lambda pair: judge(*pair), pairs))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        verdicts = list(pool.map(lambda pair: judge(*pair), distinct.values()))
     by_pair = dict(zip(distinct, verdicts))
     return [by_pair[program, id(problem)] for program, problem in tasks]
 
@@ -705,22 +708,31 @@ def judge_batch(
 # --- verdict cache ----------------------------------------------------------
 
 
-def _verdict_from_json(obj: dict) -> JudgeVerdict:
-    """Rebuild a verdict from the JSON of its ``dataclasses.asdict`` form."""
-    per_test = [
+def _verdict_from_json(obj: dict, problem: Problem, fail_fast: bool) -> JudgeVerdict:
+    """Rebuild a verdict from the JSON of its ``dataclasses.asdict`` form.
+
+    Raises ValueError unless it holds what ``judge`` records for ``problem``:
+    one result per test, or with ``fail_fast`` the results up to the first failure.
+    """
+    verdict = JudgeVerdict([
         (ExecutionReport(**dict(report, status=ExecStatus(report["status"]))), matched)
         for report, matched in obj["per_test"]
-    ]
-    return JudgeVerdict(**dict(obj, per_test=per_test))
+    ])
+    ran = len(problem.tests)
+    if fail_fast and not verdict.passed:
+        ran = min(ran, verdict.first_failure + 1)
+    if len(verdict.per_test) != ran:
+        raise ValueError(f"{len(verdict.per_test)} per-test results where judge records {ran}")
+    return verdict
 
 
 @dataclass
 class VerdictCache:
-    """Disk cache of judge verdicts keyed by program, tests, limits, policy, runner
-    and ``SANDBOX_SEMANTICS``.
+    """Disk cache of judge verdicts keyed by program, tests, limits, policy, runner,
+    ``fail_fast``, stdio buffering and ``SANDBOX_SEMANTICS``.
 
     Makes pipeline reruns cheap and byte-stable: a rerun with an unchanged
-    candidate reuses the recorded verdict, including its timing fields.
+    candidate reuses the recorded per-test results, including their timings.
     """
 
     root: Path
@@ -731,8 +743,8 @@ class VerdictCache:
         self.root = Path(self.root)
         self.root.mkdir(parents=True, exist_ok=True)
 
-    def _key(self, program: str, problem: Problem, limits: ResourceLimits,
-             policy: ComparePolicy, runner: str | None, fail_fast: bool) -> str:
+    def _key(self, program: str, problem: Problem, settings: Judge) -> str:
+        limits, policy, runner = settings.limits, settings.policy, settings.runner
         # the default runner is this interpreter, so its identity is part of the key
         interpreter = [os.path.realpath(sys.executable), sys.version] if runner is None else None
         payload = json.dumps(
@@ -743,38 +755,28 @@ class VerdictCache:
                 [limits.wall_time, limits.memory, limits.output_cap],
                 [policy.mode, policy.float_tolerance],
                 runner,
-                fail_fast,
+                settings.fail_fast,
                 interpreter,
+                bool(os.environ.get("PYTHONUNBUFFERED")),  # brokers and exec'd runs read it
                 SANDBOX_SEMANTICS,
             ],
             sort_keys=True,
         )
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
-    def judge(
-        self,
-        program: str,
-        problem: Problem,
-        limits: ResourceLimits = ResourceLimits(),
-        policy: ComparePolicy = ComparePolicy(),
-        *,
-        runner: str | None = None,
-        fail_fast: bool = False,
-        keep_scratch: bool = False,
-    ) -> JudgeVerdict:
-        key = self._key(program, problem, limits, policy, runner, fail_fast)
+    def judge(self, program: str, problem: Problem, settings: Judge) -> JudgeVerdict:
+        """``settings.uncached(program, problem)``, replayed from disk when recorded."""
+        key = self._key(program, problem, settings)
         path = self.root / f"{key}.json"
         if path.exists():
             try:
-                verdict = _verdict_from_json(json.loads(path.read_text(encoding="utf-8")))
+                obj = json.loads(path.read_text(encoding="utf-8"))
+                verdict = _verdict_from_json(obj, problem, settings.fail_fast)
                 self.hits += 1
                 return verdict
             except (ValueError, KeyError, TypeError):
                 path.unlink(missing_ok=True)
-        verdict = judge(
-            program, problem, limits, policy,
-            runner=runner, fail_fast=fail_fast, keep_scratch=keep_scratch,
-        )
+        verdict = settings.uncached(program, problem)
         self.misses += 1
         tmp = path.with_suffix(f".tmp-{os.getpid()}-{id(verdict)}")
         tmp.write_text(json.dumps(asdict(verdict), sort_keys=True), encoding="utf-8")

@@ -53,10 +53,7 @@ def make_verdict(passed=True, n_tests=1, avg_time=0.01, avg_peak_memory=10_000_0
             wall_time_used=avg_time, peak_memory=avg_peak_memory, exit_code=0,
         )
         per_test.append((report, matched))
-    return JudgeVerdict(
-        per_test=per_test, passed=passed, first_failure=None if passed else first_failure,
-        avg_time=avg_time, avg_peak_memory=avg_peak_memory,
-    )
+    return JudgeVerdict(per_test)
 
 
 def make_rows(problem, n, c, code="print(1)", metrics: CodeMetrics | None = None,

@@ -255,7 +255,7 @@ def _line_counts(tokens: TokenStream, total_lines: int) -> tuple[int, int, int, 
             else:
                 code_lines.update(span)
     comment_only = (comment_lines - code_lines) & set(range(1, total_lines + 1))
-    sloc = len(code_lines)
+    sloc = len(code_lines & set(range(1, total_lines + 1)))
     c = len(comment_only) / total_lines if total_lines else 0.0
     return sloc, len(comment_only), total_lines, c
 

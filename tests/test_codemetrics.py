@@ -165,7 +165,8 @@ class TestSlocAndComments:
         ("a = 1\n\x0c\n# c\n", (1, 1, 3, 1 / 3)),  # form feed is no line break
         ('x = "\u2028"\n# c\n', (1, 1, 2, 0.5)),  # nor is a line separator in a string
         ("a = 1\r# c\r", (1, 0, 1, 0.0)),  # nor a lone carriage return
-    ], ids=["form_feed", "line_separator", "carriage_return"])
+        ("x = '''abc\n", (1, 0, 1, 0.0)),  # an unterminated string ends at the last line
+    ], ids=["form_feed", "line_separator", "carriage_return", "unterminated_string"])
     def test_total_counts_newline_terminated_lines(self, source, expected):
         assert sloc_and_comments(source) == expected
         assert analyze(source).comment_density == expected[3]

@@ -25,8 +25,7 @@ def failing_verdict(status=ExecStatus.OK, stdout="wrong\n", stderr="", exit_code
     report = ExecutionReport(status=status, stdout=stdout, stderr=stderr,
                              wall_time_used=0.01, peak_memory=1_000_000,
                              exit_code=exit_code)
-    return JudgeVerdict(per_test=[(report, False)], passed=False, first_failure=0,
-                        avg_time=0.01, avg_peak_memory=1_000_000)
+    return JudgeVerdict(per_test=[(report, False)])
 
 
 class TestBuildMotPrompt:
@@ -148,8 +147,8 @@ class TestBuildReflectionPrompt:
         assert prompt.user == golden
 
     def test_passing_verdict_rejected(self):
-        verdict = failing_verdict()
-        verdict.passed = True
+        report, _ = failing_verdict().per_test[0]
+        verdict = JudgeVerdict(per_test=[(report, True)])
         with pytest.raises(ValueError):
             build_reflection_prompt(make_problem(), "x", verdict, round=1)
 

@@ -1,8 +1,11 @@
+import json
 import math
 import random
 import shutil
 import subprocess
 import sys
+import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -16,6 +19,7 @@ from modeval.sandbox import (
     ExecStatus,
     InfrastructureError,
     Judge,
+    JudgeVerdict,
     ResourceLimits,
     VerdictCache,
     _Broker,
@@ -152,16 +156,6 @@ class TestRunOnce:
     def test_runner_template(self):
         report = run_once("print(40 + 2)", "", FAST, runner=EXEC)
         assert report.stdout == "42\n"
-
-    def test_keep_scratch(self, tmp_path):
-        run_once("print(1)", "", FAST, scratch_root=tmp_path, keep_scratch=True)
-        kept = list(tmp_path.iterdir())
-        assert len(kept) == 1
-        assert (kept[0] / "main.py").exists()
-
-    def test_scratch_cleaned_by_default(self, tmp_path):
-        run_once("print(1)", "", FAST, scratch_root=tmp_path)
-        assert list(tmp_path.iterdir()) == []
 
 
 PARITY_LIMITS = ResourceLimits(wall_time=1.0, memory=128 * MB, output_cap=64 * 1024)
@@ -360,6 +354,13 @@ class TestJudge:
         assert verdict.passed
         assert (len(made), len(runs)) == (1, 3)
 
+    @pytest.mark.parametrize("keep", [False, True], ids=["cleaned", "kept"])
+    def test_keep_scratch(self, monkeypatch, tmp_path, keep):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        problem = make_problem(tests=(("1\n", "1\n"),))
+        assert judge("print(input())", problem, FAST, keep_scratch=keep).passed
+        assert [(d / "main.py").exists() for d in tmp_path.iterdir()] == ([True] if keep else [])
+
     @pytest.mark.parametrize("runner", [None, EXEC], ids=["fork", "exec"])
     def test_tests_do_not_see_each_others_files(self, runner):
         program = "import os\nprint(sorted(os.listdir()))\nopen('left.txt', 'w').write('x')"
@@ -424,8 +425,8 @@ class TestVerdictCache:
     def test_hit_returns_equal_verdict(self, tmp_path):
         cache = VerdictCache(tmp_path / "verdicts")
         problem = make_problem(tests=(("1\n", "1\n"),))
-        first = cache.judge("print(input())", problem, FAST)
-        second = cache.judge("print(input())", problem, FAST)
+        first = cache.judge("print(input())", problem, Judge(FAST))
+        second = cache.judge("print(input())", problem, Judge(FAST))
         assert cache.hits == 1 and cache.misses == 1
         assert second == first  # every field read back from disk
         assert second.passed == first.passed
@@ -436,15 +437,14 @@ class TestVerdictCache:
         cache = VerdictCache(tmp_path / "verdicts")
         p1 = make_problem(tests=(("1\n", "1\n"),))
         p2 = make_problem(tests=(("1\n", "2\n"),))
-        cache.judge("print(input())", p1, FAST)
-        v = cache.judge("print(input())", p2, FAST)
+        cache.judge("print(input())", p1, Judge(FAST))
+        v = cache.judge("print(input())", p2, Judge(FAST))
         assert cache.misses == 2
         assert not v.passed
 
     def test_key_names_default_interpreter(self, tmp_path, monkeypatch):
         cache = VerdictCache(tmp_path / "verdicts")
-        problem = make_problem(tests=(("1\n", "1\n"),))
-        args = ("print(input())", problem, FAST, ComparePolicy(), None, False)
+        args = ("print(input())", make_problem(tests=(("1\n", "1\n"),)), Judge(FAST))
         here = cache._key(*args)
         monkeypatch.setattr(sys, "executable", "/usr/bin/python3.9")
         monkeypatch.setattr(sys, "version", "3.9.18 (main) [GCC 12.2.0]")
@@ -452,21 +452,71 @@ class TestVerdictCache:
 
     def test_key_names_sandbox_semantics(self, tmp_path, monkeypatch):
         cache = VerdictCache(tmp_path / "verdicts")
-        problem = make_problem(tests=(("1\n", "1\n"),))
-        args = ("print(input())", problem, FAST, ComparePolicy(), None, False)
+        args = ("print(input())", make_problem(tests=(("1\n", "1\n"),)), Judge(FAST))
         here = cache._key(*args)
         monkeypatch.setattr(sandbox, "SANDBOX_SEMANTICS", sandbox.SANDBOX_SEMANTICS + 1)
         assert cache._key(*args) != here
 
+    def test_key_names_stdio_buffering(self, tmp_path, monkeypatch):
+        # PYTHONUNBUFFERED decides whether `print('x'); os.close(1)` is ok or exit 120
+        cache = VerdictCache(tmp_path / "verdicts")
+        args = ("print(input())", make_problem(tests=(("1\n", "1\n"),)), Judge(FAST))
+        monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+        unset = cache._key(*args)
+        monkeypatch.setenv("PYTHONUNBUFFERED", "1")
+        assert cache._key(*args) != unset
+        monkeypatch.setenv("PYTHONUNBUFFERED", "")
+        assert cache._key(*args) == unset
+
     def test_corrupt_entry_recomputed(self, tmp_path):
         cache = VerdictCache(tmp_path / "verdicts")
         problem = make_problem(tests=(("1\n", "1\n"),))
-        cache.judge("print(input())", problem, FAST)
+        cache.judge("print(input())", problem, Judge(FAST))
         entry = next((tmp_path / "verdicts").glob("*.json"))
         entry.write_text("{broken")
-        verdict = cache.judge("print(input())", problem, FAST)
+        verdict = cache.judge("print(input())", problem, Judge(FAST))
         assert verdict.passed
         assert cache.misses == 2
+
+    def test_entry_holds_only_per_test(self, tmp_path):
+        Judge(FAST, cache=VerdictCache(tmp_path))("print(input())", make_problem())
+        entry = json.loads(next(tmp_path.glob("*.json")).read_text())
+        assert [f.name for f in fields(JudgeVerdict)] == list(entry) == ["per_test"]
+
+    def test_written_verdict_fields_are_ignored(self, tmp_path):
+        cache = VerdictCache(tmp_path)
+        judged = Judge(FAST, cache=cache)
+        problem = make_problem(tests=(("1\n", "2\n"),))
+        judged("print(input())", problem)
+        entry = next(tmp_path.glob("*.json"))
+        entry.write_text(json.dumps(dict(json.loads(entry.read_text()), passed=True,
+                                         first_failure=None)))
+        verdict = judged("print(input())", problem)
+        assert cache.hits == 1
+        assert not verdict.passed and verdict.first_failure == 0
+
+    @pytest.mark.parametrize("fail_fast, edit, served", [
+        (False, lambda results: results, True),
+        (False, lambda results: [r for r in results if r[1]], False),
+        (False, lambda results: results + results[:1], False),
+        (True, lambda results: results, True),
+        (True, lambda results: results[:1], False),
+        (True, lambda results: results + results[:1], False),
+    ], ids=["all-tests", "matched-only", "extra-result",
+            "fail-fast", "fail-fast-before-failure", "fail-fast-past-failure"])
+    def test_entry_served_only_in_a_shape_judge_records(self, tmp_path, fail_fast, edit, served):
+        cache = VerdictCache(tmp_path)
+        judged = Judge(FAST, fail_fast=fail_fast, cache=cache)
+        problem = make_problem(tests=(("1\n", "1\n"), ("2\n", "x\n"), ("3\n", "3\n")))
+        first = judged("print(input())", problem)
+        entry = next(tmp_path.glob("*.json"))
+        obj = json.loads(entry.read_text())
+        entry.write_text(json.dumps(dict(obj, per_test=edit(obj["per_test"]))))
+        again = judged("print(input())", problem)
+        assert (cache.hits, cache.misses) == ((1, 1) if served else (0, 2))
+        assert [m for _, m in again.per_test] == [m for _, m in first.per_test]
+        judged("print(input())", problem)  # a re-judged entry was written back whole
+        assert cache.hits == (2 if served else 1)
 
 
 class TestBroker:
