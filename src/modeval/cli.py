@@ -30,6 +30,7 @@ from .corpus import (
     Problem,
     Split,
     corpus_stats,
+    decode,
     dedup_against,
     load_corpus,
     select_solutions,
@@ -56,7 +57,7 @@ class PipelineConfig:
     corpus_paths: dict[str, str]
     provider: ProviderConfig
     limits: ResourceLimits
-    policy: ComparePolicy
+    compare: ComparePolicy
     dedup_threshold: float = 0.9
     dedup_holdout_split: str | None = None
     solution_cap: int = 100
@@ -78,19 +79,9 @@ class PipelineConfig:
     raw: dict = field(default_factory=dict)
 
 
-# fields built from nested config sections, or not read from the config at all
-_NOT_PLAIN = {"corpus_paths", "provider", "limits", "policy", "use_cache", "raw"}
-
-
-def _has_type(value, annotation: str) -> bool:
-    """Whether a JSON value fits a dataclass field annotation; only bool fits bool."""
-    if annotation.endswith(" | None"):
-        return value is None or _has_type(value, annotation.removesuffix(" | None"))
-    if annotation.startswith("list["):
-        return isinstance(value, list) and all(_has_type(v, annotation[5:-1]) for v in value)
-    if isinstance(value, bool):
-        return annotation == "bool"
-    return isinstance(value, {"int": int, "float": (int, float), "str": str, "bool": bool}[annotation])
+# fields not copied as they stand from the config: corpus_paths comes from "corpus", a
+# null section means its defaults, and use_cache and raw are set by the loader
+_NOT_PLAIN = {"corpus_paths", "provider", "limits", "compare", "use_cache", "raw"}
 
 
 def _resolve(path: str, base: Path) -> str:
@@ -110,28 +101,17 @@ def load_pipeline_config(config_path: str | Path, overrides: argparse.Namespace)
         raise ConfigError(f"config {config_path} must be a JSON object")
     base = config_path.parent
 
-    corpus = raw.get("corpus") or {}
-    if not isinstance(corpus, dict) or not all(_has_type(p, "str | None") for p in corpus.values()):
-        raise ConfigError(f"corpus must map split names to paths, got {corpus!r}")
-    corpus_paths = {split: _resolve(p, base) for split, p in corpus.items() if p}
-    for split in corpus_paths:
-        if split not in (s.value for s in Split):
-            raise ConfigError(f"unknown corpus split {split!r}")
     try:
-        provider = ProviderConfig(**(raw.get("provider") or {}))
-        limits = ResourceLimits(**(raw.get("limits") or {}))
-        policy = ComparePolicy(**(raw.get("compare") or {}))
+        corpus = decode(dict[Split, str | None], raw.get("corpus") or {}, "corpus")
+        cfg = decode(PipelineConfig, {
+            **{f.name: raw[f.name] for f in fields(PipelineConfig)
+               if f.name in raw and f.name not in _NOT_PLAIN},
+            **{section: raw.get(section) or {} for section in ("provider", "limits", "compare")},
+            "corpus_paths": {split.value: _resolve(p, base) for split, p in corpus.items() if p},
+            "raw": raw,
+        }, "config")
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-
-    cfg = PipelineConfig(
-        corpus_paths=corpus_paths, provider=provider, limits=limits, policy=policy, raw=raw
-    )
-    for f in fields(PipelineConfig):
-        if f.name in raw and f.name not in _NOT_PLAIN:
-            if not _has_type(raw[f.name], f.type):
-                raise ConfigError(f"{f.name} must be {f.type}, got {raw[f.name]!r}")
-            setattr(cfg, f.name, raw[f.name])
     cfg.ks = sorted(set(cfg.ks))
     cfg.outdir = _resolve(cfg.outdir, base)
     cfg.cache_dir = _resolve(cfg.cache_dir, base) if cfg.cache_dir else None
@@ -190,7 +170,7 @@ def _caches(cfg: PipelineConfig) -> tuple[ResponseCache | None, Judge]:
         root = Path(cfg.cache_dir)
         rcache, vcache = ResponseCache(root / "responses"), VerdictCache(root / "verdicts")
     judge = Judge(
-        limits=cfg.limits, policy=cfg.policy, runner=cfg.runner,
+        limits=cfg.limits, policy=cfg.compare, runner=cfg.runner,
         fail_fast=cfg.fail_fast, keep_scratch=cfg.keep_scratch, cache=vcache,
     )
     return rcache, judge
@@ -383,17 +363,9 @@ def _load_candidates(path: Path) -> list[tuple[str, list[str]]]:
             continue
         try:
             obj = json.loads(line)
-            pid = obj["problem_id"]
-            if "candidates" in obj:
-                if not isinstance(obj["candidates"], list):
-                    raise ValueError("'candidates' must be a list")
-                codes = list(obj["candidates"])
-            elif "final_code" in obj:
-                codes = [obj["final_code"]]
-            else:
-                raise KeyError("candidates")
-            if not isinstance(pid, str) or any(not isinstance(c, str) for c in codes):
-                raise ValueError("wrong field types")
+            pid = decode(str, obj["problem_id"], "problem_id")
+            codes = (decode(list[str], obj["candidates"], "candidates") if "candidates" in obj
+                     else [decode(str, obj["final_code"], "final_code")])
         except (ValueError, KeyError, TypeError) as exc:
             raise ConfigError(f"{path}: malformed candidates line {lineno}: {exc}") from exc
         grouped.setdefault(pid, []).extend(codes)
@@ -488,15 +460,9 @@ def _load_rows(path: Path, corpus: Corpus) -> list[CandidateRow]:
         if not line.strip():
             continue
         try:
-            obj = json.loads(line)
-            row = CandidateRow(**dict(obj, metrics=codemetrics.CodeMetrics(**obj["metrics"])))
-            for record in (row, row.metrics):
-                for f in fields(record):
-                    value = getattr(record, f.name)
-                    if f.name != "metrics" and not _has_type(value, f.type):
-                        raise TypeError(f"{f.name} must be {f.type}, got {value!r}")
+            row = decode(CandidateRow, json.loads(line), "row")
             Difficulty(row.difficulty), Split(row.split)  # known level and split, or ValueError
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, TypeError) as exc:
             raise ConfigError(f"{path}: malformed records line {lineno}: {exc}") from exc
         rows.append(row)
     unknown = sorted({row.problem_id for row in rows if row.problem_id not in corpus})

@@ -1,4 +1,5 @@
-"""Problem corpora: JSONL loading, normalization, dedup and summary stats.
+"""Problem corpora: JSONL loading, normalization, dedup and summary stats,
+and ``decode``, the typed reader of every JSON value the pipeline reads back.
 
 A corpus is an ordered list of competitive-programming problems in the
 de facto APPS/CodeContests JSONL layout, one problem per line:
@@ -18,9 +19,61 @@ import json
 import math
 import re
 import string
-from dataclasses import dataclass, field, replace
+import types
+import typing
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from enum import Enum
+from functools import lru_cache
 from pathlib import Path
+
+
+@lru_cache(maxsize=None)
+def _shape(tp) -> tuple[object, object]:
+    """``decode``'s plan for ``tp``: its generic origin and arguments, ``Enum``
+    for an enum, or ``dataclass`` and the resolved types of its init fields."""
+    origin = typing.get_origin(tp)
+    if origin is not None:
+        return (typing.Union if origin is types.UnionType else origin), typing.get_args(tp)
+    if is_dataclass(tp):
+        hints = typing.get_type_hints(tp)
+        return dataclass, {f.name: hints[f.name] for f in fields(tp) if f.init}
+    return (Enum if issubclass(tp, Enum) else None), ()
+
+
+def decode(tp, value, name: str):
+    """Build a ``tp`` from the parsed JSON ``value``, checking every type on the way.
+
+    ``tp`` is a dataclass (from an object of its init fields), an enum (from
+    one of its values), ``list[X]``, ``tuple[X, Y]`` (from an array of that
+    length), ``dict[K, V]`` (from an object), ``X | None``, ``dict`` or a JSON
+    scalar type: only a bool fits ``bool``, and an int also fits ``float``
+    (and stays an int).  Raises TypeError or ValueError naming ``name``, the
+    path of the value.
+    """
+    if type(value) is tp or (tp is float and type(value) is int):
+        return value
+    kind, args = _shape(tp)
+    if kind is typing.Union:  # X | None
+        return None if value is None else decode(args[0], value, name)
+    if kind is list and type(value) is list:
+        return [decode(args[0], v, f"{name}[{i}]") for i, v in enumerate(value)]
+    if kind is tuple and type(value) is list and len(value) == len(args):
+        return tuple([decode(a, v, f"{name}[{i}]") for i, (a, v) in enumerate(zip(args, value))])
+    if kind is dict and type(value) is dict:
+        return {decode(args[0], k, f"{name} key"): decode(args[1], v, f"{name}.{k}")
+                for k, v in value.items()}
+    if kind is dataclass and type(value) is dict:
+        unknown = value.keys() - args
+        if unknown:
+            raise TypeError(f"{name} has unknown fields {sorted(unknown)}")
+        return tp(**{k: decode(args[k], v, f"{name}.{k}") for k, v in value.items()})
+    if kind is Enum:
+        try:
+            return tp(value)
+        except ValueError:
+            raise ValueError(f"{name} must be one of {[m.value for m in tp]}, got {value!r}") from None
+    expected = tp.__name__ if kind in (None, dataclass) else re.sub(r"[\w.]+\.", "", str(tp))
+    raise TypeError(f"{name} must be {expected}, got {value!r}")
 
 
 class Difficulty(str, Enum):
@@ -107,48 +160,27 @@ class Corpus:
 
 
 def _problem_from_obj(obj: dict, split: Split) -> Problem:
-    if not isinstance(obj, dict):
-        raise ValueError("line is not a JSON object")
-    pid = obj.get("id")
-    if not isinstance(pid, str) or not pid:
-        raise ValueError("missing or empty 'id'")
-    statement = obj.get("question", "")
-    if not isinstance(statement, str):
-        raise ValueError("'question' is not a string")
-    solutions = obj.get("solutions", [])
-    if not isinstance(solutions, list) or any(not isinstance(s, str) for s in solutions):
-        raise ValueError("'solutions' is not a list of strings")
-
-    io = obj.get("input_output")
+    obj = decode(dict, obj, "line")
+    io = decode(dict | None, obj.get("input_output"), "input_output")
     tests: list[TestCase] = []
-    untestable = False
-    if io is None:
-        untestable = True
-    else:
-        if not isinstance(io, dict):
-            raise ValueError("'input_output' is not an object")
-        inputs = io.get("inputs", [])
-        outputs = io.get("outputs", [])
+    if io is not None:
+        inputs = decode(list[str], io.get("inputs", []), "input_output.inputs")
+        outputs = decode(list[str], io.get("outputs", []), "input_output.outputs")
         if len(inputs) != len(outputs):
             raise ValueError(
                 f"input_output length mismatch ({len(inputs)} inputs, {len(outputs)} outputs)"
             )
-        for inp, out in zip(inputs, outputs):
-            if not isinstance(inp, str) or not isinstance(out, str):
-                raise ValueError("test inputs/outputs must be strings")
-            tests.append(TestCase(input=inp, expected_output=out))
-        if not tests:
-            untestable = True
+        tests = [TestCase(input=inp, expected_output=out) for inp, out in zip(inputs, outputs)]
 
     return Problem(
-        id=pid,
-        statement=statement,
-        solutions=list(solutions),
+        id=decode(str, obj.get("id"), "id"),
+        statement=decode(str, obj.get("question", ""), "question"),
+        solutions=decode(list[str], obj.get("solutions", []), "solutions"),
         tests=tests,
         difficulty=Difficulty.parse(obj.get("difficulty", "unknown")),
         source=str(obj.get("source", "")),
         split=split,
-        untestable=untestable,
+        untestable=not tests,
     )
 
 

@@ -182,19 +182,20 @@ def evaluate_corpus(
     )
 
 
-def bin_label(function_count: int, max_bin: int = 8) -> str:
-    return f"{max_bin}+" if function_count >= max_bin else str(function_count)
+MAX_BIN = 8  # function counts from here up share the bin "8+"
 
 
-def function_accuracy_profile(
-    rows: list[CandidateRow], max_bin: int = 8
-) -> dict[str, dict[str, BinStat]]:
+def bin_label(function_count: int) -> str:
+    return f"{MAX_BIN}+" if function_count >= MAX_BIN else str(function_count)
+
+
+def function_accuracy_profile(rows: list[CandidateRow]) -> dict[str, dict[str, BinStat]]:
     """Pass fraction per (difficulty, function-count bin), plus an "all" row."""
     profile: dict[str, dict[str, BinStat]] = {}
     for label, group in sorted(by_difficulty([(r.difficulty, r) for r in rows]).items()):
         cells: dict[str, list[int]] = {}
         for row in group:
-            cell = cells.setdefault(bin_label(row.metrics.function_count, max_bin), [0, 0])
+            cell = cells.setdefault(bin_label(row.metrics.function_count), [0, 0])
             cell[0] += 1
             cell[1] += row.passed
         if cells:

@@ -23,6 +23,7 @@ from pathlib import Path
 from typing import Sequence
 
 from . import promptgen
+from .corpus import decode
 from .promptgen import Prompt, PromptTag, ModularSolution, SubModule
 
 
@@ -222,17 +223,15 @@ class MockProvider:
         """One rules.jsonl line, ``contains`` as a list and ``response_file``
         read into ``response``."""
         try:
-            rule = json.loads(line)
-            if not isinstance(rule, dict):
-                raise ValueError("a rule must be a JSON object")
+            rule = decode(dict, json.loads(line), "rule")
             if "response_file" in rule:
-                path = self.fixture_dir / rule.pop("response_file")
+                path = self.fixture_dir / decode(str, rule.pop("response_file"), "response_file")
                 rule["response"] = path.read_text(encoding="utf-8")
             needles = rule.get("contains") or []
-            rule["contains"] = needles if isinstance(needles, list) else [needles]
-            texts = [*rule["contains"], rule.get("tag") or "", rule.get("response", "")]
-            if not all(isinstance(text, str) for text in texts):
-                raise ValueError("contains, tag and response must be strings")
+            rule["contains"] = decode(list[str], needles if isinstance(needles, list) else [needles],
+                                      "contains")
+            decode(str | None, rule.get("tag"), "tag")
+            decode(str, rule.get("response", ""), "response")
         except (ValueError, TypeError, OSError) as exc:
             raise ValueError(f"{where}: bad mock rule: {exc}") from exc
         return rule
@@ -299,7 +298,8 @@ class ResponseCache:
             return None
         try:
             obj = json.loads(path.read_text(encoding="utf-8"))
-            return Completion(text=obj["response"], provider_meta=obj.get("meta", {}), cached=True)
+            return decode(Completion, {"text": obj["response"], "provider_meta": obj.get("meta", {}),
+                                       "cached": True}, "entry")
         except (ValueError, KeyError, TypeError):
             return None
 
@@ -329,7 +329,6 @@ def complete(
     *,
     provider=None,
     cache: ResponseCache | None = None,
-    bypass_cache: bool = False,
 ) -> Completion:
     """One completion with retry on transient failures and optional caching.
 
@@ -338,7 +337,7 @@ def complete(
     """
     provider = provider if provider is not None else HttpProvider()
     key = ResponseCache.key(prompt, cfg) if cache is not None else ""
-    if cache is not None and not bypass_cache:
+    if cache is not None:
         hit = cache.get(key)
         if hit is not None:
             return hit
@@ -364,7 +363,6 @@ def complete_batch(
     *,
     provider=None,
     cache: ResponseCache | None = None,
-    bypass_cache: bool = False,
 ) -> list[Completion | ProviderError]:
     """Complete many prompts with at most ``cfg.max_inflight`` outstanding.
 
@@ -375,7 +373,7 @@ def complete_batch(
 
     def one(prompt: Prompt) -> Completion | ProviderError:
         try:
-            return complete(prompt, cfg, provider=provider, cache=cache, bypass_cache=bypass_cache)
+            return complete(prompt, cfg, provider=provider, cache=cache)
         except ProviderError as exc:
             return exc
 

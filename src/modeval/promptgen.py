@@ -105,21 +105,17 @@ def _byte_offset(text: str, char_index: int) -> int:
 
 @lru_cache(maxsize=None)
 def _template(name: str) -> Template:
+    """``templates/<name>``; its ``template`` attribute is the file's text."""
     text = resources.files("modeval").joinpath("templates", name).read_text(encoding="utf-8")
     return Template(text)
-
-
-@lru_cache(maxsize=None)
-def _fixture_text(name: str) -> str:
-    return resources.files("modeval").joinpath("templates", name).read_text(encoding="utf-8")
 
 
 def build_mot_prompt(problem: Problem, solution: str) -> Prompt:
     """Two-step modularization prompt for one (problem, reference solution) pair."""
     if not solution:
         raise ValueError("solution must be nonempty")
-    example_input = _fixture_text("one_shot_input.txt").rstrip("\n")
-    example_output = _fixture_text("one_shot_output.txt").rstrip("\n")
+    example_input = _template("one_shot_input.txt").template.rstrip("\n")
+    example_output = _template("one_shot_output.txt").template.rstrip("\n")
     user = _template("mot_user.txt").substitute(
         example_input=example_input,
         example_output=example_output,

@@ -62,7 +62,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Sequence
 
-from .corpus import Problem
+from .corpus import Problem, decode
 
 MB = 1024 * 1024
 
@@ -121,6 +121,10 @@ class ExecutionReport:
 class ComparePolicy:
     mode: str = "token"  # "token" or "exact"
     float_tolerance: float = 1e-6
+
+    def __post_init__(self) -> None:
+        if self.mode not in ("token", "exact"):
+            raise ValueError(f"unknown compare mode {self.mode!r}")
 
 
 @dataclass
@@ -612,8 +616,6 @@ def compare_output(expected: str, actual: str, policy: ComparePolicy = ComparePo
             return lines
 
         return norm(expected) == norm(actual)
-    if policy.mode != "token":
-        raise ValueError(f"unknown compare mode {policy.mode!r}")
 
     etoks = expected.split()
     atoks = actual.split()
@@ -709,15 +711,13 @@ def judge_batch(
 
 
 def _verdict_from_json(obj: dict, problem: Problem, fail_fast: bool) -> JudgeVerdict:
-    """Rebuild a verdict from the JSON of its ``dataclasses.asdict`` form.
+    """Rebuild a verdict from the ``per_test`` of its ``dataclasses.asdict`` JSON.
 
-    Raises ValueError unless it holds what ``judge`` records for ``problem``:
-    one result per test, or with ``fail_fast`` the results up to the first failure.
+    Raises TypeError or ValueError unless it holds what ``judge`` records for
+    ``problem``: well-typed results, one per test, or with ``fail_fast`` the
+    results up to the first failure.
     """
-    verdict = JudgeVerdict([
-        (ExecutionReport(**dict(report, status=ExecStatus(report["status"]))), matched)
-        for report, matched in obj["per_test"]
-    ])
+    verdict = decode(JudgeVerdict, {"per_test": obj["per_test"]}, "verdict")
     ran = len(problem.tests)
     if fail_fast and not verdict.passed:
         ran = min(ran, verdict.first_failure + 1)

@@ -85,8 +85,16 @@ class TestConfig:
         ({"workers": True}, "workers"),
         ({"ks": "1"}, "ks"),
         ({"data_types": "mot"}, "data_types"),
+        ({"compare": {"mode": "fuzzy"}}, "mode"),
+        ({"limits": {"memory": 268435456.5}}, "memory"),
+        ({"limits": {"wall_time": True}}, "wall_time"),
+        ({"provider": {"model_name": 5}}, "model_name"),
+        ({"provider": {"max_inflight": 2.5}}, "max_inflight"),
+        ({"compare": {"float_tolerance": "x"}}, "float_tolerance"),
     ], ids=["root_list", "corpus_list", "corpus_path_int", "solution_cap_string",
-            "dedup_threshold_string", "workers_bool", "ks_string", "data_types_string"])
+            "dedup_threshold_string", "workers_bool", "ks_string", "data_types_string",
+            "compare_mode_unknown", "memory_float", "wall_time_bool", "model_name_int",
+            "max_inflight_float", "float_tolerance_string"])
     def test_mistyped_value_is_config_error(self, tmp_path, capsys, config, named):
         if isinstance(config, dict):
             path = write_config(tmp_path, **config)

@@ -97,6 +97,13 @@ class TestLoadCorpus:
         assert len(corpus) == 0
         assert "mismatch" in corpus.diagnostics[0].reason
 
+    def test_string_io_is_diagnostic(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        write_jsonl(path, [dict(problem_obj("a"), input_output={"inputs": "12", "outputs": "24"})])
+        corpus = load_corpus(path)
+        assert len(corpus) == 0
+        assert "inputs" in corpus.diagnostics[0].reason
+
     def test_unknown_difficulty_maps_to_unknown(self, tmp_path):
         path = tmp_path / "c.jsonl"
         write_jsonl(path, [problem_obj("a", difficulty="weird")])

@@ -89,14 +89,6 @@ class TestComplete:
         entries = list((tmp_path / "cache").glob("*.json"))
         assert len(entries) == 1
 
-    def test_cache_bypass_resamples(self, tmp_path):
-        provider = MockProvider(script=["one", "two"])
-        cache = ResponseCache(tmp_path / "cache")
-        complete(prompt_of("q"), CFG, provider=provider, cache=cache)
-        fresh = complete(prompt_of("q"), CFG, provider=provider, cache=cache, bypass_cache=True)
-        assert fresh.text == "two"
-        assert fresh.cached is False
-
     def test_cache_key_distinguishes_model_and_temperature(self, tmp_path):
         p = prompt_of("q")
         keys = {
@@ -122,12 +114,16 @@ class TestComplete:
         assert entry["key"]["max_output_tokens"] == CFG.max_output_tokens
         assert "timestamp" in entry
 
-    def test_non_object_entry_is_a_miss(self, tmp_path):
+    @pytest.mark.parametrize("edit", [
+        lambda entry: [],
+        lambda entry: dict(entry, response=5),
+    ], ids=["non_object", "response_int"])
+    def test_malformed_entry_is_a_miss(self, tmp_path, edit):
         provider = MockProvider(script=["first", "second"])
         cache = ResponseCache(tmp_path / "cache")
         complete(prompt_of("q"), CFG, provider=provider, cache=cache)
         entry = next((tmp_path / "cache").glob("*.json"))
-        entry.write_text("[]")
+        entry.write_text(json.dumps(edit(json.loads(entry.read_text()))))
         again = complete(prompt_of("q"), CFG, provider=provider, cache=cache)
         assert (again.text, again.cached) == ("second", False)
         assert json.loads(entry.read_text())["response"] == "second"

@@ -502,8 +502,11 @@ class TestVerdictCache:
         (True, lambda results: results, True),
         (True, lambda results: results[:1], False),
         (True, lambda results: results + results[:1], False),
+        (False, lambda results: [[r, m or "false"] for r, m in results], False),
+        (False, lambda results: [[dict(r, wall_time_used="fast"), m] for r, m in results], False),
     ], ids=["all-tests", "matched-only", "extra-result",
-            "fail-fast", "fail-fast-before-failure", "fail-fast-past-failure"])
+            "fail-fast", "fail-fast-before-failure", "fail-fast-past-failure",
+            "matched-string", "wall-time-string"])
     def test_entry_served_only_in_a_shape_judge_records(self, tmp_path, fail_fast, edit, served):
         cache = VerdictCache(tmp_path)
         judged = Judge(FAST, fail_fast=fail_fast, cache=cache)
