@@ -1,12 +1,13 @@
-"""Problem corpora: JSONL loading, normalization, dedup and summary stats,
-and ``decode``, the typed reader of every JSON value the pipeline reads back.
+"""Problem corpora: JSONL loading, normalization, dedup and summary stats;
+``decode``, the typed reader of every JSON value the pipeline reads back; and
+``EntryLog``, the append-only store under both disk caches.
 
 A corpus is an ordered list of competitive-programming problems in the
 de facto APPS/CodeContests JSONL layout, one problem per line:
 
     {"id": str, "question": str, "solutions": [str],
      "input_output": {"inputs": [str], "outputs": [str]},
-     "difficulty": str, "source": str}
+     "difficulty": str, "source": str | int}
 
 A missing ``input_output`` key marks the problem as untestable.  Loading is
 forgiving about malformed lines (they become diagnostics) but strict about
@@ -15,12 +16,16 @@ duplicate ids, which indicate a broken export.
 
 from __future__ import annotations
 
+import fcntl
 import json
 import math
+import os
 import re
 import string
+import threading
 import types
 import typing
+import weakref
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from enum import Enum
 from functools import lru_cache
@@ -45,16 +50,19 @@ def decode(tp, value, name: str):
 
     ``tp`` is a dataclass (from an object of its init fields), an enum (from
     one of its values), ``list[X]``, ``tuple[X, Y]`` (from an array of that
-    length), ``dict[K, V]`` (from an object), ``X | None``, ``dict`` or a JSON
-    scalar type: only a bool fits ``bool``, and an int also fits ``float``
+    length), ``dict[K, V]`` (from an object), ``X | None``, a union of
+    scalar types, ``dict`` or a JSON scalar type: only a bool fits ``bool``, and an int also fits ``float``
     (and stays an int).  Raises TypeError or ValueError naming ``name``, the
     path of the value.
     """
     if type(value) is tp or (tp is float and type(value) is int):
         return value
     kind, args = _shape(tp)
-    if kind is typing.Union:  # X | None
-        return None if value is None else decode(args[0], value, name)
+    if kind is typing.Union:  # X | None, or scalars such as str | int | None
+        if type(value) in args:
+            return value
+        if len(args) == 2:
+            return decode(args[0], value, name)
     if kind is list and type(value) is list:
         return [decode(args[0], v, f"{name}[{i}]") for i, v in enumerate(value)]
     if kind is tuple and type(value) is list and len(value) == len(args):
@@ -74,6 +82,73 @@ def decode(tp, value, name: str):
             raise ValueError(f"{name} must be one of {[m.value for m in tp]}, got {value!r}") from None
     expected = tp.__name__ if kind in (None, dataclass) else re.sub(r"[\w.]+\.", "", str(tp))
     raise TypeError(f"{name} must be {expected}, got {value!r}")
+
+
+class EntryLog:
+    """JSON entries in one append-only ``<root>/entries.jsonl``, a
+    ``<64-hex key>\\t<json>\\n`` line each; the last complete line of a key wins.
+
+    The first lookup indexes the log, key to byte range, in one pass, and
+    ``get`` reads only its own entry.  ``put`` appends a whole line with one
+    ``os.write`` under ``flock``, after indexing what other processes appended.
+    """
+
+    def __init__(self, root: Path) -> None:
+        root.mkdir(parents=True, exist_ok=True)
+        self.path = root / "entries.jsonl"
+        self._fd = os.open(self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o644)
+        weakref.finalize(self, os.close, self._fd)
+        self._lock = threading.Lock()
+        self._index: dict[str, tuple[int, int]] = {}  # key -> (offset, length) of its JSON
+        self._end = 0  # offset past the last complete line indexed
+        self._looked = False
+
+    def _scan(self) -> None:
+        """Index the complete lines past ``_end``; the caller holds ``_lock``."""
+        with open(self._fd, "rb", closefd=False) as fh:
+            fh.seek(self._end)
+            for line in fh:
+                if not line.endswith(b"\n"):
+                    break  # torn, or still being written
+                if line[64:65] == b"\t":
+                    self._index[line[:64].decode("latin-1")] = (self._end + 65, len(line) - 66)
+                self._end += len(line)
+
+    def get(self, key: str, read):
+        """``read`` of the entry under ``key``, or None.  An entry that does not
+        parse, or that ``read`` rejects with ValueError, KeyError or TypeError,
+        leaves the index, so the next ``put`` of its key supersedes it."""
+        with self._lock:
+            if not self._looked:
+                self._looked = True
+                self._scan()
+            where = self._index.get(key)
+        if where is None:
+            return None
+        try:
+            return read(json.loads(os.pread(self._fd, where[1], where[0])))
+        except (ValueError, KeyError, TypeError):
+            with self._lock:
+                if self._index.get(key) == where:
+                    del self._index[key]
+            return None
+
+    def put(self, key: str, entry) -> None:
+        """Append ``entry`` under ``key`` unless an entry of the key is indexed."""
+        line = f"{key}\t{json.dumps(entry, sort_keys=True)}\n".encode("ascii")
+        with self._lock:
+            fcntl.flock(self._fd, fcntl.LOCK_EX)
+            try:
+                end = os.fstat(self._fd).st_size
+                if end != self._end:  # lines not indexed yet, or a torn last line
+                    self._scan()
+                if key not in self._index:
+                    torn = end > self._end  # end it, so that ours starts a line of its own
+                    os.write(self._fd, b"\n" + line if torn else line)
+                    self._index[key] = (end + torn + 65, len(line) - 66)
+                    self._end = end + torn + len(line)
+            finally:
+                fcntl.flock(self._fd, fcntl.LOCK_UN)
 
 
 class Difficulty(str, Enum):
@@ -172,13 +247,14 @@ def _problem_from_obj(obj: dict, split: Split) -> Problem:
             )
         tests = [TestCase(input=inp, expected_output=out) for inp, out in zip(inputs, outputs)]
 
+    source = decode(str | int | None, obj.get("source"), "source")  # some exports number them
     return Problem(
         id=decode(str, obj.get("id"), "id"),
         statement=decode(str, obj.get("question", ""), "question"),
         solutions=decode(list[str], obj.get("solutions", []), "solutions"),
         tests=tests,
         difficulty=Difficulty.parse(obj.get("difficulty", "unknown")),
-        source=str(obj.get("source", "")),
+        source="" if source is None else str(source),
         split=split,
         untestable=not tests,
     )

@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Sequence
 
 from . import promptgen
-from .corpus import decode
+from .corpus import EntryLog, decode
 from .promptgen import Prompt, PromptTag, ModularSolution, SubModule
 
 
@@ -274,11 +274,11 @@ class MockProvider:
 
 
 class ResponseCache:
-    """Content-addressed completion store: ``<root>/<sha256-of-key>.json``."""
+    """Completion store: an ``EntryLog`` under ``root`` keyed by ``key``."""
 
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
+        self._log = EntryLog(self.root)
 
     @staticmethod
     def key(prompt: Prompt, cfg: ProviderConfig) -> str:
@@ -289,22 +289,13 @@ class ResponseCache:
         )
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
-    def _path(self, key: str) -> Path:
-        return self.root / f"{key}.json"
-
     def get(self, key: str) -> Completion | None:
-        path = self._path(key)
-        if not path.exists():
-            return None
-        try:
-            obj = json.loads(path.read_text(encoding="utf-8"))
-            return decode(Completion, {"text": obj["response"], "provider_meta": obj.get("meta", {}),
-                                       "cached": True}, "entry")
-        except (ValueError, KeyError, TypeError):
-            return None
+        return self._log.get(key, lambda obj: decode(
+            Completion, {"text": obj["response"], "provider_meta": obj.get("meta", {}),
+                         "cached": True}, "entry"))
 
     def put(self, key: str, prompt: Prompt, cfg: ProviderConfig, completion: Completion) -> None:
-        obj = {
+        self._log.put(key, {
             "key": {
                 "prompt_sha256": hashlib.sha256(
                     (prompt.system + "\n" + prompt.user).encode("utf-8")
@@ -316,11 +307,7 @@ class ResponseCache:
             "response": completion.text,
             "meta": completion.provider_meta,
             "timestamp": time.time(),
-        }
-        path = self._path(key)
-        tmp = path.with_suffix(f".tmp-{os.getpid()}-{threading.get_ident()}")
-        tmp.write_text(json.dumps(obj, sort_keys=True), encoding="utf-8")
-        os.replace(tmp, path)
+        })
 
 
 def complete(

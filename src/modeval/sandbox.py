@@ -62,7 +62,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Sequence
 
-from .corpus import Problem, decode
+from .corpus import EntryLog, Problem, decode
 
 MB = 1024 * 1024
 
@@ -741,7 +741,7 @@ class VerdictCache:
 
     def __post_init__(self) -> None:
         self.root = Path(self.root)
-        self.root.mkdir(parents=True, exist_ok=True)
+        self._log = EntryLog(self.root)
 
     def _key(self, program: str, problem: Problem, settings: Judge) -> str:
         limits, policy, runner = settings.limits, settings.policy, settings.runner
@@ -767,18 +767,11 @@ class VerdictCache:
     def judge(self, program: str, problem: Problem, settings: Judge) -> JudgeVerdict:
         """``settings.uncached(program, problem)``, replayed from disk when recorded."""
         key = self._key(program, problem, settings)
-        path = self.root / f"{key}.json"
-        if path.exists():
-            try:
-                obj = json.loads(path.read_text(encoding="utf-8"))
-                verdict = _verdict_from_json(obj, problem, settings.fail_fast)
-                self.hits += 1
-                return verdict
-            except (ValueError, KeyError, TypeError):
-                path.unlink(missing_ok=True)
+        verdict = self._log.get(key, lambda obj: _verdict_from_json(obj, problem, settings.fail_fast))
+        if verdict is not None:
+            self.hits += 1
+            return verdict
         verdict = settings.uncached(program, problem)
         self.misses += 1
-        tmp = path.with_suffix(f".tmp-{os.getpid()}-{id(verdict)}")
-        tmp.write_text(json.dumps(asdict(verdict), sort_keys=True), encoding="utf-8")
-        os.replace(tmp, path)
+        self._log.put(key, asdict(verdict))
         return verdict

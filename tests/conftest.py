@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import pytest
@@ -72,3 +73,22 @@ def make_rows(problem, n, c, code="print(1)", metrics: CodeMetrics | None = None
 
 def corpus_of(*problems) -> Corpus:
     return Corpus(problems=list(problems), provenance="test")
+
+
+def cache_entries(root) -> list[tuple[str, object]]:
+    """Every ``(key, entry)`` line of the cache log under ``root``, in order;
+    each line must be whole: a 64-hex key, a tab and its JSON."""
+    text = (Path(root) / "entries.jsonl").read_text()
+    assert text.endswith("\n")
+    lines = [line.split("\t", 1) for line in text.splitlines()]
+    assert all(len(key) == 64 and set(key) <= set("0123456789abcdef") for key, _ in lines)
+    return [(key, json.loads(body)) for key, body in lines]
+
+
+def edit_cache_entry(root, edit) -> None:
+    """Rewrite the only entry of the cache log under ``root`` as ``edit(entry)``,
+    dumped as JSON unless it is a string."""
+    [(key, entry)] = cache_entries(root)
+    body = edit(entry)
+    (Path(root) / "entries.jsonl").write_text(
+        f"{key}\t{body if isinstance(body, str) else json.dumps(body)}\n")

@@ -225,13 +225,20 @@ def test_criterion_7_end_to_end_byte_stable(tmp_path):
         out_a = tmp_path / "run_a"
         out_b = tmp_path / "run_b"
         _run_pipeline(config_path, out_a)
+        cache_a = _snapshot(tmp_path / "cache")
         _run_pipeline(config_path, out_b)
+        cache_b = _snapshot(tmp_path / "cache")
 
         snap_a = _snapshot(out_a)
         snap_b = _snapshot(out_b)
         assert set(snap_a) == set(snap_b)
         for rel in snap_a:
             assert snap_a[rel] == snap_b[rel], f"output differs between runs: {rel}"
+        # the warm run only reads the caches: it appends to no log, adds no file
+        assert {"responses/entries.jsonl", "verdicts/entries.jsonl"} <= set(cache_a)
+        assert set(cache_a) == set(cache_b)
+        for rel in cache_a:
+            assert cache_a[rel] == cache_b[rel], f"warm run changed cache file {rel}"
 
         # reflection cap of 5 honored: no trace exceeds five rounds, and the
         # never-solved problems use every one of them

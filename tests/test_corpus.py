@@ -1,5 +1,10 @@
 import json
+import os
 import random
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +13,7 @@ from modeval.corpus import (
     Corpus,
     CorpusError,
     Difficulty,
+    EntryLog,
     Problem,
     Split,
     TestCase,
@@ -20,7 +26,7 @@ from modeval.corpus import (
     select_solutions,
 )
 
-from conftest import corpus_of, make_problem
+from conftest import cache_entries, corpus_of, make_problem
 
 
 def write_jsonl(path, objs):
@@ -103,6 +109,26 @@ class TestLoadCorpus:
         corpus = load_corpus(path)
         assert len(corpus) == 0
         assert "inputs" in corpus.diagnostics[0].reason
+
+    @pytest.mark.parametrize("value, loaded", [
+        ("APPS", "APPS"), (None, ""), (..., ""), (7, "7"), (0, "0"),
+        (["x"], None), ({"name": "x"}, None), (True, None), (1.5, None),
+    ], ids=["string", "null", "missing", "int", "zero", "list", "object", "bool", "float"])
+    def test_source_value(self, tmp_path, value, loaded):
+        obj = problem_obj("a")
+        if value is ...:
+            del obj["source"]
+        else:
+            obj["source"] = value
+        path = tmp_path / "c.jsonl"
+        write_jsonl(path, [obj, problem_obj("b")])
+        corpus = load_corpus(path)
+        if loaded is None:  # a malformed line: skipped, with a diagnostic
+            assert [p.id for p in corpus] == ["b"]
+            assert "source" in corpus.diagnostics[0].reason
+        else:
+            assert corpus.problems[0].source == loaded
+            assert not corpus.diagnostics
 
     def test_unknown_difficulty_maps_to_unknown(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -417,3 +443,78 @@ class TestCorpusStats:
         assert sum(stats.by_difficulty.values()) == stats.total_problems
         assert sum(stats.by_split.values()) == stats.total_problems
         assert sum(stats.by_source_difficulty_split.values()) == stats.total_problems
+
+
+class TestEntryLog:
+    def test_two_processes_append_whole_lines(self, tmp_path):
+        # each writer puts 200 distinct 16 KB entries once both have started
+        writer = ("import sys; from pathlib import Path; from modeval.corpus import EntryLog\n"
+                  "log, w = EntryLog(Path(sys.argv[1])), sys.argv[2]\n"
+                  "print('ready', flush=True); sys.stdin.read()\n"
+                  "for i in range(200):\n"
+                  "    log.put(f'{w}{i:063x}', {'writer': w, 'i': i, 'pad': w * 16384})\n")
+        src = Path(corpus.__file__).resolve().parent.parent
+        procs = [subprocess.Popen([sys.executable, "-c", writer, str(tmp_path), w],
+                                  stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                                  env={**os.environ, "PYTHONPATH": str(src)})
+                 for w in "ab"]
+        assert [proc.stdout.readline() for proc in procs] == [b"ready\n"] * 2
+        for proc in procs:
+            proc.stdin.close()  # both write from here on
+        for proc in procs:
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 0
+        expected = {f"{w}{i:063x}": {"writer": w, "i": i, "pad": w * 16384}
+                    for w in "ab" for i in range(200)}
+        entries = cache_entries(tmp_path)  # every line whole: none interleaved
+        assert len(entries) == 400 and dict(entries) == expected
+        log = EntryLog(tmp_path)
+        assert all(log.get(key, lambda e: e) == entry for key, entry in expected.items())
+
+    def test_threads_append_each_key_once(self, tmp_path):
+        # 8 threads race to put the same 50 keys; a lost index update would
+        # append a key twice
+        log = EntryLog(tmp_path)
+        keys = [f"{i:064x}" for i in range(50)]
+        start = threading.Barrier(8)
+
+        def worker(n):
+            start.wait(timeout=60)
+            for key in keys:
+                if log.get(key, lambda e: e) is None:
+                    log.put(key, {"thread": n})
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(n,)) for n in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        entries = cache_entries(tmp_path)
+        assert sorted(key for key, _ in entries) == keys  # each key once
+        assert all(log.get(key, lambda e: e) == entry for key, entry in entries)
+
+    @pytest.mark.parametrize("cut", [1, 20], ids=["newline", "mid_entry"])
+    def test_torn_last_line_is_a_miss_and_superseded(self, tmp_path, cut):
+        whole, torn = "b" * 64, "a" * 64
+        log = EntryLog(tmp_path)
+        log.put(whole, {"v": "whole"})
+        log.put(torn, {"v": "first"})
+        path = tmp_path / "entries.jsonl"
+        path.write_bytes(path.read_bytes()[:-cut])  # its writer died mid-line
+        log = EntryLog(tmp_path)  # a later run
+        assert log.get(torn, lambda e: e) is None
+        assert log.get(whole, lambda e: e) == {"v": "whole"}
+        log.put(torn, {"v": "second"})
+        assert log.get(torn, lambda e: e) == {"v": "second"}
+        later = EntryLog(tmp_path)
+        assert later.get(torn, lambda e: e) == {"v": "second"}
+        assert later.get(whole, lambda e: e) == {"v": "whole"}
+        lines = path.read_bytes().split(b"\n")
+        assert len(lines) == 4 and lines[-1] == b""  # the torn line was ended, not joined
+        assert lines[2] == torn.encode() + b'\t{"v": "second"}'

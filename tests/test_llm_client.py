@@ -17,6 +17,8 @@ from modeval.llm_client import (
 )
 from modeval.promptgen import Prompt, PromptTag
 
+from conftest import cache_entries, edit_cache_entry
+
 CFG = ProviderConfig(model_name="test-model", retry_limit=3, retry_backoff=0.001)
 
 
@@ -86,7 +88,7 @@ class TestComplete:
         provider = MockProvider(script=[ProviderError("transient", "x"), "ok"])
         cache = ResponseCache(tmp_path / "cache")
         complete(prompt_of("q"), CFG, provider=provider, cache=cache)
-        entries = list((tmp_path / "cache").glob("*.json"))
+        entries = cache_entries(tmp_path / "cache")
         assert len(entries) == 1
 
     def test_cache_key_distinguishes_model_and_temperature(self, tmp_path):
@@ -108,7 +110,8 @@ class TestComplete:
         provider = MockProvider(script=["answer"])
         cache = ResponseCache(tmp_path / "cache")
         complete(prompt_of("q"), CFG, provider=provider, cache=cache)
-        entry = json.loads(next((tmp_path / "cache").glob("*.json")).read_text())
+        [(key, entry)] = cache_entries(tmp_path / "cache")
+        assert key == ResponseCache.key(prompt_of("q"), CFG)
         assert entry["response"] == "answer"
         assert entry["key"]["model_name"] == "test-model"
         assert entry["key"]["max_output_tokens"] == CFG.max_output_tokens
@@ -122,11 +125,14 @@ class TestComplete:
         provider = MockProvider(script=["first", "second"])
         cache = ResponseCache(tmp_path / "cache")
         complete(prompt_of("q"), CFG, provider=provider, cache=cache)
-        entry = next((tmp_path / "cache").glob("*.json"))
-        entry.write_text(json.dumps(edit(json.loads(entry.read_text()))))
+        edit_cache_entry(tmp_path / "cache", edit)
+        cache = ResponseCache(tmp_path / "cache")  # a later run
         again = complete(prompt_of("q"), CFG, provider=provider, cache=cache)
         assert (again.text, again.cached) == ("second", False)
-        assert json.loads(entry.read_text())["response"] == "second"
+        assert cache_entries(tmp_path / "cache")[-1][1]["response"] == "second"
+        later = complete(prompt_of("q"), CFG, provider=provider,
+                         cache=ResponseCache(tmp_path / "cache"))
+        assert (later.text, later.cached) == ("second", True)  # the last line wins
 
 
 class TestCompleteBatch:
@@ -162,7 +168,7 @@ class TestCompleteBatch:
                                  provider=provider, cache=cache)
         texts = {r.text for r in results}
         assert len(texts) == 1
-        assert len(list((tmp_path / "cache").glob("*.json"))) == 1
+        assert len(cache_entries(tmp_path / "cache")) == 1
 
 
 class TestHttpProvider:

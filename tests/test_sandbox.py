@@ -1,4 +1,3 @@
-import json
 import math
 import random
 import shutil
@@ -29,7 +28,7 @@ from modeval.sandbox import (
     run_once,
 )
 
-from conftest import make_problem
+from conftest import cache_entries, edit_cache_entry, make_problem
 
 FAST = ResourceLimits(wall_time=5.0)
 EXEC = f"{sys.executable} {{file}}"  # the exec path: a fresh interpreter per run
@@ -472,26 +471,26 @@ class TestVerdictCache:
         cache = VerdictCache(tmp_path / "verdicts")
         problem = make_problem(tests=(("1\n", "1\n"),))
         cache.judge("print(input())", problem, Judge(FAST))
-        entry = next((tmp_path / "verdicts").glob("*.json"))
-        entry.write_text("{broken")
+        edit_cache_entry(tmp_path / "verdicts", lambda entry: "{broken")
+        cache = VerdictCache(tmp_path / "verdicts")  # a later run
         verdict = cache.judge("print(input())", problem, Judge(FAST))
         assert verdict.passed
-        assert cache.misses == 2
+        assert (cache.hits, cache.misses) == (0, 1)
+        broken, rejudged = (tmp_path / "verdicts" / "entries.jsonl").read_text().splitlines()
+        assert broken.endswith("\t{broken")  # superseded, not deleted
+        assert rejudged.startswith(broken[:65])
 
     def test_entry_holds_only_per_test(self, tmp_path):
         Judge(FAST, cache=VerdictCache(tmp_path))("print(input())", make_problem())
-        entry = json.loads(next(tmp_path.glob("*.json")).read_text())
+        [(_, entry)] = cache_entries(tmp_path)
         assert [f.name for f in fields(JudgeVerdict)] == list(entry) == ["per_test"]
 
     def test_written_verdict_fields_are_ignored(self, tmp_path):
-        cache = VerdictCache(tmp_path)
-        judged = Judge(FAST, cache=cache)
         problem = make_problem(tests=(("1\n", "2\n"),))
-        judged("print(input())", problem)
-        entry = next(tmp_path.glob("*.json"))
-        entry.write_text(json.dumps(dict(json.loads(entry.read_text()), passed=True,
-                                         first_failure=None)))
-        verdict = judged("print(input())", problem)
+        Judge(FAST, cache=VerdictCache(tmp_path))("print(input())", problem)
+        edit_cache_entry(tmp_path, lambda entry: dict(entry, passed=True, first_failure=None))
+        cache = VerdictCache(tmp_path)  # a later run
+        verdict = Judge(FAST, cache=cache)("print(input())", problem)
         assert cache.hits == 1
         assert not verdict.passed and verdict.first_failure == 0
 
@@ -508,18 +507,21 @@ class TestVerdictCache:
             "fail-fast", "fail-fast-before-failure", "fail-fast-past-failure",
             "matched-string", "wall-time-string"])
     def test_entry_served_only_in_a_shape_judge_records(self, tmp_path, fail_fast, edit, served):
-        cache = VerdictCache(tmp_path)
-        judged = Judge(FAST, fail_fast=fail_fast, cache=cache)
         problem = make_problem(tests=(("1\n", "1\n"), ("2\n", "x\n"), ("3\n", "3\n")))
-        first = judged("print(input())", problem)
-        entry = next(tmp_path.glob("*.json"))
-        obj = json.loads(entry.read_text())
-        entry.write_text(json.dumps(dict(obj, per_test=edit(obj["per_test"]))))
+        first = Judge(FAST, fail_fast=fail_fast, cache=VerdictCache(tmp_path))(
+            "print(input())", problem)
+        edit_cache_entry(tmp_path, lambda obj: dict(obj, per_test=edit(obj["per_test"])))
+        cache = VerdictCache(tmp_path)  # a later run
+        judged = Judge(FAST, fail_fast=fail_fast, cache=cache)
         again = judged("print(input())", problem)
-        assert (cache.hits, cache.misses) == ((1, 1) if served else (0, 2))
+        assert (cache.hits, cache.misses) == ((1, 0) if served else (0, 1))
         assert [m for _, m in again.per_test] == [m for _, m in first.per_test]
         judged("print(input())", problem)  # a re-judged entry was written back whole
         assert cache.hits == (2 if served else 1)
+        later = VerdictCache(tmp_path)
+        Judge(FAST, fail_fast=fail_fast, cache=later)("print(input())", problem)
+        assert (later.hits, later.misses) == (1, 0)  # the last line of a key wins
+        assert len(cache_entries(tmp_path)) == (1 if served else 2)
 
 
 class TestBroker:
