@@ -163,17 +163,17 @@ def _make_provider(cfg: PipelineConfig):
     return HttpProvider()
 
 
-def _caches(cfg: PipelineConfig) -> tuple[ResponseCache | None, Judge]:
-    """The response cache, and the judge every sandbox run of a command goes through."""
-    rcache = vcache = None
-    if cfg.use_cache and cfg.cache_dir:
-        root = Path(cfg.cache_dir)
-        rcache, vcache = ResponseCache(root / "responses"), VerdictCache(root / "verdicts")
-    judge = Judge(
-        limits=cfg.limits, policy=cfg.compare, runner=cfg.runner,
-        fail_fast=cfg.fail_fast, keep_scratch=cfg.keep_scratch, cache=vcache,
+def _cache(cfg: PipelineConfig, kind, name: str):
+    """A ``kind`` cache under ``<cache_dir>/<name>``, or None when caching is off."""
+    return kind(Path(cfg.cache_dir) / name) if cfg.use_cache and cfg.cache_dir else None
+
+
+def _judge(cfg: PipelineConfig) -> Judge:
+    """The judge every sandbox run of a command goes through."""
+    return Judge(
+        limits=cfg.limits, policy=cfg.compare, runner=cfg.runner, fail_fast=cfg.fail_fast,
+        keep_scratch=cfg.keep_scratch, cache=_cache(cfg, VerdictCache, "verdicts"),
     )
-    return rcache, judge
 
 
 def _outdir(cfg: PipelineConfig, command: str) -> Path:
@@ -222,7 +222,7 @@ def _corpus_for(cfg: PipelineConfig, split: str) -> Corpus:
 def cmd_transform(cfg: PipelineConfig) -> int:
     corpus = _corpus_for(cfg, cfg.transform_split)
     provider = _make_provider(cfg)
-    rcache, judge = _caches(cfg)
+    rcache, judge = _cache(cfg, ResponseCache, "responses"), _judge(cfg)
     out = _outdir(cfg, "transform")
 
     if cfg.dedup_holdout_split:
@@ -393,8 +393,10 @@ def _build_rows(
     verdicts = sandbox.judge_batch(
         [(code, problem) for problem, _, code in judged], judge, workers=cfg.workers
     )
+    metrics = _cache(cfg, codemetrics.MetricsCache, "metrics")
+    measure = metrics.analyze if metrics else codemetrics.analyze
     return [
-        CandidateRow.judged(problem, index, verdict, codemetrics.analyze(
+        CandidateRow.judged(problem, index, verdict, measure(
             code, top_level_functions_only=cfg.top_level_functions_only
         ))
         for (problem, index, code), verdict in zip(judged, verdicts)
@@ -403,11 +405,10 @@ def _build_rows(
 
 def cmd_evaluate(cfg: PipelineConfig, candidates_path: str) -> int:
     corpus = _corpus_for(cfg, cfg.eval_split)
-    _, judge = _caches(cfg)
     out = _outdir(cfg, "evaluate")
 
     candidates = _load_candidates(Path(candidates_path))
-    rows = _build_rows(cfg, corpus, candidates, judge)
+    rows = _build_rows(cfg, corpus, candidates, _judge(cfg))
     try:
         report = evaluate.evaluate_corpus(rows, cfg.ks, all_mode=cfg.all_mode)
     except ValueError as exc:
@@ -485,7 +486,7 @@ def cmd_reflect(cfg: PipelineConfig) -> int:
     ]
 
     provider = _make_provider(cfg)
-    rcache, judge = _caches(cfg)
+    rcache, judge = _cache(cfg, ResponseCache, "responses"), _judge(cfg)
 
     def reflect_one(pid: str) -> evaluate.ReflectionTrace:
         return evaluate.self_reflect(
@@ -621,7 +622,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--mock-provider", help="mock provider fixture directory")
     parser.add_argument("--runner", help='candidate runner command, e.g. "python3 {file}"')
     parser.add_argument("--keep-scratch", action="store_true", help="keep run scratch dirs")
-    parser.add_argument("--no-cache", action="store_true", help="bypass response/verdict caches")
+    parser.add_argument("--no-cache", action="store_true",
+                        help="bypass the response, verdict and metrics caches")
     parser.add_argument("--per-level-mean", action="store_true",
                         help='aggregate the "all" row as the mean of difficulty means')
     parser.add_argument("--top-level-only", action="store_true",

@@ -1,14 +1,19 @@
 """Static source metrics: SLOC, comment density, cyclomatic complexity,
 Halstead volume, maintainability index, function count.
 
-Everything is computed lexically from a tolerant tokenizer, not a parse
-tree, so slightly broken generated code still gets measured.  The tokenizer
-is one compiled regular expression whose alternatives are tried in priority
-order at each position (newline, blanks, line continuation, comment, string,
-number, name, operator, any other character as an error token); the loop
-over its matches keeps only the line number and whether it stands at the
-start of a line.  Every metric then comes from a single counting pass over
-the token stream.  Lines are the ``\\n``-terminated lines of the source.
+Everything is computed lexically from a tolerant lexer, not a parse tree,
+so slightly broken generated code still gets measured.  The lexer is one
+compiled regular expression whose alternatives are tried in priority order
+at each position (newline, blanks, line continuation, comment, string,
+number, name, operator, any other character as an error token).  The
+metrics do not go through ``tokenize``'s ``Token`` list: one ``findall``
+of the same alternatives, with the blanks after each lexeme folded into it,
+returns the lexemes' texts; a ``Counter`` of them gives Halstead's counts
+and the decision keywords, each distinct lexeme is classified once, and one
+loop over the texts tracks lines, docstrings and top-level ``def``s.  Lines
+are the ``\\n``-terminated lines of the source.
+
+``MetricsCache`` replays ``analyze`` results from an append-only log.
 
 The maintainability index is
 
@@ -24,14 +29,20 @@ cross-checking; the log2 form is the default.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import keyword
 import math
 import re
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import asdict, dataclass
 from enum import Enum
 from functools import lru_cache
 from importlib import resources
+from pathlib import Path
 from typing import Iterable, NamedTuple
+
+from .corpus import EntryLog, decode
 
 
 class TokenKind(str, Enum):
@@ -58,6 +69,11 @@ TokenStream = list[Token]
 # never adds a path beyond its `if`; comprehension `for`/`if` clauses count
 # because they are loop/branch keywords lexically.
 DECISION_KEYWORDS = frozenset({"if", "elif", "for", "while", "and", "or", "except"})
+
+# Part of every metrics-cache key.  Bump it when a change can change a
+# metric's value for some source, so metrics recorded before the change miss
+# once instead of being replayed.
+METRICS_SEMANTICS = 1
 
 _KEYWORDS = frozenset(keyword.kwlist)
 
@@ -105,6 +121,9 @@ _GROUP_KINDS = {
     "operator": TokenKind.OPERATOR,
     "error": TokenKind.ERROR,
 }
+_HALSTEAD_KINDS = frozenset({
+    TokenKind.OPERATOR, TokenKind.OPERAND, TokenKind.KEYWORD, TokenKind.STRING, TokenKind.NUMBER,
+})
 
 
 def tokenize(source: str) -> TokenStream:
@@ -174,107 +193,87 @@ def halstead_classes() -> dict[str, str]:
     return table
 
 
-@dataclass(frozen=True)
-class _Counts:
-    """What one pass over a token stream counts."""
-
-    volume: float
-    decisions: int
-    functions: int
-    top_level_functions: int
-    code_lines: set[int]
-    comment_lines: set[int]
-
-    def line_stats(self, source: str) -> tuple[int, int, int, float]:
-        """(sloc, comment_lines, total_lines, comment_density) of ``source``."""
-        total = source.count("\n")
-        if source and not source.endswith("\n"):
-            total += 1
-        sloc = len({ln for ln in self.code_lines if ln <= total})
-        comment_only = len({ln for ln in self.comment_lines - self.code_lines if ln <= total})
-        return sloc, comment_only, total, comment_only / total if total else 0.0
+# The counter's scan: the lexer's alternatives, unnamed, in the one group
+# that ``findall`` returns, each match swallowing the blanks after it.  A line
+# break keeps its blanks, so a lexeme of a line break and blanks opens an
+# indented line.  Blanks open a match only at the start of the source.
+_LEXEME_RE = re.compile(
+    "(" + re.sub(r"\(\?P<\w+>", "(?:", _TOKEN_RE.pattern).replace(r"(?:\n)", r"(?:\n[ \t]*)", 1)
+    + r")[ \t]*",
+    re.VERBOSE,
+)
+_COUNTED = frozenset({"operator", "name", "def", "number", "string"})  # Halstead's
+_PLAIN = frozenset({"operator", "name", "number", "error"})  # code, and nothing else
 
 
-def _count(tokens: TokenStream) -> _Counts:
-    """Count everything the metrics need in one pass over ``tokens``.
+def _measure(source: str) -> tuple[float, int, int, int, int, int, int]:
+    """(volume, decisions, functions, top_level_functions, sloc, comment_lines,
+    total_lines) of ``source``, counted straight off one ``_LEXEME_RE`` scan.
 
-    Halstead: operators are operator tokens and the keywords the table calls
-    operators; operands are names, numbers, strings and the other keywords.
-    Lines: a line is code when a token other than a comment covers it, and
-    comment when a comment or a docstring does; a docstring is a string that
-    is the only token of its logical line besides comments.  A ``def`` is
-    top level when no INDENT opens its line.
+    Each distinct lexeme is classified once.  Halstead's N counts operator and
+    operand lexemes and n the distinct ones.  A line is code when a lexeme
+    other than a comment covers it, and comment when a comment or a docstring
+    does; a docstring is a string that is the only lexeme of its logical line
+    besides comments.  A ``def`` is top level when no blanks open its line.
     """
-    keyword_class = halstead_classes()
-    operators: set[str] = set()
-    operands: set[str] = set()
+    lexemes = _LEXEME_RE.findall(source)
+    counts = Counter(lexemes)
+    kinds = {lexeme: "def" if lexeme == "def" else _TOKEN_RE.match(lexeme).lastgroup
+             for lexeme in counts}
+    counted = [n for lexeme, n in counts.items() if kinds[lexeme] in _COUNTED]
+    volume = sum(counted) * math.log2(len(counted)) if len(counted) > 1 else 0.0
+
     code_lines: set[int] = set()
     comment_lines: set[int] = set()
-    add_operator, add_operand = operators.add, operands.add
-    add_code, add_comment = code_lines.add, comment_lines.add
-    operator, operand, keyword, string, number, newline, indent, comment = (
-        TokenKind.OPERATOR, TokenKind.OPERAND, TokenKind.KEYWORD, TokenKind.STRING,
-        TokenKind.NUMBER, TokenKind.NEWLINE, TokenKind.INDENT, TokenKind.COMMENT,
-    )
-    uncounted = decisions = functions = top_level_functions = 0  # uncounted: not Halstead
-    indented = 0  # line of the latest INDENT token
-    opened = False  # a token other than a comment stands on this logical line
-    # A string that opens its logical line stays pending until the NEWLINE:
-    # it is a docstring unless a token lands on its last line after it.
+    add_code = code_lines.add
+    line, top_level = 1, 0
+    indented = 1 if source[:1] in (" ", "\t") else 0  # the latest line that blanks open
+    opened = False  # a lexeme other than a comment stands on this logical line
+    # A string that opens its logical line stays pending until the line break:
+    # it is a docstring unless a lexeme lands on its last line after it.
     doc = range(0)
-    for kind, text, line in tokens:
-        if kind is operator:
-            add_operator(text)
+    for lexeme in lexemes:
+        kind = kinds[lexeme]
+        if kind in _PLAIN:
             add_code(line)
-        elif kind is operand:
-            add_operand(text)
-            add_code(line)
-        elif kind is newline:
+            opened = True
+            continue
+        if kind == "newline":
             if doc:
                 (code_lines if doc[-1] in code_lines else comment_lines).update(doc)
                 doc = range(0)
-            uncounted += 1
+            line += 1
+            if len(lexeme) > 1:
+                indented = line
             opened = False
             continue
-        elif kind is indent:
-            indented = line
-            uncounted += 1
-            continue
-        elif kind is keyword:
-            if keyword_class.get(text, "operator") == "operator":
-                add_operator(text)
-            else:
-                add_operand(text)
-            add_code(line)
-            if text in DECISION_KEYWORDS:
-                decisions += 1
-            elif text == "def":
-                functions += 1
-                if line != indented:
-                    top_level_functions += 1
-        elif kind is string:
-            add_operand(text)
-            lines = range(line, line + text.count("\n") + 1)
+        if kind == "string":
+            lines = range(line, line + lexeme.count("\n") + 1)
             if opened:
                 code_lines.update(lines)
             else:
                 doc = lines
-        elif kind is number:
-            add_operand(text)
+            line = lines[-1]
+        elif kind == "def":
             add_code(line)
-        elif kind is comment:
-            add_comment(line)
-            uncounted += 1
+            top_level += line != indented
+        elif kind == "continuation":
+            add_code(line)
+            line += 1
+        elif kind == "comment":
+            comment_lines.add(line)
             continue
-        else:  # error tokens
-            add_code(line)
-            uncounted += 1
+        else:  # blanks that open the source, \r and \f
+            continue
         opened = True
     if doc:
         (code_lines if doc[-1] in code_lines else comment_lines).update(doc)
-    distinct = len(operators) + len(operands)
-    volume = (len(tokens) - uncounted) * math.log2(distinct) if distinct > 1 else 0.0
-    return _Counts(volume, decisions, functions, top_level_functions, code_lines, comment_lines)
+
+    total = source.count("\n") + (bool(source) and not source.endswith("\n"))
+    sloc = len({ln for ln in code_lines if ln <= total})
+    comment_only = len({ln for ln in comment_lines - code_lines if ln <= total})
+    decisions = sum(counts[lexeme] for lexeme in DECISION_KEYWORDS)
+    return volume, decisions, counts["def"], top_level, sloc, comment_only, total
 
 
 def sloc_and_comments(source: str) -> tuple[int, int, int, float]:
@@ -285,17 +284,20 @@ def sloc_and_comments(source: str) -> tuple[int, int, int, float]:
     density is comment_lines / total_lines (0 for empty source), where the
     total counts the ``\\n``-terminated lines, plus an unterminated last one.
     """
-    return _count(tokenize(source)).line_stats(source)
+    *_, sloc, comments, total = _measure(source)
+    return sloc, comments, total, comments / total if total else 0.0
 
 
 def cyclomatic_complexity(source: str) -> int:
     """1 + number of decision tokens (see DECISION_KEYWORDS)."""
-    return 1 + _count(tokenize(source)).decisions
+    return 1 + _measure(source)[1]
 
 
 def halstead_volume(stream: Iterable[Token]) -> float:
     """V = N * log2(n): total vs distinct operator/operand occurrences."""
-    return _count(list(stream)).volume
+    texts = [text for kind, text, _ in stream if kind in _HALSTEAD_KINDS]
+    distinct = len(set(texts))
+    return len(texts) * math.log2(distinct) if distinct > 1 else 0.0
 
 
 def maintainability_index(
@@ -331,8 +333,7 @@ def maintainability_index(
 
 def function_count(source: str, top_level_only: bool = False) -> int:
     """Number of ``def`` definitions, at any nesting depth by default."""
-    counts = _count(tokenize(source))
-    return counts.top_level_functions if top_level_only else counts.functions
+    return _measure(source)[3 if top_level_only else 2]
 
 
 @dataclass
@@ -346,15 +347,57 @@ class CodeMetrics:
 
 
 def analyze(source: str, variant: str = "log2", top_level_functions_only: bool = False) -> CodeMetrics:
-    """All metrics for one program from one tokenization and one counting pass."""
-    counts = _count(tokenize(source))
-    sloc, _, _, density = counts.line_stats(source)
-    cc = 1 + counts.decisions
+    """All metrics for one program from one counting pass."""
+    volume, decisions, functions, top_level, sloc, comments, total = _measure(source)
+    density = comments / total if total else 0.0
+    cc = 1 + decisions
     return CodeMetrics(
-        halstead_volume=counts.volume,
+        halstead_volume=volume,
         cyclomatic=cc,
         sloc=sloc,
         comment_density=density,
-        maintainability=maintainability_index(counts.volume, cc, sloc, density, variant=variant),
-        function_count=counts.top_level_functions if top_level_functions_only else counts.functions,
+        maintainability=maintainability_index(volume, cc, sloc, density, variant=variant),
+        function_count=top_level if top_level_functions_only else functions,
     )
+
+
+def _metrics_from_json(obj: dict) -> CodeMetrics:
+    """Metrics from their ``asdict`` JSON, or TypeError or ValueError unless
+    ``analyze`` could have returned them: each float a finite float (an int
+    would print differently), and each value in its range."""
+    m = decode(CodeMetrics, obj, "metrics")
+    floats = (m.halstead_volume, m.comment_density, m.maintainability)
+    if not all(type(v) is float and math.isfinite(v) for v in floats):
+        raise TypeError(f"metrics floats must be finite floats, got {floats}")
+    if not (m.halstead_volume >= 0 and m.cyclomatic >= 1 and m.sloc >= 0
+            and 0 <= m.comment_density <= 1 and 0 <= m.maintainability <= 221
+            and m.function_count >= 0):
+        raise ValueError(f"metrics out of range: {obj}")
+    return m
+
+
+class MetricsCache:
+    """Disk cache of ``analyze`` results keyed by source, variant,
+    ``top_level_functions_only`` and ``METRICS_SEMANTICS``.
+
+    A rerun with an unchanged program reads its metrics back instead of
+    measuring it again.  A miss calls the module-level ``analyze``.
+    """
+
+    def __init__(self, root: Path) -> None:
+        self._log = EntryLog(Path(root))
+        self.hits = self.misses = 0
+
+    def analyze(self, source: str, variant: str = "log2",
+                top_level_functions_only: bool = False) -> CodeMetrics:
+        """``analyze`` of the same arguments, replayed from disk when recorded."""
+        payload = json.dumps([source, variant, top_level_functions_only, METRICS_SEMANTICS])
+        key = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        metrics = self._log.get(key, _metrics_from_json)
+        if metrics is not None:
+            self.hits += 1
+            return metrics
+        metrics = analyze(source, variant, top_level_functions_only)
+        self.misses += 1
+        self._log.put(key, asdict(metrics))
+        return metrics

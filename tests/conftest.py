@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from modeval import codemetrics
 from modeval.codemetrics import CodeMetrics, analyze
 from modeval.corpus import Corpus, Difficulty, Problem, Split, TestCase
 from modeval.evaluate import CandidateRow
@@ -92,3 +93,12 @@ def edit_cache_entry(root, edit) -> None:
     body = edit(entry)
     (Path(root) / "entries.jsonl").write_text(
         f"{key}\t{body if isinstance(body, str) else json.dumps(body)}\n")
+
+
+def count_analyze_calls(monkeypatch) -> list:
+    """Record each call of the module-level ``codemetrics.analyze``, the one
+    ``cli`` makes without a metrics cache and a ``MetricsCache`` miss makes."""
+    calls = []
+    real = codemetrics.analyze
+    monkeypatch.setattr(codemetrics, "analyze", lambda *a, **k: calls.append(a) or real(*a, **k))
+    return calls

@@ -12,7 +12,7 @@ from modeval import promptgen
 from modeval.cli import main
 from modeval.codemetrics import CodeMetrics
 
-from conftest import FIXTURES
+from conftest import FIXTURES, count_analyze_calls
 
 
 def write_config(tmp_path, **overrides):
@@ -391,6 +391,33 @@ class TestReflect:
         assert main(["reflect", "--config", str(config)]) == 0
         traces = read_jsonl(tmp_path / "out" / "reflect" / "traces.jsonl")
         assert all(len(t["rounds"]) <= 1 for t in traces)
+
+
+class TestCacheLogs:
+    """Each command opens only the caches it uses, and evaluate replays metrics."""
+
+    def test_evaluate_opens_verdicts_and_metrics_only(self, tmp_path):
+        run_evaluate(tmp_path, write_config(tmp_path))
+        assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == ["metrics", "verdicts"]
+
+    def test_no_cache_writes_no_cache(self, tmp_path):
+        config = write_config(tmp_path)
+        assert main(["evaluate", "--config", str(config), "--no-cache",
+                     "--candidates", str(FIXTURES / "e2e" / "candidates.jsonl")]) == 0
+        assert not (tmp_path / "cache").exists()
+
+    def test_warm_evaluate_measures_nothing(self, tmp_path, monkeypatch):
+        calls = count_analyze_calls(monkeypatch)
+        config = write_config(tmp_path)
+        records = tmp_path / "out" / "evaluate" / "records.jsonl"
+        run_evaluate(tmp_path, config)
+        cold, measured = records.read_bytes(), len(calls)
+        assert measured == len(read_jsonl(records)) > 0
+        log = (tmp_path / "cache" / "metrics" / "entries.jsonl").read_bytes()
+        run_evaluate(tmp_path, config)
+        assert len(calls) == measured  # the warm run called analyze 0 times
+        assert records.read_bytes() == cold
+        assert (tmp_path / "cache" / "metrics" / "entries.jsonl").read_bytes() == log
 
 
 ECHO_ROW = {

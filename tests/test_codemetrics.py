@@ -1,13 +1,18 @@
+import json
 import math
 import random
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
 import modeval
 
+from modeval import codemetrics
 from modeval.codemetrics import (
+    METRICS_SEMANTICS,
     CodeMetrics,
+    MetricsCache,
     TokenKind,
     analyze,
     cyclomatic_complexity,
@@ -19,7 +24,7 @@ from modeval.codemetrics import (
     tokenize,
 )
 
-from conftest import FIXTURES
+from conftest import FIXTURES, cache_entries, count_analyze_calls, edit_cache_entry
 from oracles import analyze_reference, tokenize_reference
 
 PROGRAMS = sorted((FIXTURES / "programs").glob("p*.py"))
@@ -356,14 +361,13 @@ class TestAnalyze:
                 assert metrics.halstead_volume == halstead_volume(tokenize(source)), path.name
                 assert metrics.function_count == function_count(source, top_level_only), path.name
 
-    def test_tokenizes_once(self, monkeypatch):
-        from modeval import codemetrics
-
+    def test_builds_no_tokens(self, monkeypatch):
+        # the counter reads the lexer's matches; it never calls tokenize
         calls = []
         real = codemetrics.tokenize
         monkeypatch.setattr(codemetrics, "tokenize", lambda source: calls.append(1) or real(source))
         analyze(PROGRAMS[1].read_text())
-        assert len(calls) == 1
+        assert calls == []
 
     def test_top_level_only_parameter(self):
         source = "def a():\n    def b():\n        pass\n"
@@ -452,3 +456,95 @@ class TestDifferentialOracle:
         rng = random.Random(20261018)
         for _ in range(20000):
             self.assert_same(random_source(rng))
+
+
+def test_fixture_program_metrics_pinned():
+    """The metrics of the fixture programs, as recorded at METRICS_SEMANTICS."""
+    pins = [json.loads(line) for line in
+            (FIXTURES / "program_metrics.jsonl").read_text(encoding="utf-8").splitlines()]
+    assert len(pins) == 2 * len(PROGRAMS) == 20
+    for pin in pins:
+        name, top_level_only = pin["program"], pin["top_level_functions_only"]
+        assert pin["metrics_semantics"] == METRICS_SEMANTICS, (
+            "METRICS_SEMANTICS was bumped: re-record tests/fixtures/program_metrics.jsonl")
+        source = (FIXTURES / "programs" / name).read_text(encoding="utf-8")
+        got = asdict(analyze(source, top_level_functions_only=top_level_only))
+        assert set(got) == set(pin["metrics"])
+        for field, want in pin["metrics"].items():
+            same = (type(got[field]) is type(want)
+                    and (got[field] == want if type(want) is int
+                         else got[field] == pytest.approx(want, rel=1e-12)))
+            assert same, (
+                f"{name} (top_level_functions_only={top_level_only}) {field}: got "
+                f"{got[field]!r}, pinned {want!r}. A metric changed: bump "
+                f"codemetrics.METRICS_SEMANTICS, so that cached metrics miss, and re-record "
+                f"the pins")
+
+
+class TestMetricsCache:
+    SOURCE = "pass\n"  # integral float metrics: an int in their place reads the same
+
+    def test_hit_prints_as_computed(self, tmp_path, monkeypatch):
+        source = PROGRAMS[1].read_text()
+        first = MetricsCache(tmp_path).analyze(source)
+        calls = count_analyze_calls(monkeypatch)
+        cache = MetricsCache(tmp_path)  # a later run
+        second = cache.analyze(source)
+        assert (cache.hits, cache.misses, calls) == (1, 0, [])
+        assert second == first == analyze(source)
+        assert json.dumps(asdict(second)) == json.dumps(asdict(analyze(source)))
+
+    def test_key_names_variant_flag_and_semantics(self, tmp_path, monkeypatch):
+        source = PROGRAMS[1].read_text()
+        cache = MetricsCache(tmp_path)
+        assert cache.analyze(source) == analyze(source)
+        assert cache.analyze(source, variant="ln") == analyze(source, variant="ln")
+        assert (cache.analyze(source, top_level_functions_only=True)
+                == analyze(source, top_level_functions_only=True))
+        monkeypatch.setattr(codemetrics, "METRICS_SEMANTICS", METRICS_SEMANTICS + 1)
+        cache.analyze(source)
+        assert (cache.hits, cache.misses) == (0, 4)
+        assert len({key for key, _ in cache_entries(tmp_path)}) == 4
+
+    def assert_measured_again(self, tmp_path, monkeypatch):
+        """A later run misses, measures the program once more and appends a
+        line that supersedes the bad one; the run after that hits."""
+        calls = count_analyze_calls(monkeypatch)
+        cache = MetricsCache(tmp_path)
+        metrics = cache.analyze(self.SOURCE)
+        assert (cache.hits, cache.misses, len(calls)) == (0, 1, 1)
+        assert json.dumps(asdict(metrics)) == json.dumps(asdict(analyze(self.SOURCE)))
+        lines = (tmp_path / "entries.jsonl").read_text().split("\n")
+        assert len(lines) == 3 and lines[-1] == "" and lines[0][:65] == lines[1][:65]
+        later = MetricsCache(tmp_path)
+        assert later.analyze(self.SOURCE) == metrics and later.hits == 1
+
+    def test_torn_last_line_is_a_miss(self, tmp_path, monkeypatch):
+        MetricsCache(tmp_path).analyze(self.SOURCE)
+        log = tmp_path / "entries.jsonl"
+        log.write_bytes(log.read_bytes()[:-10])
+        self.assert_measured_again(tmp_path, monkeypatch)
+
+    @pytest.mark.parametrize("edit", [
+        lambda entry: "{broken",
+        lambda entry: dict(entry, sloc="12"),
+        lambda entry: dict(entry, cyclomatic=True),
+        lambda entry: dict(entry, comment_density=1.5),
+        lambda entry: dict(entry, cyclomatic=0),
+        lambda entry: dict(entry, sloc=-1),
+        lambda entry: dict(entry, function_count=-1),
+        lambda entry: dict(entry, halstead_volume=-1.0),
+        lambda entry: dict(entry, maintainability=221.5),
+        lambda entry: dict(entry, halstead_volume=float("nan")),
+        lambda entry: dict(entry, maintainability=float("inf")),
+        lambda entry: dict(entry, halstead_volume=0),
+        lambda entry: dict(entry, comment_density=0),
+        lambda entry: {k: v for k, v in entry.items() if k != "sloc"},
+        lambda entry: dict(entry, extra=1),
+    ], ids=["not_json", "sloc_string", "cyclomatic_bool", "density_above_one", "cyclomatic_zero",
+            "negative_sloc", "negative_function_count", "negative_volume", "maintainability_above_max",
+            "nan", "infinity", "int_volume", "int_density", "missing_field", "unknown_field"])
+    def test_rejected_entry_is_a_miss(self, tmp_path, monkeypatch, edit):
+        MetricsCache(tmp_path).analyze(self.SOURCE)
+        edit_cache_entry(tmp_path, edit)
+        self.assert_measured_again(tmp_path, monkeypatch)
