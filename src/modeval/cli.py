@@ -18,11 +18,11 @@ import csv
 import hashlib
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import __version__, codemetrics, evaluate, promptgen, sandbox, validator
+from . import __version__
 from .corpus import (
     Corpus,
     CorpusError,
@@ -35,17 +35,12 @@ from .corpus import (
     load_corpus,
     select_solutions,
 )
-from .evaluate import CandidateRow
-from .llm_client import (
-    HttpProvider,
-    MockProvider,
-    ProviderConfig,
-    ProviderError,
-    ResponseCache,
-    complete_batch,
-)
-from .sandbox import ComparePolicy, InfrastructureError, Judge, ResourceLimits, VerdictCache
-from .validator import AssessmentResult, FilterRecord, Verdict
+from .llm_client import HttpProvider, MockProvider, ProviderError, ResponseCache, complete_batch
+from .settings import ComparePolicy, InfrastructureError, ProviderConfig, ResourceLimits
+
+if TYPE_CHECKING:  # each command imports the layers it runs when it runs
+    from .evaluate import CandidateRow
+    from .sandbox import Judge
 
 
 class ConfigError(Exception):
@@ -170,6 +165,8 @@ def _cache(cfg: PipelineConfig, kind, name: str):
 
 def _judge(cfg: PipelineConfig) -> Judge:
     """The judge every sandbox run of a command goes through."""
+    from .sandbox import Judge, VerdictCache
+
     return Judge(
         limits=cfg.limits, policy=cfg.compare, runner=cfg.runner, fail_fast=cfg.fail_fast,
         keep_scratch=cfg.keep_scratch, cache=_cache(cfg, VerdictCache, "verdicts"),
@@ -220,6 +217,9 @@ def _corpus_for(cfg: PipelineConfig, split: str) -> Corpus:
 
 
 def cmd_transform(cfg: PipelineConfig) -> int:
+    from . import promptgen, sandbox, validator
+    from .validator import AssessmentResult, FilterRecord, Verdict
+
     corpus = _corpus_for(cfg, cfg.transform_split)
     provider = _make_provider(cfg)
     rcache, judge = _cache(cfg, ResponseCache, "responses"), _judge(cfg)
@@ -378,6 +378,9 @@ def _build_rows(
     candidates: list[tuple[str, list[str]]],
     judge: Judge,
 ) -> list[CandidateRow]:
+    from . import codemetrics, sandbox
+    from .evaluate import CandidateRow
+
     unknown = sorted({pid for pid, _ in candidates if pid not in corpus})
     if unknown:
         raise ConfigError(f"candidates reference unknown problem ids: {', '.join(unknown)}")
@@ -404,6 +407,8 @@ def _build_rows(
 
 
 def cmd_evaluate(cfg: PipelineConfig, candidates_path: str) -> int:
+    from . import evaluate
+
     corpus = _corpus_for(cfg, cfg.eval_split)
     out = _outdir(cfg, "evaluate")
 
@@ -454,6 +459,8 @@ def cmd_evaluate(cfg: PipelineConfig, candidates_path: str) -> int:
 
 def _load_rows(path: Path, corpus: Corpus) -> list[CandidateRow]:
     """The candidate rows of an evaluate ``records.jsonl``, checked against ``corpus``."""
+    from .evaluate import CandidateRow
+
     if not path.exists():
         raise ConfigError(f"evaluate records not found: {path} (run evaluate first)")
     rows = []
@@ -473,6 +480,10 @@ def _load_rows(path: Path, corpus: Corpus) -> list[CandidateRow]:
 
 
 def cmd_reflect(cfg: PipelineConfig) -> int:
+    from concurrent.futures import ThreadPoolExecutor
+
+    from . import evaluate
+
     corpus = _corpus_for(cfg, cfg.eval_split)
     problems = evaluate.by_problem(
         _load_rows(Path(cfg.outdir) / "evaluate" / "records.jsonl", corpus)
@@ -541,6 +552,8 @@ def cmd_reflect(cfg: PipelineConfig) -> int:
 
 
 def cmd_analyze(cfg: PipelineConfig, records_path: str | None = None) -> int:
+    from . import evaluate
+
     path = Path(records_path) if records_path else Path(cfg.outdir) / "evaluate" / "records.jsonl"
     rows = _load_rows(path, _corpus_for(cfg, cfg.eval_split))
     out = _outdir(cfg, "analyze")

@@ -18,13 +18,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from . import llm_client, promptgen
 from .codemetrics import CodeMetrics
 from .corpus import Difficulty, Problem
-from .llm_client import ProviderConfig, ProviderError
-from .promptgen import Prompt
-from .sandbox import Judge, JudgeVerdict
+
+if TYPE_CHECKING:  # self_reflect imports the layers it drives when it runs
+    from .llm_client import ResponseCache
+    from .promptgen import Prompt
+    from .sandbox import Judge, JudgeVerdict
+    from .settings import ProviderConfig
 
 DIFFICULTY_ORDER = [d.value for d in
                     (Difficulty.INTRODUCTORY, Difficulty.INTERVIEW,
@@ -270,11 +273,11 @@ class ReflectionTrace:
 def self_reflect(
     problem: Problem,
     provider_cfg: ProviderConfig,
-    judge: Judge = Judge(),
+    judge: Judge | None = None,
     max_rounds: int = 5,
     *,
     provider=None,
-    cache: llm_client.ResponseCache | None = None,
+    cache: ResponseCache | None = None,
 ) -> ReflectionTrace:
     """Generate, judge, and re-prompt with failure evidence until solved.
 
@@ -282,17 +285,21 @@ def self_reflect(
     attempt and the first test it failed back to the model.  The trace holds at
     most ``max_rounds`` rounds in total and stops at the first pass.
     Provider errors end the loop for this problem and are recorded on the
-    trace.
+    trace.  ``judge`` defaults to ``Judge()``.
     """
+    from . import llm_client, promptgen
+    from .sandbox import Judge
+
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
 
+    judge = Judge() if judge is None else judge
     trace = ReflectionTrace(problem_id=problem.id)
     prompt = promptgen.build_direct_prompt(problem)
     while True:
         try:
             completion = llm_client.complete(prompt, provider_cfg, provider=provider, cache=cache)
-        except ProviderError as exc:
+        except llm_client.ProviderError as exc:
             trace.error = str(exc)
             return trace
         attempt = promptgen.parse_code_response(completion.text)

@@ -17,39 +17,15 @@ import json
 import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from . import promptgen
 from .corpus import EntryLog, decode
-from .promptgen import Prompt, PromptTag, ModularSolution, SubModule
+from .settings import ProviderConfig
 
-
-@dataclass(frozen=True)
-class ProviderConfig:
-    endpoint: str = ""
-    model_name: str = "mock"
-    temperature: float = 0.0
-    max_output_tokens: int = 2048
-    api_key_env: str = "MODEVAL_API_KEY"
-    max_inflight: int = 4
-    retry_limit: int = 3
-    timeout: float = 60.0
-    retry_backoff: float = 0.5  # seconds; doubles per retry
-
-    def __post_init__(self) -> None:
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
-        if self.max_output_tokens < 1:
-            raise ValueError("max_output_tokens must be >= 1")
-        if self.max_inflight < 1:
-            raise ValueError("max_inflight must be >= 1")
-        if not (0 <= self.retry_limit <= 10):
-            raise ValueError("retry_limit must be in [0, 10]")
-        if self.timeout <= 0:
-            raise ValueError("timeout must be > 0")
+if TYPE_CHECKING:
+    from .promptgen import Prompt
 
 
 @dataclass
@@ -139,46 +115,6 @@ class HttpProvider:
         return text, meta
 
 
-def _synthesize_mot(user_text: str) -> str:
-    """Echo-style modular response built from the solution inside the prompt."""
-    solution = promptgen.extract_fenced_section(user_text, "ORIGINAL SOLUTION")
-    if solution is None:
-        solution = "print()"
-    outline = []
-    for line in solution.splitlines():
-        stripped = line.strip()
-        if stripped.startswith("def ") and stripped.endswith(":"):
-            name = stripped[4:].split("(", 1)[0].strip()
-            if name.isidentifier():
-                outline.append(
-                    SubModule(name=name, header=stripped, docstring="Helper used by the final solution.")
-                )
-    if not outline:
-        outline = [
-            SubModule(
-                name="solve",
-                header="def solve():",
-                docstring="Read standard input, compute the answer, print it.",
-            )
-        ]
-    rendered = promptgen.render_modular_solution(
-        ModularSolution(outline=outline, final_code=solution, raw_response="")
-    )
-    return rendered
-
-
-def _synthesize(prompt: Prompt) -> str:
-    if prompt.tag is PromptTag.MOT:
-        return _synthesize_mot(prompt.user)
-    if prompt.tag is PromptTag.CLEAN:
-        solution = promptgen.extract_fenced_section(prompt.user, "ORIGINAL SOLUTION") or "print()"
-        return f"```python\n{solution}\n```\n"
-    if prompt.tag is PromptTag.REFLECT:
-        attempt = promptgen.extract_fenced_section(prompt.user, "PRIOR ATTEMPT") or "print()"
-        return f"```python\n{attempt}\n```\n"
-    return "```python\nprint()\n```\n"
-
-
 class MockProvider:
     """Deterministic provider for tests and offline runs.
 
@@ -208,6 +144,9 @@ class MockProvider:
         self.peak_inflight = 0
         self._rules: list[dict] = []
         self._default: str | None = None
+        from .promptgen import echo_response  # here, so importing llm_client loads no promptgen
+
+        self._echo = echo_response
         if self.fixture_dir is not None:
             rules_path = self.fixture_dir / "rules.jsonl"
             if rules_path.exists():
@@ -266,7 +205,7 @@ class MockProvider:
             if text is None:
                 if not self.synthesize:
                     raise ProviderError("protocol", "mock has no response for this prompt")
-                text = _synthesize(prompt)
+                text = self._echo(prompt)
             return text, {"finish_reason": "stop", "truncated": False}
         finally:
             with self._lock:
@@ -366,5 +305,7 @@ def complete_batch(
 
     if not prompts:
         return []
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=cfg.max_inflight) as pool:
         return list(pool.map(one, prompts))

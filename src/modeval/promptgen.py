@@ -23,9 +23,12 @@ from enum import Enum
 from functools import lru_cache
 from importlib import resources
 from string import Template
+from typing import TYPE_CHECKING
 
 from .corpus import Problem
-from .sandbox import ExecStatus, JudgeVerdict
+
+if TYPE_CHECKING:
+    from .sandbox import JudgeVerdict
 
 STEP1_DELIMITER = "### STEP 1"
 STEP2_DELIMITER = "### STEP 2"
@@ -154,13 +157,15 @@ def _failure_evidence(verdict: JudgeVerdict, problem: Problem) -> str:
     report, _ = verdict.per_test[idx]
     test = problem.tests[idx]
     lines = [f"Test {idx} failed."]
-    if report.status is ExecStatus.TIMEOUT:
+    # statuses by their ExecStatus values, so building prompts loads no sandbox
+    status = report.status.value
+    if status == "timeout":
         lines.append("The program exceeded the wall-time limit and was stopped.")
-    elif report.status is ExecStatus.OOM:
+    elif status == "oom":
         lines.append("The program exceeded the memory limit.")
-    elif report.status is ExecStatus.OUTPUT_OVERFLOW:
+    elif status == "output_overflow":
         lines.append("The program printed far more output than the test allows.")
-    elif report.status is ExecStatus.RUNTIME_ERROR:
+    elif status == "runtime_error":
         lines.append(f"The program crashed (exit code {report.exit_code}).")
         if report.stderr.strip():
             tail = report.stderr.strip().splitlines()[-5:]
@@ -170,7 +175,7 @@ def _failure_evidence(verdict: JudgeVerdict, problem: Problem) -> str:
     lines.append(test.input.rstrip("\n"))
     lines.append("Expected output:")
     lines.append(test.expected_output.rstrip("\n"))
-    if report.status is ExecStatus.OK:
+    if status == "ok":
         lines.append("Got:")
         lines.append(report.stdout.rstrip("\n"))
     return "\n".join(lines)
@@ -435,3 +440,36 @@ def extract_fenced_section(user_text: str, name: str) -> str | None:
     if blocks:
         return blocks[0][0]
     return section
+
+
+def _echo_mot(user_text: str) -> str:
+    """Echo-style modular response built from the solution inside the prompt."""
+    solution = extract_fenced_section(user_text, "ORIGINAL SOLUTION")
+    if solution is None:
+        solution = "print()"
+    outline = []
+    for line in solution.splitlines():
+        stripped = line.strip()
+        if stripped.startswith("def ") and stripped.endswith(":"):
+            name = stripped[4:].split("(", 1)[0].strip()
+            if name.isidentifier():
+                outline.append(
+                    SubModule(name=name, header=stripped, docstring="Helper used by the final solution.")
+                )
+    outline = outline or [SubModule(name="solve", header="def solve():",
+                                    docstring="Read standard input, compute the answer, print it.")]
+    return render_modular_solution(ModularSolution(outline=outline, final_code=solution, raw_response=""))
+
+
+def echo_response(prompt: Prompt) -> str:
+    """A well-formed response to ``prompt`` built from the code embedded in it:
+    what the mock provider answers when no script, rule or default does."""
+    if prompt.tag is PromptTag.MOT:
+        return _echo_mot(prompt.user)
+    if prompt.tag is PromptTag.CLEAN:
+        solution = extract_fenced_section(prompt.user, "ORIGINAL SOLUTION") or "print()"
+        return f"```python\n{solution}\n```\n"
+    if prompt.tag is PromptTag.REFLECT:
+        attempt = extract_fenced_section(prompt.user, "PRIOR ATTEMPT") or "print()"
+        return f"```python\n{attempt}\n```\n"
+    return "```python\nprint()\n```\n"

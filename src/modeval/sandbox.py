@@ -63,8 +63,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .corpus import EntryLog, Problem, decode
-
-MB = 1024 * 1024
+from .settings import MB, ComparePolicy, InfrastructureError, ResourceLimits
 
 # Address space allowed beyond the resident-memory budget (interpreter
 # mappings, shared libs).  Enforcement only; accounting uses max RSS.
@@ -92,21 +91,6 @@ class ExecStatus(str, Enum):
     OUTPUT_OVERFLOW = "output_overflow"
 
 
-class InfrastructureError(Exception):
-    """The harness itself cannot run candidates (missing interpreter, etc.)."""
-
-
-@dataclass(frozen=True)
-class ResourceLimits:
-    wall_time: float = 10.0  # seconds
-    memory: int = 256 * MB  # bytes, resident budget
-    output_cap: int = 1 * MB  # bytes of stdout kept / allowed
-
-    def __post_init__(self) -> None:
-        if self.wall_time <= 0 or self.memory <= 0 or self.output_cap <= 0:
-            raise ValueError("all resource limits must be strictly positive")
-
-
 @dataclass
 class ExecutionReport:
     status: ExecStatus
@@ -115,16 +99,6 @@ class ExecutionReport:
     wall_time_used: float
     peak_memory: int
     exit_code: int
-
-
-@dataclass(frozen=True)
-class ComparePolicy:
-    mode: str = "token"  # "token" or "exact"
-    float_tolerance: float = 1e-6
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("token", "exact"):
-            raise ValueError(f"unknown compare mode {self.mode!r}")
 
 
 @dataclass
@@ -688,7 +662,7 @@ class Judge:
 
 def judge_batch(
     tasks: Sequence[tuple[str, Problem]],
-    judge: Judge = Judge(),
+    judge: Judge | None = None,
     *,
     workers: int = 1,
 ) -> list[JudgeVerdict]:
@@ -696,10 +670,11 @@ def judge_batch(
 
     Each distinct pair (same program text, same problem object) is judged
     once and its verdict is shared by every duplicate, so the work done does
-    not depend on ``workers`` or on timing.
+    not depend on ``workers`` or on timing.  ``judge`` defaults to ``Judge()``.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    judge = Judge() if judge is None else judge
     distinct = {(program, id(problem)): (program, problem) for program, problem in tasks}
     with ThreadPoolExecutor(max_workers=workers) as pool:
         verdicts = list(pool.map(lambda pair: judge(*pair), distinct.values()))

@@ -122,15 +122,17 @@ def assess_verdict(verdict: JudgeVerdict) -> AssessmentResult:
 
 
 def assess_functional(
-    sol: ModularSolution, problem: Problem, judge: Judge = Judge()
+    sol: ModularSolution, problem: Problem, judge: Judge | None = None
 ) -> tuple[AssessmentResult, JudgeVerdict]:
-    """Marker m4: the final program must pass every test of its problem.
+    """Marker m4: the final program must pass every test of its problem,
+    judged by ``judge`` (default ``Judge()``).
 
     Sandbox infrastructure failures (missing interpreter) raise and are not
     an m4 rejection.
     """
     if problem.untestable:
         raise ValueError(f"problem {problem.id!r} is untestable")
+    judge = Judge() if judge is None else judge
     verdict = judge(sol.final_code, problem)
     return assess_verdict(verdict), verdict
 

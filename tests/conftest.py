@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -102,3 +105,13 @@ def count_analyze_calls(monkeypatch) -> list:
     real = codemetrics.analyze
     monkeypatch.setattr(codemetrics, "analyze", lambda *a, **k: calls.append(a) or real(*a, **k))
     return calls
+
+
+def loaded_modules(code):
+    """The names in ``sys.modules`` after ``code`` runs in a fresh interpreter."""
+    probe = f"import json, sys\n{code}\nprint(json.dumps(sorted(sys.modules)))"
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return set(json.loads(done.stdout.splitlines()[-1]))

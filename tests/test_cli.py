@@ -1,8 +1,5 @@
 import csv
 import json
-import os
-import subprocess
-import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -12,7 +9,7 @@ from modeval import promptgen
 from modeval.cli import main
 from modeval.codemetrics import CodeMetrics
 
-from conftest import FIXTURES, count_analyze_calls
+from conftest import FIXTURES, count_analyze_calls, loaded_modules
 
 
 def write_config(tmp_path, **overrides):
@@ -542,12 +539,35 @@ class TestFlagOverrides:
 
 
 def test_import_loads_no_third_party_or_network_module():
-    # every CLI start pays for what `import modeval.cli` loads; the runtime is
-    # stdlib-only and urllib.request waits until an HTTP provider sends
-    probe = ("import modeval.cli, sys; "
-             "print(sorted({'numpy', 'requests', 'urllib.request'} & set(sys.modules)))")
-    src = Path(__file__).resolve().parent.parent / "src"
-    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    # every layer a command can load: the runtime is stdlib-only, and
+    # urllib.request waits until an HTTP provider sends
+    loaded = loaded_modules("import modeval.cli\nfrom modeval import *")
+    assert {"modeval.sandbox", "modeval.validator", "modeval.evaluate"} <= loaded
+    assert {"numpy", "requests", "urllib.request"}.isdisjoint(loaded)
+
+
+# stats and analyze run no sandbox, build no prompt and start no thread pool
+NO_JUDGING = {"modeval.sandbox", "modeval.promptgen", "modeval.validator",
+              "subprocess", "concurrent.futures"}
+
+
+@pytest.mark.parametrize("command, absent", [
+    ("stats", NO_JUDGING),
+    ("analyze", NO_JUDGING),
+    ("evaluate", {"modeval.promptgen", "modeval.validator"}),
+    ("transform", {"modeval.evaluate", "modeval.codemetrics"}),
+])
+def test_command_loads_only_its_layers(tmp_path, command, absent):
+    config = write_config(tmp_path, cache_dir=None)
+    records = tmp_path / "records.jsonl"
+    records.write_text(json.dumps(ECHO_ROW) + "\n")
+    candidates = tmp_path / "candidates.jsonl"
+    candidates.write_text(json.dumps({"problem_id": "e2e-echo",
+                                      "candidates": ["print(input())"]}) + "\n")
+    argv = [command, "--config", str(config), *{
+        "analyze": ["--records", str(records)],
+        "evaluate": ["--candidates", str(candidates)],
+    }.get(command, [])]
+    loaded = loaded_modules(f"from modeval.cli import main\nassert main({argv!r}) == 0")
+    assert "modeval.cli" in loaded
+    assert absent.isdisjoint(loaded), sorted(absent & loaded)

@@ -1,3 +1,4 @@
+import inspect
 import math
 import random
 import shutil
@@ -10,6 +11,9 @@ from pathlib import Path
 import pytest
 
 from modeval import sandbox
+from modeval.evaluate import self_reflect
+from modeval.llm_client import MockProvider, ProviderConfig
+from modeval.promptgen import ModularSolution
 from modeval.sandbox import (
     INTERPRETER_OVERHEAD_BOUND,
     KILL_GRACE,
@@ -27,6 +31,7 @@ from modeval.sandbox import (
     judge_batch,
     run_once,
 )
+from modeval.validator import assess_functional
 
 from conftest import cache_entries, edit_cache_entry, make_problem
 
@@ -418,6 +423,24 @@ class TestJudgeBatch:
         first, second = judge_batch(tasks, Judge(FAST), workers=2)
         assert len(calls) == 1
         assert first == second and first.passed
+
+    def test_default_judge_built_per_call_under_default_settings(self, monkeypatch):
+        # no Judge is built at import: each entry point builds Judge() when called
+        for fn in (judge_batch, assess_functional, self_reflect):
+            assert inspect.signature(fn).parameters["judge"].default is None
+        settings = []
+        real = sandbox.judge
+        monkeypatch.setattr(sandbox, "judge", lambda program, problem, *args, **kw:
+                            settings.append((args, kw)) or real(program, problem, *args, **kw))
+        problem = make_problem()
+        [verdict] = judge_batch([("print(input())", problem)])
+        assessed, _ = assess_functional(
+            ModularSolution(outline=[], final_code="print(input())", raw_response=""), problem)
+        trace = self_reflect(problem, ProviderConfig(), provider=MockProvider(
+            script=["```python\nprint(input())\n```"]))
+        assert verdict.passed and assessed.accepted and trace.solved
+        assert settings == 3 * [((ResourceLimits(), ComparePolicy()),
+                                 {"runner": None, "fail_fast": False, "keep_scratch": False})]
 
 
 class TestVerdictCache:
