@@ -217,12 +217,12 @@ def _corpus_for(cfg: PipelineConfig, split: str) -> Corpus:
 
 
 def cmd_transform(cfg: PipelineConfig) -> int:
-    from . import promptgen, sandbox, validator
+    from . import promptgen, validator
     from .validator import AssessmentResult, FilterRecord, Verdict
 
     corpus = _corpus_for(cfg, cfg.transform_split)
     provider = _make_provider(cfg)
-    rcache, judge = _cache(cfg, ResponseCache, "responses"), _judge(cfg)
+    rcache = _cache(cfg, ResponseCache, "responses")
     out = _outdir(cfg, "transform")
 
     if cfg.dedup_holdout_split:
@@ -239,6 +239,8 @@ def cmd_transform(cfg: PipelineConfig) -> int:
             f"{dedup_report.removed_count}, kept {dedup_report.kept_count}"
         )
 
+    # only a corpus with tests loads the sandbox, before any completion (later raises peak RSS)
+    judge = _judge(cfg) if any(not p.untestable for p in corpus) else None
     items: list[tuple[Problem, int, str, str]] = []
     for problem in corpus:
         for si, solution in enumerate(select_solutions(problem, cfg.solution_cap)):
@@ -262,7 +264,7 @@ def cmd_transform(cfg: PipelineConfig) -> int:
         if data_type == "mot":
             assessment, parsed = validator.assess_structure(result.text)
             final_code = parsed.final_code if parsed else None
-            outline = [asdict(s) for s in parsed.outline] if parsed else []
+            outline = [vars(s).copy() for s in parsed.outline] if parsed else []
         else:
             assessment, final_code = validator.assess_clean(result.text)
             outline = []
@@ -274,10 +276,11 @@ def cmd_transform(cfg: PipelineConfig) -> int:
         if err is None and assessment.accepted and final_code is not None
         and not item[0].untestable
     ]
-    verdicts = sandbox.judge_batch(
-        [(staged[i][2], staged[i][0][0]) for i in judge_idx], judge, workers=cfg.workers
-    )
-    verdict_by_idx = dict(zip(judge_idx, verdicts))
+    verdict_by_idx = {}
+    if judge_idx:  # an item with tests, so the corpus has some and there is a judge
+        from .sandbox import judge_batch
+        tasks = [(staged[i][2], staged[i][0][0]) for i in judge_idx]
+        verdict_by_idx = dict(zip(judge_idx, judge_batch(tasks, judge, workers=cfg.workers)))
 
     records: list[FilterRecord] = []
     accepted_rows: dict[str, list[dict]] = {"mot": [], "clean": []}

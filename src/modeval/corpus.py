@@ -327,9 +327,8 @@ _PUNCT_TABLE = str.maketrans({c: " " for c in string.punctuation})
 
 
 def normalize_statement(text: str) -> str:
-    """Lowercase, strip punctuation, collapse whitespace."""
-    text = text.lower().translate(_PUNCT_TABLE)
-    return re.sub(r"\s+", " ", text).strip()
+    """Lowercase, strip punctuation, collapse whitespace (each ``str.isspace`` character)."""
+    return " ".join(text.lower().translate(_PUNCT_TABLE).split())
 
 
 def _token_set(normalized: str) -> frozenset[str]:
@@ -393,19 +392,20 @@ class _PrefixIndex:
         for tokens in token_sets:
             for tok in tokens:
                 df[tok] = df.get(tok, 0) + 1
-        self._rank = {tok: r for r, tok in enumerate(sorted(df, key=lambda tok: (df[tok], tok)))}
+        # sorting is stable, so this is the order of (df[tok], tok)
+        self._rank = {tok: r for r, tok in enumerate(sorted(sorted(df), key=df.__getitem__))}
         self._threshold = threshold
         self._sizes = [len(tokens) for tokens in token_sets]
         self._postings: dict[int, list[int]] = {}
         for h, tokens in enumerate(token_sets):
-            ranks = sorted(self._rank[tok] for tok in tokens)
+            ranks = sorted(map(self._rank.__getitem__, tokens))
             for r in ranks[:_prefix_length(len(tokens), threshold)]:
                 self._postings.setdefault(r, []).append(h)
 
     def candidates(self, tokens: frozenset[str]) -> list[int]:
         """Ascending holdout positions that pass the prefix and size filters."""
         t, size = self._threshold, len(tokens)
-        known = sorted(self._rank[tok] for tok in tokens if tok in self._rank)
+        known = sorted(map(self._rank.__getitem__, self._rank.keys() & tokens))
         unknown = size - len(known)  # the first tokens of the order, in no posting list
         probe = known[:max(0, _prefix_length(size, t) - unknown)]
         found = {h for r in probe for h in self._postings.get(r, ())}

@@ -17,11 +17,11 @@ Wording lives in versioned template files under ``templates/``, not in code.
 
 from __future__ import annotations
 
+import pkgutil
 import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from importlib import resources
 from string import Template
 from typing import TYPE_CHECKING
 
@@ -109,8 +109,8 @@ def _byte_offset(text: str, char_index: int) -> int:
 @lru_cache(maxsize=None)
 def _template(name: str) -> Template:
     """``templates/<name>``; its ``template`` attribute is the file's text."""
-    text = resources.files("modeval").joinpath("templates", name).read_text(encoding="utf-8")
-    return Template(text)
+    # pkgutil reads package data without importing importlib.resources, which imports tempfile
+    return Template(pkgutil.get_data("modeval", f"templates/{name}").decode("utf-8"))
 
 
 def build_mot_prompt(problem: Problem, solution: str) -> Prompt:

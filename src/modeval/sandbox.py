@@ -674,6 +674,8 @@ def judge_batch(
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    if not tasks:
+        return []
     judge = Judge() if judge is None else judge
     distinct = {(program, id(problem)): (program, problem) for program, problem in tasks}
     with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -19,11 +19,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING
 
 from . import promptgen
 from .corpus import Problem
 from .promptgen import ModularSolution, ParseError
-from .sandbox import Judge, JudgeVerdict
+
+if TYPE_CHECKING:  # structural checks run no sandbox; assess_functional loads it
+    from .sandbox import Judge, JudgeVerdict
 
 
 class Verdict(str, Enum):
@@ -132,6 +135,7 @@ def assess_functional(
     """
     if problem.untestable:
         raise ValueError(f"problem {problem.id!r} is untestable")
+    from .sandbox import Judge
     judge = Judge() if judge is None else judge
     verdict = judge(sol.final_code, problem)
     return assess_verdict(verdict), verdict

@@ -107,11 +107,12 @@ def count_analyze_calls(monkeypatch) -> list:
     return calls
 
 
-def loaded_modules(code):
-    """The names in ``sys.modules`` after ``code`` runs in a fresh interpreter."""
+def loaded_modules(code, *flags):
+    """The names in ``sys.modules`` after ``code`` runs in a fresh interpreter
+    started with the interpreter options ``flags``."""
     probe = f"import json, sys\n{code}\nprint(json.dumps(sorted(sys.modules)))"
     src = Path(__file__).resolve().parent.parent / "src"
-    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+    done = subprocess.run([sys.executable, *flags, "-c", probe], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
     assert done.returncode == 0, done.stderr
     return set(json.loads(done.stdout.splitlines()[-1]))

@@ -5,7 +5,8 @@ cyclomatic oracle walks a real parse tree, the Halstead oracle counts via the
 stdlib tokenizer, and the pass@k oracle enumerates subsets outright.  The
 character-at-a-time lexer and the several-pass ``analyze`` at the end are
 the earlier production code, kept as a differential oracle for the
-one-regex lexer and its single counting pass.
+one-regex lexer and its single counting pass.  ``normalize_statement_regex``
+is likewise the earlier regex form of ``corpus.normalize_statement``.
 """
 
 import ast
@@ -13,6 +14,7 @@ import io
 import keyword
 import math
 import re
+import string
 import tokenize as stdtok
 from itertools import combinations
 from typing import Iterable
@@ -26,6 +28,13 @@ from modeval.codemetrics import (
     halstead_classes,
     maintainability_index,
 )
+
+
+def normalize_statement_regex(text: str) -> str:
+    """Lowercase, blank out ASCII punctuation, turn each ``\\s+`` run into one
+    space and strip the ends."""
+    text = text.lower().translate({ord(c): " " for c in string.punctuation})
+    return re.sub(r"\s+", " ", text).strip()
 
 
 def cyclomatic_ast(source: str) -> int:

@@ -571,3 +571,27 @@ def test_command_loads_only_its_layers(tmp_path, command, absent):
     loaded = loaded_modules(f"from modeval.cli import main\nassert main({argv!r}) == 0")
     assert "modeval.cli" in loaded
     assert absent.isdisjoint(loaded), sorted(absent & loaded)
+
+
+def test_transform_without_tests_loads_no_sandbox(tmp_path):
+    corpus = tmp_path / "untestable.jsonl"
+    corpus.write_text(json.dumps({"id": "u1", "question": "Print the sum of two numbers.",
+                                  "solutions": ["print(sum(map(int, input().split())))"]}) + "\n")
+    (tmp_path / "mock").mkdir()
+    config = write_config(tmp_path, corpus={"train": str(corpus)},
+                          mock_provider=str(tmp_path / "mock"))
+    argv = ["transform", "--config", str(config)]
+    # -S: site may import tempfile (for a .pth file) before modeval runs at all
+    loaded = loaded_modules(f"from modeval.cli import main\nassert main({argv!r}) == 0", "-S")
+    assert {"modeval.promptgen", "modeval.validator"} <= loaded
+    assert {"modeval.sandbox", "subprocess", "tempfile"}.isdisjoint(loaded)
+    assert (tmp_path / "cache" / "responses").is_dir()
+    assert not (tmp_path / "cache" / "verdicts").exists()
+    records = read_jsonl(tmp_path / "out" / "transform" / "filter_records.jsonl")
+    assert [r["detail"] for r in records] == 2 * ["functional check skipped (untestable)"]
+
+
+def test_transform_with_tests_opens_the_verdict_log(tmp_path):
+    config = write_config(tmp_path)
+    assert main(["transform", "--config", str(config)]) == 0
+    assert (tmp_path / "cache" / "verdicts" / "entries.jsonl").is_file()

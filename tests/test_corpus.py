@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import string
 import subprocess
 import sys
 import threading
@@ -27,6 +28,7 @@ from modeval.corpus import (
 )
 
 from conftest import cache_entries, corpus_of, make_problem
+from oracles import normalize_statement_regex
 
 
 def write_jsonl(path, objs):
@@ -266,6 +268,32 @@ class TestDedup:
         assert jaccard_similarity(frozenset(), frozenset()) == 1.0
 
 
+# every character str.isspace() accepts, which is what re's \s matches in a str pattern
+WHITESPACE = [c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()]
+# letters whose case mapping changes length or leaves ASCII, other punctuation, and
+# format characters that look blank but are not whitespace
+OTHER = ["İ", "ẞ", "ß", "Σ", "ς", "ǅ", "ﬁ", "\u212a", "é", "¿", "—", "“",
+         "\u200b", "\u180e", "\ufeff"]
+
+
+class TestNormalizeStatement:
+    def test_whitespace_covers_the_unicode_separators(self):
+        separators = {"\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u2028", "\u3000"}
+        assert separators <= set(WHITESPACE)
+        assert "\u200b" not in WHITESPACE and "\u180e" not in WHITESPACE
+
+    def test_matches_the_regex_form(self):
+        rng = random.Random("normalize")
+        alphabet = [*string.punctuation, *string.ascii_letters, *string.digits, *OTHER]
+        for _ in range(20_000):
+            text = "".join(rng.choice(WHITESPACE) if rng.random() < 0.3 else rng.choice(alphabet)
+                           for _ in range(rng.randint(0, 24)))
+            assert normalize_statement(text) == normalize_statement_regex(text), repr(text)
+        for c in WHITESPACE + OTHER:  # every character alone and between words
+            for text in (c, f"a{c}b", f"{c}{c}A{c}"):
+                assert normalize_statement(text) == normalize_statement_regex(text), repr(text)
+
+
 
 def brute_force_dedup(train, holdout, threshold):
     """Every train statement against every holdout statement: the reference."""
@@ -334,6 +362,23 @@ THRESHOLDS = [0.1, 1 / 3, 0.5, 2 / 3, 0.7, 0.9, 1.0]
 
 
 class TestDedupEquivalence:
+    def test_prefix_order_is_frequency_then_token(self):
+        rng = random.Random("prefix-order")
+        ties = 0
+        for _ in range(200):
+            vocab = [f"w{i}" for i in range(rng.randint(1, 30))]
+            token_sets = [frozenset(rng.sample(vocab, rng.randint(0, len(vocab))))
+                          for _ in range(rng.randint(0, 12))]
+            df: dict[str, int] = {}
+            for tokens in token_sets:
+                for tok in tokens:
+                    df[tok] = df.get(tok, 0) + 1
+            rank = corpus._PrefixIndex(token_sets, 0.5)._rank
+            assert sorted(rank, key=rank.__getitem__) == sorted(df, key=lambda t: (df[t], t))
+            assert sorted(rank.values()) == list(range(len(df)))
+            ties += len(df) - len(set(df.values()))
+        assert ties > 1000
+
     @pytest.mark.parametrize("threshold", THRESHOLDS)
     def test_random_corpora_match_brute_force(self, threshold):
         rng = random.Random(f"dedup-{threshold}")

@@ -414,6 +414,14 @@ class TestJudgeBatch:
         with pytest.raises(ValueError):
             judge_batch([], workers=0)
 
+    def test_empty_batch_starts_no_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was started for no task")
+
+        monkeypatch.setattr(sandbox, "ThreadPoolExecutor", no_pool)
+        assert judge_batch([]) == []
+        assert judge_batch([], workers=4) == []
+
     def test_duplicate_pair_judged_once(self, monkeypatch):
         calls = []
         real = sandbox.judge

@@ -71,3 +71,8 @@ def test_import_is_lazy_and_submodules_still_import():
     assert "modeval.cli" in after and "modeval.sandbox" not in after
     # a name loads only the module that defines it, and what that module imports
     assert "modeval.sandbox" not in loaded_modules("from modeval import pass_at_k")
+
+
+def test_structural_checks_load_no_sandbox():
+    # m1-m3 need no sandbox; only assess_functional imports it, when it judges
+    assert "modeval.sandbox" not in loaded_modules("from modeval import assess_structure")
