@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Build a modularization prompt, parse the response, apply the four markers."""
 from modeval import (
+    Judge,
     MockProvider,
     Problem,
     ProviderConfig,
     TestCase,
-    assess_functional,
     assess_structure,
+    assess_verdict,
     build_mot_prompt,
     complete,
 )
@@ -33,7 +34,8 @@ structure, solution = assess_structure(completion.text)
 print("outline:", [s.name for s in solution.outline])
 print("structural check:", structure.verdict.value)
 
-result, verdict = assess_functional(solution, problem)
+verdict = Judge()(solution.final_code, problem)
+result = assess_verdict(verdict)
 print("functional check:", result.verdict.value,
       f"(all {len(verdict.per_test)} tests matched)" if verdict.passed else result.detail)
 

@@ -31,7 +31,7 @@ _EXPORTS = {
     # re-exported by llm_client (ProviderConfig) and sandbox (the rest) as well
     "settings": ["ComparePolicy", "InfrastructureError", "ProviderConfig", "ResourceLimits"],
     "validator": ["AssessmentResult", "FilterRecord", "Marker", "Verdict", "assess_clean",
-                  "assess_functional", "assess_structure", "filter_pass_rate"],
+                  "assess_structure", "assess_verdict", "filter_pass_rate"],
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -138,9 +138,11 @@ def load_pipeline_config(config_path: str | Path, overrides: argparse.Namespace)
         raise ConfigError(f"dedup_threshold must be in (0, 1], got {cfg.dedup_threshold}")
     if cfg.max_reflection_rounds < 1:
         raise ConfigError(f"max_reflection_rounds must be >= 1, got {cfg.max_reflection_rounds}")
-    for dt in cfg.data_types:
+    for i, dt in enumerate(cfg.data_types):
         if dt not in ("mot", "clean"):
             raise ConfigError(f"unknown data type {dt!r}")
+        if dt in cfg.data_types[:i]:
+            raise ConfigError(f"data_types names {dt!r} twice")
     for split, path in cfg.corpus_paths.items():
         if not Path(path).exists():
             raise ConfigError(f"corpus path for split {split!r} does not exist: {path}")

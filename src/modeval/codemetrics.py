@@ -22,9 +22,7 @@ The maintainability index is
 
 with every log2 term defined as 0 when its argument is <= 1, V the Halstead
 volume, CC the cyclomatic complexity, LOC the source lines of code and C the
-comment-line ratio in [0, 1].  A ``variant="ln"`` switch swaps in the
-natural-log / 2.4-coefficient flavor used by older analyzers for
-cross-checking; the log2 form is the default.
+comment-line ratio in [0, 1].
 """
 
 from __future__ import annotations
@@ -37,8 +35,6 @@ import re
 from collections import Counter
 from dataclasses import asdict, dataclass
 from enum import Enum
-from functools import lru_cache
-from importlib import resources
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
@@ -178,21 +174,6 @@ def tokenize(source: str) -> TokenStream:
     return tokens
 
 
-@lru_cache(maxsize=None)
-def halstead_classes() -> dict[str, str]:
-    """Keyword classification table, loaded from the packaged data file."""
-    table: dict[str, str] = {}
-    text = resources.files("modeval").joinpath("data", "halstead_classes.tsv").read_text(
-        encoding="utf-8"
-    )
-    for line in text.splitlines():
-        if not line.strip() or line.startswith("#"):
-            continue
-        lexeme, klass = line.split("\t")
-        table[lexeme] = klass.strip()
-    return table
-
-
 # The counter's scan: the lexer's alternatives, unnamed, in the one group
 # that ``findall`` returns, each match swallowing the blanks after it.  A line
 # break keeps its blanks, so a lexeme of a line break and blanks opens an
@@ -300,10 +281,7 @@ def halstead_volume(stream: Iterable[Token]) -> float:
     return len(texts) * math.log2(distinct) if distinct > 1 else 0.0
 
 
-def maintainability_index(
-    volume: float, cyclomatic: int, loc: int, comment_density: float,
-    variant: str = "log2",
-) -> float:
+def maintainability_index(volume: float, cyclomatic: int, loc: int, comment_density: float) -> float:
     """Composite maintainability score, clamped at 0 (max is 171 + 50)."""
     if not (0.0 <= comment_density <= 1.0):
         raise ValueError(f"comment density must be in [0, 1], got {comment_density}")
@@ -313,20 +291,13 @@ def maintainability_index(
         raise ValueError("cyclomatic complexity must be >= 1")
     if loc < 0:
         raise ValueError("LOC must be >= 0")
-    if variant == "log2":
-        log = lambda x: math.log2(x) if x > 1 else 0.0
-        coef = 2.46
-    elif variant == "ln":
-        log = lambda x: math.log(x) if x > 1 else 0.0
-        coef = 2.4
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
+    log = lambda x: math.log2(x) if x > 1 else 0.0
     mi = (
         171.0
         - 5.2 * log(volume)
         - 0.23 * cyclomatic
         - 16.2 * log(loc)
-        + 50.0 * math.sin(math.sqrt(coef * comment_density))
+        + 50.0 * math.sin(math.sqrt(2.46 * comment_density))
     )
     return max(0.0, mi)
 
@@ -346,7 +317,7 @@ class CodeMetrics:
     function_count: int
 
 
-def analyze(source: str, variant: str = "log2", top_level_functions_only: bool = False) -> CodeMetrics:
+def analyze(source: str, top_level_functions_only: bool = False) -> CodeMetrics:
     """All metrics for one program from one counting pass."""
     volume, decisions, functions, top_level, sloc, comments, total = _measure(source)
     density = comments / total if total else 0.0
@@ -356,7 +327,7 @@ def analyze(source: str, variant: str = "log2", top_level_functions_only: bool =
         cyclomatic=cc,
         sloc=sloc,
         comment_density=density,
-        maintainability=maintainability_index(volume, cc, sloc, density, variant=variant),
+        maintainability=maintainability_index(volume, cc, sloc, density),
         function_count=top_level if top_level_functions_only else functions,
     )
 
@@ -377,7 +348,7 @@ def _metrics_from_json(obj: dict) -> CodeMetrics:
 
 
 class MetricsCache:
-    """Disk cache of ``analyze`` results keyed by source, variant,
+    """Disk cache of ``analyze`` results keyed by source,
     ``top_level_functions_only`` and ``METRICS_SEMANTICS``.
 
     A rerun with an unchanged program reads its metrics back instead of
@@ -388,16 +359,15 @@ class MetricsCache:
         self._log = EntryLog(Path(root))
         self.hits = self.misses = 0
 
-    def analyze(self, source: str, variant: str = "log2",
-                top_level_functions_only: bool = False) -> CodeMetrics:
+    def analyze(self, source: str, top_level_functions_only: bool = False) -> CodeMetrics:
         """``analyze`` of the same arguments, replayed from disk when recorded."""
-        payload = json.dumps([source, variant, top_level_functions_only, METRICS_SEMANTICS])
+        payload = json.dumps([source, top_level_functions_only, METRICS_SEMANTICS])
         key = hashlib.sha256(payload.encode("utf-8")).hexdigest()
         metrics = self._log.get(key, _metrics_from_json)
         if metrics is not None:
             self.hits += 1
             return metrics
-        metrics = analyze(source, variant, top_level_functions_only)
+        metrics = analyze(source, top_level_functions_only)
         self.misses += 1
         self._log.put(key, asdict(metrics))
         return metrics

@@ -22,11 +22,10 @@ from enum import Enum
 from typing import TYPE_CHECKING
 
 from . import promptgen
-from .corpus import Problem
 from .promptgen import ModularSolution, ParseError
 
-if TYPE_CHECKING:  # structural checks run no sandbox; assess_functional loads it
-    from .sandbox import Judge, JudgeVerdict
+if TYPE_CHECKING:  # structural checks run no sandbox
+    from .sandbox import JudgeVerdict
 
 
 class Verdict(str, Enum):
@@ -120,25 +119,8 @@ def assess_verdict(verdict: JudgeVerdict) -> AssessmentResult:
     if verdict.passed:
         return AssessmentResult(verdict=Verdict.ACCEPT)
     idx = verdict.first_failure
-    status = verdict.per_test[idx][0].status.value if idx is not None else "unknown"
+    status = verdict.per_test[idx][0].status.value
     return _reject(Marker.M4_TESTS_FAILED, f"first failing test {idx} ({status})")
-
-
-def assess_functional(
-    sol: ModularSolution, problem: Problem, judge: Judge | None = None
-) -> tuple[AssessmentResult, JudgeVerdict]:
-    """Marker m4: the final program must pass every test of its problem,
-    judged by ``judge`` (default ``Judge()``).
-
-    Sandbox infrastructure failures (missing interpreter) raise and are not
-    an m4 rejection.
-    """
-    if problem.untestable:
-        raise ValueError(f"problem {problem.id!r} is untestable")
-    from .sandbox import Judge
-    judge = Judge() if judge is None else judge
-    verdict = judge(sol.final_code, problem)
-    return assess_verdict(verdict), verdict
 
 
 @dataclass

@@ -25,7 +25,6 @@ from modeval.codemetrics import (
     Token,
     TokenKind,
     TokenStream,
-    halstead_classes,
     maintainability_index,
 )
 
@@ -54,6 +53,7 @@ def cyclomatic_ast(source: str) -> int:
     return cc
 
 
+# Keywords that act as values count as operands, all others as operators.
 _VALUE_KEYWORDS = {"True", "False", "None"}
 
 
@@ -279,7 +279,7 @@ def _halstead_class(token: Token) -> str | None:
     if token.kind in (TokenKind.COMMENT, TokenKind.NEWLINE, TokenKind.INDENT, TokenKind.ERROR):
         return None
     if token.kind is TokenKind.KEYWORD:
-        return halstead_classes().get(token.text, "operator")
+        return "operand" if token.text in _VALUE_KEYWORDS else "operator"
     if token.kind is TokenKind.OPERATOR:
         return "operator"
     return "operand"  # identifiers, numbers, strings
@@ -316,14 +316,14 @@ def _count_defs(tokens: TokenStream, top_level_only: bool) -> int:
     return count
 
 
-def analyze_reference(source: str, variant: str = "log2", top_level_functions_only: bool = False) -> CodeMetrics:
+def analyze_reference(source: str, top_level_functions_only: bool = False) -> CodeMetrics:
     """All metrics for one program in a single pass over the token stream."""
     tokens = tokenize_reference(source)
     total_lines = source.count("\n") + (bool(source) and not source.endswith("\n"))
     sloc, _, _, density = _line_counts(tokens, total_lines)
     cc = _cyclomatic(tokens)
     volume = _halstead_volume(tokens)
-    mi = maintainability_index(volume, cc, sloc, density, variant=variant)
+    mi = maintainability_index(volume, cc, sloc, density)
     defs = _count_defs(tokens, top_level_functions_only)
     return CodeMetrics(
         halstead_volume=volume,

@@ -121,7 +121,7 @@ def test_criterion_4_validator_marker_fixtures():
 
         # marker 4 is functional: wrong answer, timeout, crash
         from modeval.promptgen import parse_mot_response
-        from modeval.validator import assess_functional
+        from modeval.validator import assess_verdict
         from conftest import make_problem
 
         limits = ResourceLimits(wall_time=1.0)
@@ -133,8 +133,8 @@ def test_criterion_4_validator_marker_fixtures():
         problem = make_problem(tests=(("3\n", "6\n"),))
         for body in m4_bodies:
             raw = marker_fixtures.WELL_FORMED["plain"].replace(marker_fixtures.GOOD_BODY, body)
-            result, _ = assess_functional(parse_mot_response(raw), problem, Judge(limits))
-            assert result.marker is Marker.M4_TESTS_FAILED
+            verdict = Judge(limits)(parse_mot_response(raw).final_code, problem)
+            assert assess_verdict(verdict).marker is Marker.M4_TESTS_FAILED
             total += 1
         assert total == 12
 

@@ -107,7 +107,9 @@ class TestConfig:
         ({"solution_cap": 0}, "solution_cap", "transform"),
         ({"dedup_threshold": 1.5, "dedup_holdout_split": "test"}, "dedup_threshold", "transform"),
         ({"max_reflection_rounds": 0}, "max_reflection_rounds", "reflect"),
-    ], ids=["solution_cap_zero", "dedup_threshold_above_one", "max_reflection_rounds_zero"])
+        ({"data_types": ["mot", "mot"]}, "data_types", "transform"),
+    ], ids=["solution_cap_zero", "dedup_threshold_above_one", "max_reflection_rounds_zero",
+            "data_types_repeated"])
     def test_out_of_range_value_is_config_error(self, tmp_path, capsys, config, named, command):
         if command == "reflect":
             run_evaluate(tmp_path, write_config(tmp_path))
@@ -553,7 +555,7 @@ NO_JUDGING = {"modeval.sandbox", "modeval.promptgen", "modeval.validator",
 
 @pytest.mark.parametrize("command, absent", [
     ("stats", NO_JUDGING),
-    ("analyze", NO_JUDGING),
+    ("analyze", NO_JUDGING | {"importlib.resources", "tempfile", "random"}),
     ("evaluate", {"modeval.promptgen", "modeval.validator"}),
     ("transform", {"modeval.evaluate", "modeval.codemetrics"}),
 ])
@@ -568,7 +570,8 @@ def test_command_loads_only_its_layers(tmp_path, command, absent):
         "analyze": ["--records", str(records)],
         "evaluate": ["--candidates", str(candidates)],
     }.get(command, [])]
-    loaded = loaded_modules(f"from modeval.cli import main\nassert main({argv!r}) == 0")
+    # -S: site may import tempfile (for a .pth file) before modeval runs at all
+    loaded = loaded_modules(f"from modeval.cli import main\nassert main({argv!r}) == 0", "-S")
     assert "modeval.cli" in loaded
     assert absent.isdisjoint(loaded), sorted(absent & loaded)
 
@@ -581,7 +584,7 @@ def test_transform_without_tests_loads_no_sandbox(tmp_path):
     config = write_config(tmp_path, corpus={"train": str(corpus)},
                           mock_provider=str(tmp_path / "mock"))
     argv = ["transform", "--config", str(config)]
-    # -S: site may import tempfile (for a .pth file) before modeval runs at all
+    # -S, as above
     loaded = loaded_modules(f"from modeval.cli import main\nassert main({argv!r}) == 0", "-S")
     assert {"modeval.promptgen", "modeval.validator"} <= loaded
     assert {"modeval.sandbox", "subprocess", "tempfile"}.isdisjoint(loaded)

@@ -17,7 +17,6 @@ from modeval.codemetrics import (
     analyze,
     cyclomatic_complexity,
     function_count,
-    halstead_classes,
     halstead_volume,
     maintainability_index,
     sloc_and_comments,
@@ -229,13 +228,6 @@ class TestHalsteadVolume:
         volume = halstead_volume(tokenize("x = True"))
         assert volume == pytest.approx(3 * math.log2(3), abs=1e-9)
 
-    def test_classification_table_complete_for_keywords(self):
-        import keyword
-        table = halstead_classes()
-        assert set(table) == set(keyword.kwlist)
-        assert table["True"] == "operand"
-        assert table["if"] == "operator"
-
 
 class TestMaintainabilityIndex:
     def test_vanishing_terms(self):
@@ -264,13 +256,6 @@ class TestMaintainabilityIndex:
             maintainability_index(-1, 1, 1, 0.0)
         with pytest.raises(ValueError):
             maintainability_index(1, 0, 1, 0.0)
-
-    def test_ln_variant_differs_and_uses_natural_log(self):
-        log2_value = maintainability_index(8, 3, 4, 0.0)
-        ln_value = maintainability_index(8, 3, 4, 0.0, variant="ln")
-        expected_ln = 171 - 5.2 * math.log(8) - 0.23 * 3 - 16.2 * math.log(4)
-        assert ln_value == pytest.approx(expected_ln, abs=1e-9)
-        assert ln_value != log2_value
 
     def test_monotone_spot_checks(self):
         base = maintainability_index(100, 5, 50, 0.1)
@@ -494,17 +479,16 @@ class TestMetricsCache:
         assert second == first == analyze(source)
         assert json.dumps(asdict(second)) == json.dumps(asdict(analyze(source)))
 
-    def test_key_names_variant_flag_and_semantics(self, tmp_path, monkeypatch):
+    def test_key_names_flag_and_semantics(self, tmp_path, monkeypatch):
         source = PROGRAMS[1].read_text()
         cache = MetricsCache(tmp_path)
         assert cache.analyze(source) == analyze(source)
-        assert cache.analyze(source, variant="ln") == analyze(source, variant="ln")
         assert (cache.analyze(source, top_level_functions_only=True)
                 == analyze(source, top_level_functions_only=True))
         monkeypatch.setattr(codemetrics, "METRICS_SEMANTICS", METRICS_SEMANTICS + 1)
         cache.analyze(source)
-        assert (cache.hits, cache.misses) == (0, 4)
-        assert len({key for key, _ in cache_entries(tmp_path)}) == 4
+        assert (cache.hits, cache.misses) == (0, 3)
+        assert len({key for key, _ in cache_entries(tmp_path)}) == 3
 
     def assert_measured_again(self, tmp_path, monkeypatch):
         """A later run misses, measures the program once more and appends a

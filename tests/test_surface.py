@@ -27,7 +27,7 @@ SURFACE = {
                 "JudgeVerdict", "ResourceLimits", "VerdictCache", "compare_output", "judge",
                 "judge_batch", "run_once"],
     "validator": ["AssessmentResult", "FilterRecord", "Marker", "Verdict", "assess_clean",
-                  "assess_functional", "assess_structure", "filter_pass_rate"],
+                  "assess_structure", "assess_verdict", "filter_pass_rate"],
 }
 NAMES = [(module, name) for module, names in SURFACE.items() for name in names]
 
@@ -74,5 +74,6 @@ def test_import_is_lazy_and_submodules_still_import():
 
 
 def test_structural_checks_load_no_sandbox():
-    # m1-m3 need no sandbox; only assess_functional imports it, when it judges
-    assert "modeval.sandbox" not in loaded_modules("from modeval import assess_structure")
+    # m1-m4 load no sandbox: m4 reads a verdict that the caller judged
+    assert "modeval.sandbox" not in loaded_modules(
+        "from modeval import assess_structure, assess_verdict")

@@ -7,8 +7,8 @@ from modeval.validator import (
     FilterRecord,
     Marker,
     Verdict,
-    assess_functional,
     assess_structure,
+    assess_verdict,
     filter_pass_rate,
 )
 
@@ -144,15 +144,16 @@ class TestFunctionalMarker:
     def test_echo_program_accepted(self):
         sol = parse_mot_response(WELL_FORMED["plain"])
         problem = make_problem(tests=(("3\n", "6\n"), ("10\n", "20\n")))
-        result, verdict = assess_functional(sol, problem, Judge(self.LIMITS))
-        assert result.verdict is Verdict.ACCEPT
+        verdict = Judge(self.LIMITS)(sol.final_code, problem)
+        assert assess_verdict(verdict).verdict is Verdict.ACCEPT
         assert verdict.passed
 
     def test_constant_program_rejected_at_first_test(self):
         raw = WELL_FORMED["plain"].replace(GOOD_BODY, "```python\nprint(7)\n```\n")
         sol = parse_mot_response(raw)
         problem = make_problem(tests=(("1\n", "2\n"), ("2\n", "4\n")))
-        result, verdict = assess_functional(sol, problem, Judge(self.LIMITS))
+        verdict = Judge(self.LIMITS)(sol.final_code, problem)
+        result = assess_verdict(verdict)
         assert result.marker is Marker.M4_TESTS_FAILED
         assert "test 0" in result.detail
         assert verdict.first_failure == 0
@@ -163,7 +164,7 @@ class TestFunctionalMarker:
         )
         sol = parse_mot_response(raw)
         problem = make_problem(tests=(("1\n", "1\n"),))
-        result, _ = assess_functional(sol, problem, Judge(ResourceLimits(wall_time=1.0)))
+        result = assess_verdict(Judge(ResourceLimits(wall_time=1.0))(sol.final_code, problem))
         assert result.marker is Marker.M4_TESTS_FAILED
         assert "timeout" in result.detail
 
@@ -171,13 +172,13 @@ class TestFunctionalMarker:
         sol = parse_mot_response(WELL_FORMED["plain"])
         problem = make_problem(tests=(), untestable=True)
         with pytest.raises(ValueError):
-            assess_functional(sol, problem)
+            Judge()(sol.final_code, problem)
 
     def test_missing_interpreter_is_infrastructure_not_m4(self):
         sol = parse_mot_response(WELL_FORMED["plain"])
         problem = make_problem(tests=(("1\n", "2\n"),))
         with pytest.raises(InfrastructureError):
-            assess_functional(sol, problem, Judge(runner="definitely-not-a-binary {file}"))
+            Judge(runner="definitely-not-a-binary {file}")(sol.final_code, problem)
 
 
 def records_for(source: str, data_type: str, pre: int, post: int) -> list[FilterRecord]:
