@@ -363,7 +363,7 @@ def _load_candidates(path: Path) -> list[tuple[str, list[str]]]:
     if not path.exists():
         raise ConfigError(f"candidates file does not exist: {path}")
     grouped: dict[str, list[str]] = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(path.read_text(encoding="utf-8").split("\n"), start=1):
         if not line.strip():
             continue
         try:
@@ -469,7 +469,7 @@ def _load_rows(path: Path, corpus: Corpus) -> list[CandidateRow]:
     if not path.exists():
         raise ConfigError(f"evaluate records not found: {path} (run evaluate first)")
     rows = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(path.read_text(encoding="utf-8").split("\n"), start=1):
         if not line.strip():
             continue
         try:

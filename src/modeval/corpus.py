@@ -276,7 +276,7 @@ def load_corpus(path: str | Path, split: Split = Split.TRAIN) -> Corpus:
     problems: list[Problem] = []
     diagnostics: list[LineDiagnostic] = []
     id_lines: dict[str, int] = {}
-    for lineno, line in enumerate(raw.splitlines(), start=1):
+    for lineno, line in enumerate(raw.split("\n"), start=1):
         if not line.strip():
             continue
         try:

@@ -150,7 +150,7 @@ class MockProvider:
         if self.fixture_dir is not None:
             rules_path = self.fixture_dir / "rules.jsonl"
             if rules_path.exists():
-                lines = rules_path.read_text(encoding="utf-8").splitlines()
+                lines = rules_path.read_text(encoding="utf-8").split("\n")
                 for lineno, line in enumerate(lines, start=1):
                     if line.strip():
                         self._rules.append(self._load_rule(line, f"{rules_path}:{lineno}"))

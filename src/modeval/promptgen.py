@@ -13,6 +13,10 @@ decidable: two regions opened by the delimiter lines ``### STEP 1`` and
 ``### STEP 2``, sub-module outlines as ``def`` headers followed by
 docstrings, and exactly one fenced code block in the second region.
 Wording lives in versioned template files under ``templates/``, not in code.
+
+Responses are scanned on one line model: a line ends at ``"\\n"`` alone (a
+``"\\r"`` before it stays in the line), so U+2028, ``"\\x85"`` or ``"\\f"``
+inside a program never split it, and fenced code is a slice of the response.
 """
 
 from __future__ import annotations
@@ -218,42 +222,36 @@ class StepSplit:
     step2_char: int
 
 
+def _line(text: str, at: int) -> tuple[int, int]:
+    """Start and end of the line that holds ``text[at]``; the end is its ``"\\n"``
+    or the end of ``text``."""
+    end = text.find("\n", at)
+    return text.rfind("\n", 0, at) + 1, len(text) if end < 0 else end
+
+
+def _delimiter_line(raw: str, delimiter: str, pos: int) -> tuple[int, int] | None:
+    """The first line from ``pos``, a line start, that begins with ``delimiter``
+    after blanks, as ``_line`` gives it; None if there is none."""
+    while (at := raw.find(delimiter, pos)) >= 0:
+        start, end = _line(raw, at)
+        if not raw[start:at].strip():
+            return start, end
+        pos = end + 1
+    return None
+
+
 def split_steps(raw: str) -> StepSplit:
     """Locate the two step delimiters; raise ParseError(missing_step) otherwise."""
-    lines = raw.splitlines(keepends=True)
-    offsets: list[int] = []
-    pos = 0
-    for ln in lines:
-        offsets.append(pos)
-        pos += len(ln)
-
-    step1_idx = step2_idx = None
-    for i, ln in enumerate(lines):
-        stripped = ln.strip()
-        if step1_idx is None and stripped.startswith(STEP1_DELIMITER):
-            step1_idx = i
-        elif step1_idx is not None and stripped.startswith(STEP2_DELIMITER):
-            step2_idx = i
-            break
-    if step1_idx is None:
-        raise ParseError(
-            "missing_step", _byte_offset(raw, len(raw)),
-            f"no {STEP1_DELIMITER!r} delimiter",
-        )
-    if step2_idx is None:
-        raise ParseError(
-            "missing_step", _byte_offset(raw, len(raw)),
-            f"no {STEP2_DELIMITER!r} delimiter",
-        )
-
-    step1_start = offsets[step1_idx] + len(lines[step1_idx])
-    step2_delim = offsets[step2_idx]
-    step2_start = step2_delim + len(lines[step2_idx])
+    step1 = _delimiter_line(raw, STEP1_DELIMITER, 0)
+    step2 = step1 and _delimiter_line(raw, STEP2_DELIMITER, step1[1] + 1)
+    if step2 is None:
+        missing = STEP2_DELIMITER if step1 else STEP1_DELIMITER
+        raise ParseError("missing_step", _byte_offset(raw, len(raw)), f"no {missing!r} delimiter")
     return StepSplit(
-        step1=raw[step1_start:step2_delim],
-        step2=raw[step2_start:],
-        step1_char=offsets[step1_idx],
-        step2_char=step2_delim,
+        step1=raw[step1[1] + 1:step2[0]],
+        step2=raw[step2[1] + 1:],
+        step1_char=step1[0],
+        step2_char=step2[0],
     )
 
 
@@ -269,7 +267,8 @@ def parse_outline(step1_text: str) -> tuple[list[SubModule], list[str]]:
     """
     entries: list[SubModule] = []
     strays: list[str] = []
-    lines = step1_text.splitlines()
+    # headers and docstrings are rebuilt from lines, so a CRLF ending drops its "\r"
+    lines = step1_text.replace("\r\n", "\n").split("\n")
     i = 0
     while i < len(lines):
         line = lines[i]
@@ -333,28 +332,25 @@ def parse_outline(step1_text: str) -> tuple[list[SubModule], list[str]]:
 
 
 def extract_code_blocks(text: str) -> list[tuple[str, int]]:
-    """Fenced code blocks in ``text`` as (content, char offset of the fence)."""
+    """Fenced code blocks in ``text`` as (content, char offset of the fence).
+
+    Content is the slice of ``text`` between the fence lines, without the
+    ``"\\n"`` that ends its last line."""
     blocks: list[tuple[str, int]] = []
-    lines = text.splitlines(keepends=True)
-    pos = 0
     open_at: int | None = None
-    content: list[str] = []
-    for ln in lines:
-        body = ln.rstrip("\n")
+    body = pos = 0  # body: where the open block's content starts
+    while (at := text.find("```", pos)) >= 0:
+        start, end = _line(text, at)
         if open_at is None:
-            if _FENCE_OPEN.match(body):
-                open_at = pos
-                content = []
-        else:
-            if _FENCE_CLOSE.match(body):
-                blocks.append(("\n".join(content), open_at))
-                open_at = None
-            else:
-                content.append(body)
-        pos += len(ln)
+            if _FENCE_OPEN.match(text[start:end]):
+                open_at, body = start, end + 1
+        elif _FENCE_CLOSE.match(text[start:end]):
+            blocks.append((text[body:start - 1], open_at))
+            open_at = None
+        pos = end + 1
     if open_at is not None:
         # unterminated fence: take it to the end, tolerant of sloppy output
-        blocks.append(("\n".join(content), open_at))
+        blocks.append((text[body:len(text) - text.endswith("\n")], open_at))
     return blocks
 
 
@@ -421,13 +417,16 @@ def extract_section(user_text: str, name: str) -> str | None:
     mock provider to recover the statement or original solution embedded in
     a prompt.
     """
-    matches = list(_SECTION_RE.finditer(user_text))
-    for i in range(len(matches) - 1, -1, -1):
-        m = matches[i]
-        if m.group(1) == name:
-            start = m.end()
-            end = matches[i + 1].start() if i + 1 < len(matches) else len(user_text)
-            return user_text[start:end].strip("\n")
+    header = f"[{name}]"
+    at = user_text.rfind(header)
+    while at >= 0:
+        m = _SECTION_RE.match(user_text, at)  # only where a line starts, by ``^``
+        if m and m.group(1) == name:
+            end = user_text.find("\n[", m.end())
+            while end >= 0 and not _SECTION_RE.match(user_text, end + 1):
+                end = user_text.find("\n[", end + 1)
+            return user_text[m.end():len(user_text) if end < 0 else end + 1].strip("\n")
+        at = user_text.rfind(header, 0, at + len(header) - 1)
     return None
 
 
@@ -448,7 +447,7 @@ def _echo_mot(user_text: str) -> str:
     if solution is None:
         solution = "print()"
     outline = []
-    for line in solution.splitlines():
+    for line in solution.split("\n"):
         stripped = line.strip()
         if stripped.startswith("def ") and stripped.endswith(":"):
             name = stripped[4:].split("(", 1)[0].strip()

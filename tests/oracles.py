@@ -6,7 +6,10 @@ stdlib tokenizer, and the pass@k oracle enumerates subsets outright.  The
 character-at-a-time lexer and the several-pass ``analyze`` at the end are
 the earlier production code, kept as a differential oracle for the
 one-regex lexer and its single counting pass.  ``normalize_statement_regex``
-is likewise the earlier regex form of ``corpus.normalize_statement``.
+is likewise the earlier regex form of ``corpus.normalize_statement``.  The
+scanners at the very end are the earlier forms of the ``promptgen`` response
+scanners: the ``*_splitlines`` ones broke lines wherever ``str.splitlines``
+does, and ``extract_section_finditer`` ran its header regex over all the text.
 """
 
 import ast
@@ -26,6 +29,18 @@ from modeval.codemetrics import (
     TokenKind,
     TokenStream,
     maintainability_index,
+)
+from modeval.promptgen import (
+    _DEF_RE,
+    _DOCSTRING_OPEN,
+    _FENCE_CLOSE,
+    _FENCE_OPEN,
+    _SECTION_RE,
+    STEP1_DELIMITER,
+    STEP2_DELIMITER,
+    ParseError,
+    StepSplit,
+    SubModule,
 )
 
 
@@ -333,3 +348,137 @@ def analyze_reference(source: str, top_level_functions_only: bool = False) -> Co
         maintainability=mi,
         function_count=defs,
     )
+
+
+def split_steps_splitlines(raw: str) -> StepSplit:
+    lines = raw.splitlines(keepends=True)
+    offsets: list[int] = []
+    pos = 0
+    for ln in lines:
+        offsets.append(pos)
+        pos += len(ln)
+
+    step1_idx = step2_idx = None
+    for i, ln in enumerate(lines):
+        stripped = ln.strip()
+        if step1_idx is None and stripped.startswith(STEP1_DELIMITER):
+            step1_idx = i
+        elif step1_idx is not None and stripped.startswith(STEP2_DELIMITER):
+            step2_idx = i
+            break
+    end = len(raw.encode("utf-8"))
+    if step1_idx is None:
+        raise ParseError("missing_step", end, f"no {STEP1_DELIMITER!r} delimiter")
+    if step2_idx is None:
+        raise ParseError("missing_step", end, f"no {STEP2_DELIMITER!r} delimiter")
+
+    step1_start = offsets[step1_idx] + len(lines[step1_idx])
+    step2_delim = offsets[step2_idx]
+    step2_start = step2_delim + len(lines[step2_idx])
+    return StepSplit(
+        step1=raw[step1_start:step2_delim],
+        step2=raw[step2_start:],
+        step1_char=offsets[step1_idx],
+        step2_char=step2_delim,
+    )
+
+
+def parse_outline_splitlines(step1_text: str) -> tuple[list[SubModule], list[str]]:
+    entries: list[SubModule] = []
+    strays: list[str] = []
+    lines = step1_text.splitlines()
+    i = 0
+    while i < len(lines):
+        line = lines[i]
+        stripped = line.strip()
+        if (
+            not stripped
+            or stripped.startswith("#")
+            or _FENCE_OPEN.match(line)
+            or stripped in ("pass", "...")
+        ):
+            i += 1
+            continue
+        m = _DEF_RE.match(line)
+        if not m:
+            strays.append(stripped)
+            i += 1
+            continue
+
+        name = m.group(1)
+        header_lines = [line]
+        while not header_lines[-1].rstrip().endswith(":") and i + 1 < len(lines):
+            i += 1
+            header_lines.append(lines[i])
+            if len(header_lines) > 8:
+                break
+        header = "\n".join(header_lines)
+        if not header.rstrip().endswith(":"):
+            strays.append(stripped)
+            i += 1
+            continue
+        i += 1
+
+        while i < len(lines) and not lines[i].strip():
+            i += 1
+        doc_open = _DOCSTRING_OPEN.match(lines[i]) if i < len(lines) else None
+        if doc_open is None:
+            strays.append(f"{name}: header without docstring")
+            continue
+        quote = doc_open.group(1)
+        rest = lines[i][doc_open.end():]
+        if quote in rest:
+            doc = rest[: rest.index(quote)]
+            i += 1
+        else:
+            doc_parts = [rest]
+            i += 1
+            while i < len(lines) and quote not in lines[i]:
+                doc_parts.append(lines[i])
+                i += 1
+            if i < len(lines):
+                doc_parts.append(lines[i][: lines[i].index(quote)])
+                i += 1
+            doc = "\n".join(doc_parts)
+        doc = doc.strip()
+        if not doc:
+            strays.append(f"{name}: empty docstring")
+            continue
+        entries.append(SubModule(name=name, header=header, docstring=doc))
+    return entries, strays
+
+
+def extract_code_blocks_splitlines(text: str) -> list[tuple[str, int]]:
+    blocks: list[tuple[str, int]] = []
+    lines = text.splitlines(keepends=True)
+    pos = 0
+    open_at: int | None = None
+    content: list[str] = []
+    for ln in lines:
+        body = ln.rstrip("\n")
+        if open_at is None:
+            if _FENCE_OPEN.match(body):
+                open_at = pos
+                content = []
+        else:
+            if _FENCE_CLOSE.match(body):
+                blocks.append(("\n".join(content), open_at))
+                open_at = None
+            else:
+                content.append(body)
+        pos += len(ln)
+    if open_at is not None:
+        blocks.append(("\n".join(content), open_at))
+    return blocks
+
+
+def extract_section_finditer(user_text: str, name: str) -> str | None:
+    """The earlier ``extract_section``: every header by one ``finditer``."""
+    matches = list(_SECTION_RE.finditer(user_text))
+    for i in range(len(matches) - 1, -1, -1):
+        m = matches[i]
+        if m.group(1) == name:
+            start = m.end()
+            end = matches[i + 1].start() if i + 1 < len(matches) else len(user_text)
+            return user_text[start:end].strip("\n")
+    return None

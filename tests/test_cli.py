@@ -37,7 +37,7 @@ def write_config(tmp_path, **overrides):
 
 
 def read_jsonl(path):
-    return [json.loads(line) for line in path.read_text().splitlines() if line.strip()]
+    return [json.loads(line) for line in path.read_text(encoding="utf-8").split("\n") if line.strip()]
 
 
 def read_csv(path):
@@ -237,6 +237,27 @@ class TestTransform:
         assert main(["transform", "--config", str(config)]) == 0
         assert calls["build"] == 10
         assert calls["split"] == calls["build"]
+
+    def test_unicode_line_separators_survive_transform_evaluate_analyze(self, tmp_path):
+        # the program, its problem id and every JSONL line between the
+        # commands hold raw U+2028 and NEL; each reader must keep them whole
+        code = 's = "a\u2028b\x85c"\nprint(len(s))'
+        pid = "u\u20281"
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(json.dumps({
+            "id": pid, "question": "Print five.", "solutions": [code],
+            "input_output": {"inputs": [""], "outputs": ["5\n"]},
+        }, ensure_ascii=False) + "\n", encoding="utf-8")
+        (tmp_path / "mock").mkdir()
+        config = write_config(tmp_path, corpus={"train": str(corpus), "test": str(corpus)},
+                              mock_provider=str(tmp_path / "mock"), data_types=["mot"])
+        assert main(["transform", "--config", str(config)]) == 0
+        mot = tmp_path / "out" / "transform" / "mot.jsonl"
+        assert [(r["problem_id"], r["final_code"]) for r in read_jsonl(mot)] == [(pid, code)]
+        assert main(["evaluate", "--config", str(config), "--candidates", str(mot)]) == 0
+        records = read_jsonl(tmp_path / "out" / "evaluate" / "records.jsonl")
+        assert [(r["problem_id"], r["passed"]) for r in records] == [(pid, True)]
+        assert main(["analyze", "--config", str(config)]) == 0
 
     def test_provider_error_is_data_not_exit_code(self, tmp_path, monkeypatch):
         from modeval import cli as cli_module

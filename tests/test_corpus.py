@@ -80,6 +80,18 @@ class TestLoadCorpus:
         assert len(corpus) == 1
         assert corpus.diagnostics[0].line_number == 2
 
+    def test_unicode_line_separators_stay_inside_their_line(self, tmp_path):
+        # a JSONL line ends at "\n" only; U+2028 and friends are legal in a JSON string
+        path = tmp_path / "c.jsonl"
+        question = "Add\u2028two\u2029numbers\x85now."
+        path.write_text("".join(json.dumps(obj, ensure_ascii=False) + "\n" for obj in [
+            problem_obj("a", question=question), problem_obj("b"),
+        ]) + "{not json\n", encoding="utf-8")
+        corpus = load_corpus(path)
+        assert [p.id for p in corpus] == ["a", "b"]
+        assert corpus.problems[0].statement == question
+        assert [d.line_number for d in corpus.diagnostics] == [3]
+
     def test_duplicate_id_fatal_with_line_numbers(self, tmp_path):
         path = tmp_path / "c.jsonl"
         write_jsonl(path, [problem_obj("dup"), problem_obj("b"), problem_obj("dup")])

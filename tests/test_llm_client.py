@@ -329,6 +329,13 @@ class TestMockSynthesis:
         text, _ = provider.send(prompt_of("some magic words"), CFG)
         assert text == "matched!"
 
+    def test_rule_with_a_unicode_line_separator(self, tmp_path):
+        rule = {"contains": "magic\u2028words", "response": "matched\x85!"}
+        (tmp_path / "rules.jsonl").write_text(json.dumps(rule, ensure_ascii=False) + "\n",
+                                              encoding="utf-8")
+        provider = MockProvider(fixture_dir=tmp_path)
+        assert provider.send(prompt_of("some magic\u2028words"), CFG)[0] == "matched\x85!"
+
     def test_rules_all_substrings_must_match(self, tmp_path):
         rules = tmp_path / "rules.jsonl"
         rules.write_text(json.dumps({"contains": ["alpha", "beta"], "response": "both"}) + "\n")

@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from modeval import promptgen
+from modeval import promptgen, validator
 from modeval.promptgen import (
     ModularSolution,
     ParseError,
@@ -10,6 +12,8 @@ from modeval.promptgen import (
     build_direct_prompt,
     build_mot_prompt,
     build_reflection_prompt,
+    extract_code_blocks,
+    extract_section,
     parse_code_response,
     parse_mot_response,
     parse_outline,
@@ -19,6 +23,12 @@ from modeval.promptgen import (
 from modeval.sandbox import ExecStatus, ExecutionReport, JudgeVerdict
 
 from conftest import make_problem
+from oracles import (
+    extract_code_blocks_splitlines,
+    extract_section_finditer,
+    parse_outline_splitlines,
+    split_steps_splitlines,
+)
 
 
 def failing_verdict(status=ExecStatus.OK, stdout="wrong\n", stderr="", exit_code=0):
@@ -302,3 +312,106 @@ class TestSplitSteps:
         split = split_steps(WELL_FORMED)
         assert WELL_FORMED[split.step1_char:].startswith("### STEP 1")
         assert WELL_FORMED[split.step2_char:].startswith("### STEP 2")
+
+
+# characters at which ``str.splitlines`` breaks a line and the scanners do not
+SPLITLINES_ONLY = ("\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029", "\r")
+
+
+class TestLineModel:
+    """A line ends at "\\n" alone, so fenced code comes back byte for byte."""
+
+    PROGRAM = 's = "a\u2028b\x85c\fd"\nprint(len(s))'
+
+    def test_extract_code_blocks_keeps_separators(self):
+        text = f"intro\n```python\n{self.PROGRAM}\n```\n"
+        assert extract_code_blocks(text) == [(self.PROGRAM, 6)]
+
+    def test_parse_code_response_keeps_separators(self):
+        assert parse_code_response(f"```python\n{self.PROGRAM}\n```\n") == self.PROGRAM
+
+    def test_parse_mot_response_keeps_separators(self):
+        raw = WELL_FORMED.split("```python")[0] + f"```python\n{self.PROGRAM}\n```\n"
+        assert parse_mot_response(raw).final_code == self.PROGRAM
+        result, sol = validator.assess_structure(raw)
+        assert result.accepted and sol.final_code == self.PROGRAM
+
+    def test_assess_clean_keeps_separators(self):
+        result, code = validator.assess_clean(f"Cleaned:\n```python\n{self.PROGRAM}\n```\n")
+        assert result.accepted and code == self.PROGRAM
+
+    def test_separators_do_not_end_a_fence_or_delimiter_line(self):
+        # "x\u2028```" is one line, which neither opens nor closes a fence
+        assert extract_code_blocks("x\u2028```\ny\n") == []
+        with pytest.raises(ParseError):
+            split_steps("### STEP 1\nx\u2028### STEP 2\n")
+
+    def test_crlf_two_step_response(self):
+        raw = WELL_FORMED.replace("\n", "\r\n")
+        split = split_steps(raw)
+        assert (split.step1_char, split.step2_char) == (0, 159)
+        sol = parse_mot_response(raw)
+        assert [(s.name, s.header, s.docstring) for s in sol.outline] == [
+            ("read_input", "def read_input():", "Read n and the list of ints from stdin."),
+            ("solve", "def solve(values):", "Return the answer for the list of ints."),
+        ]
+        assert sol.final_code == (
+            "def read_input():\r\n    return list(map(int, input().split()))\r\n\r\n"
+            "def solve(values):\r\n    return sum(values)\r\n\r\nprint(solve(read_input()))\r"
+        )
+        assert extract_code_blocks(split.step2) == [(sol.final_code, 2)]
+        with pytest.raises(ParseError) as exc:
+            parse_mot_response(raw + "\r\n```python\r\nprint(2)\r\n```\r\n")
+        assert (exc.value.kind, exc.value.byte_offset) == ("multiple_main", 318)
+
+
+PIECES = (
+    "```", "```python", "```py title", "``` ", "  ```", "\t```\t", "```x`y", "`", "``",
+    "### STEP 1", "### STEP 10", "### STEP 2", "  ### STEP 2", "x ### STEP 1",
+    "[PROBLEM]", "[ORIGINAL SOLUTION]", "[PROBLEM] \t", "[Problem]", "[PROBLEM] x",
+    "def f(a):", "async def g(", "b):", "def h()", '    """Doc."""', '    """Doc', '    more."""',
+    "    pass", "# note", "x = 1", "print(a)", "", " ", "\t", "\xa0", "é",
+)
+SECTIONS = ("PROBLEM", "ORIGINAL SOLUTION", "Problem", "", "PROBLEM]\n[ORIGINAL SOLUTION")
+
+
+def random_text(rng, separators):
+    parts = []
+    for _ in range(rng.randrange(30)):
+        parts += [rng.choice(PIECES) for _ in range(rng.randrange(3))]
+        parts.append(rng.choice(separators))
+    if parts and rng.random() < 0.5:
+        parts.pop()  # no line end at the end of the text
+    return "".join(parts)
+
+
+def outcome(fn, text):
+    try:
+        return fn(text)
+    except ParseError as exc:
+        return exc.kind, exc.byte_offset, exc.message
+
+
+class TestDifferentialOracle:
+    """The scanners against their earlier ``str.splitlines`` forms."""
+
+    def test_equal_where_lines_end_only_at_newlines(self):
+        rng = random.Random(20)
+        for _ in range(20_000):
+            text = random_text(rng, ("\n", "\r\n", "\n\n"))
+            assert extract_code_blocks(text) == extract_code_blocks_splitlines(text), text
+            assert outcome(split_steps, text) == outcome(split_steps_splitlines, text), text
+            assert parse_outline(text) == parse_outline_splitlines(text), text
+            for name in SECTIONS:
+                assert extract_section(text, name) == extract_section_finditer(text, name), text
+
+    def test_blocks_are_verbatim_slices_under_any_separator(self):
+        rng = random.Random(21)
+        for _ in range(5_000):
+            text = random_text(rng, ("\n", "\r\n") + SPLITLINES_ONLY)
+            for content, at in extract_code_blocks(text):
+                fence_end = text.find("\n", at)
+                if fence_end < 0:
+                    fence_end = len(text)
+                assert "```" in text[at:fence_end], text
+                assert text.startswith(content, fence_end + 1) or not content, text
