@@ -33,6 +33,7 @@ from .corpus import (
     decode,
     dedup_against,
     load_corpus,
+    map_in_threads,
     select_solutions,
 )
 from .llm_client import HttpProvider, MockProvider, ProviderError, ResponseCache, complete_batch
@@ -485,8 +486,6 @@ def _load_rows(path: Path, corpus: Corpus) -> list[CandidateRow]:
 
 
 def cmd_reflect(cfg: PipelineConfig) -> int:
-    from concurrent.futures import ThreadPoolExecutor
-
     from . import evaluate
 
     corpus = _corpus_for(cfg, cfg.eval_split)
@@ -510,8 +509,8 @@ def cmd_reflect(cfg: PipelineConfig) -> int:
             provider=provider, cache=rcache,
         )
 
-    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-        traces = list(pool.map(reflect_one, failed))
+    # a loop alternates completions and judging, so the loops at once are capped by both
+    traces = map_in_threads(reflect_one, failed, min(cfg.workers, cfg.provider.max_inflight))
 
     _write_jsonl(
         out / "traces.jsonl",

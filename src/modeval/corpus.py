@@ -1,6 +1,7 @@
 """Problem corpora: JSONL loading, normalization, dedup and summary stats;
-``decode``, the typed reader of every JSON value the pipeline reads back; and
-``EntryLog``, the append-only store under both disk caches.
+``decode``, the typed reader of every JSON value the pipeline reads back;
+``EntryLog``, the append-only store under both disk caches; and
+``map_in_threads``, the worker map of every concurrent stage.
 
 A corpus is an ordered list of competitive-programming problems in the
 de facto APPS/CodeContests JSONL layout, one problem per line:
@@ -118,11 +119,12 @@ class EntryLog:
         """``read`` of the entry under ``key``, or None.  An entry that does not
         parse, or that ``read`` rejects with ValueError, KeyError or TypeError,
         leaves the index, so the next ``put`` of its key supersedes it."""
-        with self._lock:
-            if not self._looked:
-                self._looked = True
-                self._scan()
-            where = self._index.get(key)
+        if not self._looked:
+            with self._lock:
+                if not self._looked:
+                    self._scan()
+                    self._looked = True
+        where = self._index.get(key)  # unlocked: racing a put of the key, it misses or hits
         if where is None:
             return None
         try:
@@ -149,6 +151,46 @@ class EntryLog:
                     self._end = end + torn + len(line)
             finally:
                 fcntl.flock(self._fd, fcntl.LOCK_UN)
+
+
+def map_in_threads(fn, items, workers: int) -> list:
+    """``[fn(item) for item in items]`` with at most ``workers`` calls at once.
+
+    The calling thread is one of the workers: it starts one thread fewer than
+    it needs and takes items itself, so one worker or one item starts none.
+    Items are handed out in order.  Once a call raises, no worker takes
+    another item, and after every thread has joined, the exception of the
+    lowest-index failing item is raised.
+    """
+    items = list(items)
+    results: list = [None] * len(items)
+    failures: dict[int, BaseException] = {}
+    pending = iter(range(len(items)))
+    lock = threading.Lock()
+
+    def work() -> None:
+        while True:
+            with lock:
+                i = None if failures else next(pending, None)
+            if i is None:
+                return
+            try:
+                results[i] = fn(items[i])
+            except BaseException as exc:  # a KeyboardInterrupt in the caller stops the others too
+                with lock:
+                    failures[i] = exc
+
+    threads = [threading.Thread(target=work) for _ in range(min(workers, len(items)) - 1)]
+    for thread in threads:
+        thread.start()
+    try:
+        work()
+    finally:
+        for thread in threads:
+            thread.join()
+    if failures:
+        raise failures[min(failures)]
+    return results
 
 
 class Difficulty(str, Enum):

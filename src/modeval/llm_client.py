@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
-from .corpus import EntryLog, decode
+from .corpus import EntryLog, decode, map_in_threads
 from .settings import ProviderConfig
 
 if TYPE_CHECKING:
@@ -290,7 +290,8 @@ def complete_batch(
     provider=None,
     cache: ResponseCache | None = None,
 ) -> list[Completion | ProviderError]:
-    """Complete many prompts with at most ``cfg.max_inflight`` outstanding.
+    """Complete many prompts with at most ``cfg.max_inflight`` outstanding;
+    the calling thread counts as one of them.
 
     Results are positional: item i answers prompts[i].  A failing item is
     returned as its ProviderError; it never aborts the other items.
@@ -303,9 +304,4 @@ def complete_batch(
         except ProviderError as exc:
             return exc
 
-    if not prompts:
-        return []
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=cfg.max_inflight) as pool:
-        return list(pool.map(one, prompts))
+    return map_in_threads(one, prompts, cfg.max_inflight)

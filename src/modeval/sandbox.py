@@ -56,13 +56,12 @@ import subprocess
 import sys
 import tempfile
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Sequence
 
-from .corpus import EntryLog, Problem, decode
+from .corpus import EntryLog, Problem, decode, map_in_threads
 from .settings import MB, ComparePolicy, InfrastructureError, ResourceLimits
 
 # Address space allowed beyond the resident-memory budget (interpreter
@@ -666,7 +665,8 @@ def judge_batch(
     *,
     workers: int = 1,
 ) -> list[JudgeVerdict]:
-    """Judge many (program, problem) pairs; results in input order.
+    """Judge many (program, problem) pairs, at most ``workers`` at once (the
+    calling thread is one of them); results in input order.
 
     Each distinct pair (same program text, same problem object) is judged
     once and its verdict is shared by every duplicate, so the work done does
@@ -674,12 +674,9 @@ def judge_batch(
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    if not tasks:
-        return []
     judge = Judge() if judge is None else judge
     distinct = {(program, id(problem)): (program, problem) for program, problem in tasks}
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        verdicts = list(pool.map(lambda pair: judge(*pair), distinct.values()))
+    verdicts = map_in_threads(lambda pair: judge(*pair), distinct.values(), workers)
     by_pair = dict(zip(distinct, verdicts))
     return [by_pair[program, id(problem)] for program, problem in tasks]
 

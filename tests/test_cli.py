@@ -5,9 +5,10 @@ from pathlib import Path
 
 import pytest
 
-from modeval import promptgen
+from modeval import cli, promptgen
 from modeval.cli import main
 from modeval.codemetrics import CodeMetrics
+from modeval.llm_client import MockProvider
 
 from conftest import FIXTURES, count_analyze_calls, loaded_modules
 
@@ -405,6 +406,16 @@ class TestReflect:
         table = {r[0]: r for r in rows[1:]}
         assert table["all"][2] == table["all"][3]
 
+    def test_reflection_loops_capped_by_max_inflight(self, tmp_path, monkeypatch):
+        provider = MockProvider(fixture_dir=FIXTURES / "e2e" / "mock", latency=0.05)
+        monkeypatch.setattr(cli, "_make_provider", lambda cfg: provider)
+        config = write_config(tmp_path, workers=4, max_reflection_rounds=1,
+                              provider={"model_name": "mock-model", "max_inflight": 1})
+        run_evaluate(tmp_path, config)
+        assert main(["reflect", "--config", str(config)]) == 0
+        assert len(provider.calls) == 4  # four failed problems, one round each
+        assert provider.peak_inflight == 1
+
     def test_max_rounds_one_caps_trace(self, tmp_path):
         config = write_config(tmp_path, max_reflection_rounds=1)
         run_evaluate(tmp_path, config)
@@ -577,8 +588,8 @@ NO_JUDGING = {"modeval.sandbox", "modeval.promptgen", "modeval.validator",
 @pytest.mark.parametrize("command, absent", [
     ("stats", NO_JUDGING),
     ("analyze", NO_JUDGING | {"importlib.resources", "tempfile", "random"}),
-    ("evaluate", {"modeval.promptgen", "modeval.validator"}),
-    ("transform", {"modeval.evaluate", "modeval.codemetrics"}),
+    ("evaluate", {"modeval.promptgen", "modeval.validator", "concurrent.futures"}),
+    ("transform", {"modeval.evaluate", "modeval.codemetrics", "concurrent.futures"}),
 ])
 def test_command_loads_only_its_layers(tmp_path, command, absent):
     config = write_config(tmp_path, cache_dir=None)

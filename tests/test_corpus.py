@@ -1,3 +1,4 @@
+import collections
 import json
 import os
 import random
@@ -5,6 +6,7 @@ import string
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -22,6 +24,7 @@ from modeval.corpus import (
     dedup_against,
     jaccard_similarity,
     load_corpus,
+    map_in_threads,
     normalize_statement,
     save_corpus,
     select_solutions,
@@ -556,6 +559,32 @@ class TestEntryLog:
         assert sorted(key for key, _ in entries) == keys  # each key once
         assert all(log.get(key, lambda e: e) == entry for key, entry in entries)
 
+    def test_threads_first_lookups_all_hit(self, tmp_path):
+        # 8 threads look up a written log at once through one fresh EntryLog:
+        # none reads the index before the first lookup has built it
+        keys = [f"{i:064x}" for i in range(2000)]
+        writer = EntryLog(tmp_path)
+        for i, key in enumerate(keys):
+            writer.put(key, {"i": i})
+        log, start, misses = EntryLog(tmp_path), threading.Barrier(8), []
+
+        def reader():
+            start.wait(timeout=60)
+            misses.extend(key for key in keys if log.get(key, lambda e: e) is None)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=reader) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert misses == []
+
     @pytest.mark.parametrize("cut", [1, 20], ids=["newline", "mid_entry"])
     def test_torn_last_line_is_a_miss_and_superseded(self, tmp_path, cut):
         whole, torn = "b" * 64, "a" * 64
@@ -575,3 +604,78 @@ class TestEntryLog:
         lines = path.read_bytes().split(b"\n")
         assert len(lines) == 4 and lines[-1] == b""  # the torn line was ended, not joined
         assert lines[2] == torn.encode() + b'\t{"v": "second"}'
+
+
+class TestMapInThreads:
+    def test_results_in_input_order(self):
+        # later items finish first
+        assert map_in_threads(lambda i: time.sleep(0.002 * (8 - i)) or i * i, range(8), 3) == \
+            [i * i for i in range(8)]
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_at_most_workers_calls_at_once(self, workers):
+        lock, running, peak = threading.Lock(), [0], [0]
+
+        def call(i):
+            with lock:
+                running[0] += 1
+                peak[0] = max(peak[0], running[0])
+            time.sleep(0.01)
+            with lock:
+                running[0] -= 1
+            return i
+
+        assert map_in_threads(call, range(12), workers) == list(range(12))
+        assert 1 < peak[0] <= workers
+
+    def test_each_item_called_once_under_frequent_switches(self):
+        lock, calls = threading.Lock(), collections.Counter()
+
+        def call(i):
+            with lock:
+                calls[i] += 1
+            return -i
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = map_in_threads(call, range(2000), 8)  # more workers than cores
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [-i for i in range(2000)]
+        assert calls == collections.Counter(range(2000))
+
+    @pytest.mark.parametrize("workers, items", [(1, range(5)), (4, [7]), (4, [])],
+                             ids=["one_worker", "one_item", "no_item"])
+    def test_caller_alone_starts_no_thread(self, monkeypatch, workers, items):
+        def no_start(thread):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(threading.Thread, "start", no_start)
+        caller = threading.get_ident()
+        assert map_in_threads(lambda i: (i, threading.get_ident()), items, workers) == \
+            [(i, caller) for i in items]
+
+    def test_lowest_index_exception_raised(self):
+        def call(i):
+            if i in (2, 3):
+                time.sleep(0.02 if i == 2 else 0.0)  # item 3 fails first
+                raise ValueError(i)
+            return i
+
+        with pytest.raises(ValueError) as info:
+            map_in_threads(call, range(10), 2)
+        assert info.value.args == (2,)
+
+    def test_one_worker_calls_nothing_after_a_failure(self):
+        called = []
+
+        def call(i):
+            called.append(i)
+            if i == 2:
+                raise KeyError(i)
+            return i
+
+        with pytest.raises(KeyError):
+            map_in_threads(call, range(6), 1)
+        assert called == [0, 1, 2]

@@ -5,6 +5,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import threading
 from dataclasses import fields
 from pathlib import Path
 
@@ -412,13 +413,17 @@ class TestJudgeBatch:
         with pytest.raises(ValueError):
             judge_batch([], workers=0)
 
-    def test_empty_batch_starts_no_pool(self, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a thread pool was started for no task")
+    def test_empty_or_single_batch_starts_no_thread(self, monkeypatch):
+        def no_start(thread):
+            raise AssertionError("a thread was started for at most one task")
 
-        monkeypatch.setattr(sandbox, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(threading.Thread, "start", no_start)
         assert judge_batch([]) == []
         assert judge_batch([], workers=4) == []
+        problem = make_problem(tests=(("1\n", "1\n"),))
+        # two copies of one pair are one task: the caller judges it alone
+        for tasks in ([("print(input())", problem)], 2 * [("print(input())", problem)]):
+            assert all(v.passed for v in judge_batch(tasks, Judge(FAST), workers=4))
 
     def test_duplicate_pair_judged_once(self, monkeypatch):
         calls = []
