@@ -228,9 +228,9 @@ def cmd_transform(cfg: PipelineConfig) -> int:
     rcache = _cache(cfg, ResponseCache, "responses")
     out = _outdir(cfg, "transform")
 
-    if cfg.dedup_holdout_split:
-        holdout = _corpus_for(cfg, cfg.dedup_holdout_split)
-        corpus, dedup_report = dedup_against(corpus, holdout, cfg.dedup_threshold)
+    if cfg.dedup_holdout_split:  # the holdout corpus is released once dedup has read it
+        corpus, dedup_report = dedup_against(corpus, _corpus_for(cfg, cfg.dedup_holdout_split),
+                                             cfg.dedup_threshold)
         _write_csv(
             out / "dedup_report.csv",
             ["train_id", "holdout_id", "similarity", "reason"],
@@ -250,28 +250,30 @@ def cmd_transform(cfg: PipelineConfig) -> int:
             for data_type in cfg.data_types:
                 items.append((problem, si, solution, data_type))
 
+    # every prompt is built before any is sent, so a bad solution fails before the provider
     prompts = [
         promptgen.build_mot_prompt(problem, solution)
         if data_type == "mot"
         else promptgen.build_clean_prompt(problem, solution)
         for problem, _, solution, data_type in items
     ]
-    completions = complete_batch(prompts, cfg.provider, provider=provider, cache=rcache)
 
-    # structural pass
-    staged = []  # (item, assessment, final_code, outline, provider_error)
-    for (problem, si, solution, data_type), result in zip(items, completions):
+    def structural_pass(prompt, result) -> tuple:
+        """Run in the completion's worker, so only what it returns outlives the response."""
         if isinstance(result, ProviderError):
-            staged.append(((problem, si, solution, data_type), None, None, [], str(result)))
-            continue
-        if data_type == "mot":
-            assessment, parsed = validator.assess_structure(result.text)
-            final_code = parsed.final_code if parsed else None
-            outline = [vars(s).copy() for s in parsed.outline] if parsed else []
-        else:
-            assessment, final_code = validator.assess_clean(result.text)
-            outline = []
-        staged.append(((problem, si, solution, data_type), assessment, final_code, outline, None))
+            return None, None, [], str(result)
+        if prompt.tag is not promptgen.PromptTag.MOT:
+            return (*validator.assess_clean(result.text), [], None)
+        assessment, parsed = validator.assess_structure(result.text)
+        final_code = parsed.final_code if parsed else None
+        outline = [vars(s).copy() for s in parsed.outline] if parsed else []
+        return assessment, final_code, outline, None
+
+    checks = complete_batch(prompts, cfg.provider, provider=provider, cache=rcache,
+                            then=structural_pass)
+    del prompts
+    # (item, assessment, final_code, outline, provider_error)
+    staged = [(item, *check) for item, check in zip(items, checks)]
 
     # functional pass over structurally accepted, testable items
     judge_idx = [

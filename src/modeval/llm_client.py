@@ -289,19 +289,24 @@ def complete_batch(
     *,
     provider=None,
     cache: ResponseCache | None = None,
-) -> list[Completion | ProviderError]:
+    then=None,
+) -> list:
     """Complete many prompts with at most ``cfg.max_inflight`` outstanding;
     the calling thread counts as one of them.
 
     Results are positional: item i answers prompts[i].  A failing item is
-    returned as its ProviderError; it never aborts the other items.
+    returned as its ProviderError; it never aborts the other items.  With
+    ``then``, item i is ``then(prompts[i], result)``, computed in the worker
+    that got the result, so a completion lives only until ``then`` returns;
+    an exception from ``then`` ends the batch as ``map_in_threads`` says.
     """
     provider = provider if provider is not None else HttpProvider()
 
-    def one(prompt: Prompt) -> Completion | ProviderError:
+    def one(prompt: Prompt):
         try:
-            return complete(prompt, cfg, provider=provider, cache=cache)
+            result = complete(prompt, cfg, provider=provider, cache=cache)
         except ProviderError as exc:
-            return exc
+            result = exc
+        return result if then is None else then(prompt, result)
 
     return map_in_threads(one, prompts, cfg.max_inflight)

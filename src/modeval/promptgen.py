@@ -117,15 +117,21 @@ def _template(name: str) -> Template:
     return Template(pkgutil.get_data("modeval", f"templates/{name}").decode("utf-8"))
 
 
+@lru_cache(maxsize=None)
+def _one_shot() -> tuple[str, str]:
+    """The one-shot (input, output) example, stripped once: every MoT prompt shares it."""
+    return (_template("one_shot_input.txt").template.rstrip("\n"),
+            _template("one_shot_output.txt").template.rstrip("\n"))
+
+
 def build_mot_prompt(problem: Problem, solution: str) -> Prompt:
     """Two-step modularization prompt for one (problem, reference solution) pair."""
     if not solution:
         raise ValueError("solution must be nonempty")
-    example_input = _template("one_shot_input.txt").template.rstrip("\n")
-    example_output = _template("one_shot_output.txt").template.rstrip("\n")
+    example = _one_shot()
     user = _template("mot_user.txt").substitute(
-        example_input=example_input,
-        example_output=example_output,
+        example_input=example[0],
+        example_output=example[1],
         statement=problem.statement,
         solution=solution.rstrip("\n"),
     )
@@ -133,7 +139,7 @@ def build_mot_prompt(problem: Problem, solution: str) -> Prompt:
         system=SYSTEM_MOT,
         user=user,
         tag=PromptTag.MOT,
-        one_shot_example=(example_input, example_output),
+        one_shot_example=example,
     )
 
 

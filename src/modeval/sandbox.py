@@ -58,6 +58,7 @@ import tempfile
 import threading
 from dataclasses import asdict, dataclass, field
 from enum import Enum
+from functools import lru_cache
 from pathlib import Path
 from typing import Sequence
 
@@ -700,6 +701,12 @@ def _verdict_from_json(obj: dict, problem: Problem, fail_fast: bool) -> JudgeVer
     return verdict
 
 
+@lru_cache(maxsize=None)
+def _resolved(path: str) -> str:
+    """``os.path.realpath(path)`` once per path: each call lstat's every component."""
+    return os.path.realpath(path)
+
+
 @dataclass
 class VerdictCache:
     """Disk cache of judge verdicts keyed by program, tests, limits, policy, runner,
@@ -720,7 +727,7 @@ class VerdictCache:
     def _key(self, program: str, problem: Problem, settings: Judge) -> str:
         limits, policy, runner = settings.limits, settings.policy, settings.runner
         # the default runner is this interpreter, so its identity is part of the key
-        interpreter = [os.path.realpath(sys.executable), sys.version] if runner is None else None
+        interpreter = [_resolved(sys.executable), sys.version] if runner is None else None
         payload = json.dumps(
             [
                 program,

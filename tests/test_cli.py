@@ -1,5 +1,7 @@
+import argparse
 import csv
 import json
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -277,6 +279,50 @@ class TestTransform:
         assert len(rejected) == 10
         assert all("provider error" in r["detail"] for r in rejected)
         assert read_jsonl(out / "mot.jsonl") == []
+
+    def test_each_response_lives_until_it_is_checked(self, tmp_path, monkeypatch):
+        # 40 responses of ~200 KB prose before a short program, checked in the worker
+        # that received each, so one response is alive at a time and not all 8 MB
+        size = 200_000
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(
+            json.dumps({"id": f"p{i}", "question": f"Print {i}.", "solutions": [f"print({i})"]})
+            + "\n" for i in range(20)
+        ))
+
+        def respond(prompt):
+            prose = "Let me think this through. " * (size // 27) + "\n"  # a new string per call
+            if prompt.tag is promptgen.PromptTag.MOT:
+                return (prose + '### STEP 1\ndef solve():\n    """Print it."""\n'
+                        "### STEP 2\n```python\nprint(1)\n```\n")
+            return prose + "```python\nprint(1)\n```\n"
+
+        provider = MockProvider(script=[respond] * 40)
+        monkeypatch.setattr(cli, "_make_provider", lambda cfg: provider)
+        config = write_config(tmp_path, corpus={"train": str(corpus)},
+                              provider={"model_name": "mock-model", "max_inflight": 1})
+        cfg = cli.load_pipeline_config(config, argparse.Namespace())
+        tracemalloc.start()
+        try:
+            assert cli.cmd_transform(cfg) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out = tmp_path / "out" / "transform"
+        assert len(read_jsonl(out / "mot.jsonl")) == len(read_jsonl(out / "clean.jsonl")) == 20
+        # one response, its cache entry's JSON and bytes, and the rest of the command
+        assert peak < 5 * size, peak
+
+    def test_empty_solution_fails_before_any_completion(self, tmp_path, monkeypatch):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(json.dumps({"id": pid, "question": "Print 1.", "solutions": [code]})
+                                  + "\n" for pid, code in (("ok", "print(1)"), ("empty", ""))))
+        provider = MockProvider()
+        monkeypatch.setattr(cli, "_make_provider", lambda cfg: provider)
+        config = write_config(tmp_path, corpus={"train": str(corpus)})
+        with pytest.raises(ValueError, match="solution must be nonempty"):
+            main(["transform", "--config", str(config)])
+        assert provider.calls == []
 
 
 class TestEvaluate:

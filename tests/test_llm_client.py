@@ -160,6 +160,38 @@ class TestCompleteBatch:
         assert len(results) == 6
         assert provider.peak_inflight <= 2
 
+    def test_then_runs_in_the_worker_in_order(self):
+        sent_on, checked_on = {}, {}
+
+        def send(prompt):
+            sent_on[prompt.user] = threading.get_ident()
+            if prompt.user == "q2":
+                raise ProviderError("auth", "no")
+            return prompt.user.upper()
+
+        def then(prompt, result):
+            checked_on[prompt.user] = threading.get_ident()
+            return prompt.user, result if isinstance(result, ProviderError) else result.text
+
+        provider = MockProvider(script=[send] * 6, latency=0.02)
+        results = complete_batch([prompt_of(f"q{i}") for i in range(6)],
+                                 ProviderConfig(max_inflight=3, retry_limit=0),
+                                 provider=provider, then=then)
+        assert [user for user, _ in results] == [f"q{i}" for i in range(6)]
+        assert [text for _, text in results if isinstance(text, str)] == ["Q0", "Q1", "Q3", "Q4", "Q5"]
+        assert isinstance(results[2][1], ProviderError) and results[2][1].kind == "auth"
+        assert checked_on == sent_on and len(set(sent_on.values())) > 1
+
+    def test_failing_then_raises_the_lowest_index(self):
+        def then(prompt, result):
+            if prompt.user in ("q1", "q3"):
+                raise ValueError(prompt.user)
+            return result
+
+        with pytest.raises(ValueError, match="q1"):
+            complete_batch([prompt_of(f"q{i}") for i in range(5)], ProviderConfig(max_inflight=4),
+                           provider=MockProvider(latency=0.01), then=then)
+
     def test_concurrent_cache_writes_single_entry(self, tmp_path):
         provider = MockProvider(latency=0.01)
         cache = ResponseCache(tmp_path / "cache")

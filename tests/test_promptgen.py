@@ -58,6 +58,12 @@ class TestBuildMotPrompt:
         assert prompt.tag is PromptTag.MOT
         assert prompt.one_shot_example is not None
 
+    def test_prompts_share_one_one_shot_example(self):
+        first = build_mot_prompt(make_problem(pid="a"), "print(1)")
+        second = build_mot_prompt(make_problem(pid="b"), "print(2)")
+        assert all(a is b for a, b in zip(first.one_shot_example, second.one_shot_example))
+        assert first.one_shot_example[0] in first.user and first.one_shot_example[1] in first.user
+
     def test_embeds_statement_and_solution(self):
         prompt = build_mot_prompt(make_problem(statement="UNIQUE-STMT"), "UNIQUE_SOL = 1")
         assert "UNIQUE-STMT" in prompt.user

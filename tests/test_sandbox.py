@@ -1,5 +1,6 @@
 import inspect
 import math
+import os
 import random
 import shutil
 import subprocess
@@ -480,6 +481,19 @@ class TestVerdictCache:
         monkeypatch.setattr(sys, "executable", "/usr/bin/python3.9")
         monkeypatch.setattr(sys, "version", "3.9.18 (main) [GCC 12.2.0]")
         assert cache._key(*args) != here
+
+    def test_key_resolves_each_interpreter_path_once(self, tmp_path, monkeypatch):
+        # realpath lstat's every path component, and a round makes a key per candidate
+        cache = VerdictCache(tmp_path / "verdicts")
+        args = ("print(input())", make_problem(tests=(("1\n", "1\n"),)), Judge(FAST))
+        here = cache._key(*args)
+        link = tmp_path / "python"
+        link.symlink_to(sys.executable)
+        realpath, resolved = os.path.realpath, []
+        monkeypatch.setattr(os.path, "realpath", lambda path: resolved.append(path) or realpath(path))
+        monkeypatch.setattr(sys, "executable", str(link))
+        assert {cache._key(*args) for _ in range(3)} == {here}
+        assert resolved == [str(link)]
 
     def test_key_names_sandbox_semantics(self, tmp_path, monkeypatch):
         cache = VerdictCache(tmp_path / "verdicts")
