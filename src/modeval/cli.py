@@ -242,21 +242,22 @@ def cmd_transform(cfg: PipelineConfig) -> int:
             f"{dedup_report.removed_count}, kept {dedup_report.kept_count}"
         )
 
-    # only a corpus with tests loads the sandbox, before any completion (later raises peak RSS)
-    judge = _judge(cfg) if any(not p.untestable for p in corpus) else None
     items: list[tuple[Problem, int, str, str]] = []
     for problem in corpus:
         for si, solution in enumerate(select_solutions(problem, cfg.solution_cap)):
+            if not solution:  # no prompt can be built from it: stop before any completion
+                raise CorpusError(f"problem {problem.id!r}: solution {si} is empty")
             for data_type in cfg.data_types:
                 items.append((problem, si, solution, data_type))
+    # only a corpus with tests loads the sandbox, before any completion (later raises peak RSS)
+    judge = _judge(cfg) if any(not p.untestable for p in corpus) else None
 
-    # every prompt is built before any is sent, so a bad solution fails before the provider
-    prompts = [
-        promptgen.build_mot_prompt(problem, solution)
-        if data_type == "mot"
-        else promptgen.build_clean_prompt(problem, solution)
-        for problem, _, solution, data_type in items
-    ]
+    def build(item) -> promptgen.Prompt:
+        """Run in the worker that sends the prompt, so it lives only while in flight."""
+        problem, _, solution, data_type = item
+        if data_type == "mot":
+            return promptgen.build_mot_prompt(problem, solution)
+        return promptgen.build_clean_prompt(problem, solution)
 
     def structural_pass(prompt, result) -> tuple:
         """Run in the completion's worker, so only what it returns outlives the response."""
@@ -269,9 +270,8 @@ def cmd_transform(cfg: PipelineConfig) -> int:
         outline = [vars(s).copy() for s in parsed.outline] if parsed else []
         return assessment, final_code, outline, None
 
-    checks = complete_batch(prompts, cfg.provider, provider=provider, cache=rcache,
-                            then=structural_pass)
-    del prompts
+    checks = complete_batch(items, cfg.provider, provider=provider, cache=rcache,
+                            build=build, then=structural_pass)
     # (item, assessment, final_code, outline, provider_error)
     staged = [(item, *check) for item, check in zip(items, checks)]
 

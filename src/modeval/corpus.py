@@ -421,27 +421,32 @@ def _prefix_length(size: int, threshold: float) -> int:
 
 
 class _PrefixIndex:
-    """Holdout token sets indexed by their prefixes, for an exact Jaccard join.
+    """Normalized holdout statements' token sets indexed by their prefixes, for
+    an exact Jaccard join; the index keeps no token set.
 
-    Tokens are ordered by ascending holdout document frequency, ties broken by
-    the token itself, so prefixes hold the rarest tokens and posting lists stay
-    short.  Tokens absent from the holdout come first in that order and match
-    nothing, so a probe only counts them against its prefix.
+    Tokens are ordered by ascending holdout document frequency, ties in the
+    order of first occurrence (statement by statement, word by word), so
+    prefixes hold the rarest tokens and posting lists stay short.  Tokens
+    absent from the holdout come first in that order and match nothing, so a
+    probe only counts them against its prefix.
     """
 
-    def __init__(self, token_sets: list[frozenset[str]], threshold: float) -> None:
-        df: dict[str, int] = {}
-        for tokens in token_sets:
+    def __init__(self, statements: list[str], threshold: float) -> None:
+        rank: dict[str, int] = {}  # each token's document frequency, then its rank
+        self._sizes: list[int] = []
+        for norm in statements:
+            tokens = dict.fromkeys(norm.split())
+            self._sizes.append(len(tokens))
             for tok in tokens:
-                df[tok] = df.get(tok, 0) + 1
-        # sorting is stable, so this is the order of (df[tok], tok)
-        self._rank = {tok: r for r, tok in enumerate(sorted(sorted(df), key=df.__getitem__))}
+                rank[tok] = rank.get(tok, 0) + 1
+        for r, tok in enumerate(sorted(rank, key=rank.__getitem__)):  # stable: ties keep order
+            rank[tok] = r
+        self._rank = rank
         self._threshold = threshold
-        self._sizes = [len(tokens) for tokens in token_sets]
         self._postings: dict[int, list[int]] = {}
-        for h, tokens in enumerate(token_sets):
-            ranks = sorted(map(self._rank.__getitem__, tokens))
-            for r in ranks[:_prefix_length(len(tokens), threshold)]:
+        for h, norm in enumerate(statements):
+            ranks = sorted(map(rank.__getitem__, _token_set(norm)))
+            for r in ranks[:_prefix_length(self._sizes[h], threshold)]:
                 self._postings.setdefault(r, []).append(h)
 
     def candidates(self, tokens: frozenset[str]) -> list[int]:
@@ -482,8 +487,7 @@ def dedup_against(
     exact_index: dict[str, str] = {}
     for hid, norm in holdout_norm:
         exact_index.setdefault(norm, hid)
-    holdout_tokens = [_token_set(norm) for _, norm in holdout_norm]
-    index = _PrefixIndex(holdout_tokens, jaccard_threshold)
+    index = _PrefixIndex([norm for _, norm in holdout_norm], jaccard_threshold)
 
     kept: list[Problem] = []
     removed: list[DedupRemoval] = []
@@ -496,7 +500,7 @@ def dedup_against(
         tokens = _token_set(norm)
         best: DedupRemoval | None = None
         for h in index.candidates(tokens):
-            sim = jaccard_similarity(tokens, holdout_tokens[h])
+            sim = jaccard_similarity(tokens, _token_set(holdout_norm[h][1]))
             if sim >= jaccard_threshold and (best is None or sim > best.similarity):
                 best = DedupRemoval(problem.id, holdout_norm[h][0], sim, "jaccard")
         if best is not None:

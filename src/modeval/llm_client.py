@@ -124,7 +124,8 @@ class MockProvider:
     with ``contains`` (substring, or list of substrings that must all appear,
     in the prompt user text), optional ``tag``, and either ``response`` or
     ``response_file``.  A malformed rule or an unreadable response file raises
-    ValueError naming the file and line when the provider is built.
+    ValueError naming the file and line when the provider is built.  ``calls``
+    counts the requests; the mock keeps no prompt.
     """
 
     def __init__(
@@ -138,7 +139,7 @@ class MockProvider:
         self._script: list[object] = list(script or [])
         self.synthesize = synthesize
         self.latency = latency
-        self.calls: list[Prompt] = []
+        self.calls = 0
         self._lock = threading.Lock()
         self._inflight = 0
         self.peak_inflight = 0
@@ -186,7 +187,7 @@ class MockProvider:
 
     def send(self, prompt: Prompt, cfg: ProviderConfig) -> tuple[str, dict]:
         with self._lock:
-            self.calls.append(prompt)
+            self.calls += 1
             self._inflight += 1
             self.peak_inflight = max(self.peak_inflight, self._inflight)
             scripted = self._script.pop(0) if self._script else None
@@ -284,11 +285,12 @@ def complete(
 
 
 def complete_batch(
-    prompts: Sequence[Prompt],
+    prompts: Sequence,
     cfg: ProviderConfig,
     *,
     provider=None,
     cache: ResponseCache | None = None,
+    build=None,
     then=None,
 ) -> list:
     """Complete many prompts with at most ``cfg.max_inflight`` outstanding;
@@ -296,13 +298,16 @@ def complete_batch(
 
     Results are positional: item i answers prompts[i].  A failing item is
     returned as its ProviderError; it never aborts the other items.  With
-    ``then``, item i is ``then(prompts[i], result)``, computed in the worker
-    that got the result, so a completion lives only until ``then`` returns;
-    an exception from ``then`` ends the batch as ``map_in_threads`` says.
+    ``build``, item i sends ``build(prompts[i])``, built in the worker that
+    sends it.  With ``then``, item i is ``then(prompt, result)``, computed in
+    that worker, so a prompt and its completion live only until ``then``
+    returns.  An exception from ``build`` or ``then`` ends the batch as
+    ``map_in_threads`` says.
     """
     provider = provider if provider is not None else HttpProvider()
 
-    def one(prompt: Prompt):
+    def one(item):
+        prompt = item if build is None else build(item)
         try:
             result = complete(prompt, cfg, provider=provider, cache=cache)
         except ProviderError as exc:

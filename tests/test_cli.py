@@ -313,16 +313,50 @@ class TestTransform:
         # one response, its cache entry's JSON and bytes, and the rest of the command
         assert peak < 5 * size, peak
 
-    def test_empty_solution_fails_before_any_completion(self, tmp_path, monkeypatch):
+    def test_empty_solution_fails_before_any_completion(self, tmp_path, monkeypatch, capsys):
         corpus = tmp_path / "corpus.jsonl"
         corpus.write_text("".join(json.dumps({"id": pid, "question": "Print 1.", "solutions": [code]})
                                   + "\n" for pid, code in (("ok", "print(1)"), ("empty", ""))))
         provider = MockProvider()
         monkeypatch.setattr(cli, "_make_provider", lambda cfg: provider)
         config = write_config(tmp_path, corpus={"train": str(corpus)})
-        with pytest.raises(ValueError, match="solution must be nonempty"):
-            main(["transform", "--config", str(config)])
-        assert provider.calls == []
+        assert main(["transform", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == "error: problem 'empty': solution 0 is empty\n"
+        assert provider.calls == 0
+
+    def test_each_prompt_lives_only_while_in_flight(self, tmp_path, monkeypatch):
+        # 20 reference solutions of ~100 KB under two data types make 40 prompts of 4 MB
+        # in all; each is built in the worker that sends it and dropped once checked
+        size = 100_000
+        path = tmp_path / "corpus.jsonl"
+        path.write_text("".join(
+            json.dumps({"id": f"p{i}", "question": f"Print {i}.",
+                        "solutions": [f"print({i})  # " + "." * size]}) + "\n"
+            for i in range(20)
+        ))
+        corpus = cli.load_corpus(path)  # loaded before tracing: the peak is transform's own
+        monkeypatch.setattr(cli, "_corpus_for", lambda cfg, split: corpus)
+
+        def respond(prompt):
+            if prompt.tag is promptgen.PromptTag.MOT:
+                return '### STEP 1\ndef solve():\n    """Print it."""\n### STEP 2\n```python\nprint(1)\n```\n'
+            return "```python\nprint(1)\n```\n"
+
+        provider = MockProvider(script=[respond] * 40)
+        monkeypatch.setattr(cli, "_make_provider", lambda cfg: provider)
+        config = write_config(tmp_path, provider={"model_name": "mock-model", "max_inflight": 1})
+        cfg = cli.load_pipeline_config(config, argparse.Namespace())
+        tracemalloc.start()
+        try:
+            assert cli.cmd_transform(cfg) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out = tmp_path / "out" / "transform"
+        assert len(read_jsonl(out / "mot.jsonl")) == len(read_jsonl(out / "clean.jsonl")) == 20
+        assert provider.calls == 40
+        # one prompt, the copies its cache key and entry make, and the rest of the command
+        assert peak < 5 * size, peak
 
 
 class TestEvaluate:
@@ -459,7 +493,7 @@ class TestReflect:
                               provider={"model_name": "mock-model", "max_inflight": 1})
         run_evaluate(tmp_path, config)
         assert main(["reflect", "--config", str(config)]) == 0
-        assert len(provider.calls) == 4  # four failed problems, one round each
+        assert provider.calls == 4  # four failed problems, one round each
         assert provider.peak_inflight == 1
 
     def test_max_rounds_one_caps_trace(self, tmp_path):

@@ -377,19 +377,22 @@ THRESHOLDS = [0.1, 1 / 3, 0.5, 2 / 3, 0.7, 0.9, 1.0]
 
 
 class TestDedupEquivalence:
-    def test_prefix_order_is_frequency_then_token(self):
+    def test_prefix_order_is_frequency_then_first_occurrence(self):
         rng = random.Random("prefix-order")
         ties = 0
         for _ in range(200):
             vocab = [f"w{i}" for i in range(rng.randint(1, 30))]
-            token_sets = [frozenset(rng.sample(vocab, rng.randint(0, len(vocab))))
+            statements = [" ".join(rng.choices(vocab, k=rng.randint(0, 2 * len(vocab))))
                           for _ in range(rng.randint(0, 12))]
             df: dict[str, int] = {}
-            for tokens in token_sets:
-                for tok in tokens:
+            first: dict[str, int] = {}  # position of each token's first occurrence
+            for words in map(str.split, statements):
+                for tok in set(words):  # a repeated word counts once per statement
                     df[tok] = df.get(tok, 0) + 1
-            rank = corpus._PrefixIndex(token_sets, 0.5)._rank
-            assert sorted(rank, key=rank.__getitem__) == sorted(df, key=lambda t: (df[t], t))
+                for tok in words:
+                    first.setdefault(tok, len(first))
+            rank = corpus._PrefixIndex(statements, 0.5)._rank
+            assert sorted(rank, key=rank.__getitem__) == sorted(df, key=lambda t: (df[t], first[t]))
             assert sorted(rank.values()) == list(range(len(df)))
             ties += len(df) - len(set(df.values()))
         assert ties > 1000

@@ -315,7 +315,7 @@ class TestSelfReflect:
         trace = self_reflect(sum_problem(), CFG, Judge(FAST), max_rounds=5, provider=provider)
         assert len(trace.rounds) == 5
         assert trace.solved_at is None
-        assert len(provider.calls) == 5
+        assert provider.calls == 5
 
     def test_immediate_success_single_round(self):
         provider = MockProvider(script=[fenced(SOLUTION)])

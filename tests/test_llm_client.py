@@ -50,7 +50,7 @@ class TestComplete:
         second = complete(prompt_of("q"), CFG, provider=provider, cache=cache)
         assert second.cached is True
         assert second.text == first.text
-        assert len(provider.calls) == 1  # second answer came from the cache
+        assert provider.calls == 1  # second answer came from the cache
 
     def test_success_after_two_transient_failures(self):
         provider = MockProvider(script=[
@@ -60,7 +60,7 @@ class TestComplete:
         ])
         result = complete(prompt_of("q"), CFG, provider=provider)
         assert result.text == "recovered"
-        assert len(provider.calls) == 3
+        assert provider.calls == 3
 
     def test_transient_exhausts_retries(self):
         provider = MockProvider(script=[ProviderError("transient", "x")] * 10)
@@ -68,14 +68,14 @@ class TestComplete:
         with pytest.raises(ProviderError) as exc:
             complete(prompt_of("q"), cfg, provider=provider)
         assert exc.value.kind == "transient"
-        assert len(provider.calls) == 3  # initial + 2 retries
+        assert provider.calls == 3  # initial + 2 retries
 
     def test_auth_error_not_retried(self):
         provider = MockProvider(script=[ProviderError("auth", "denied"), "never"])
         with pytest.raises(ProviderError) as exc:
             complete(prompt_of("q"), CFG, provider=provider)
         assert exc.value.kind == "auth"
-        assert len(provider.calls) == 1
+        assert provider.calls == 1
 
     def test_missing_api_key_is_auth_error(self, monkeypatch):
         monkeypatch.delenv("TEST_KEY_VAR", raising=False)
@@ -181,6 +181,34 @@ class TestCompleteBatch:
         assert [text for _, text in results if isinstance(text, str)] == ["Q0", "Q1", "Q3", "Q4", "Q5"]
         assert isinstance(results[2][1], ProviderError) and results[2][1].kind == "auth"
         assert checked_on == sent_on and len(set(sent_on.values())) > 1
+
+    def test_build_runs_in_the_worker_that_sends(self):
+        built_on, sent_on = {}, {}
+
+        def build(i):
+            built_on[i] = threading.get_ident()
+            return prompt_of(f"q{i}")
+
+        def send(prompt):
+            sent_on[int(prompt.user[1:])] = threading.get_ident()
+            return prompt.user.upper()
+
+        results = complete_batch(range(6), ProviderConfig(max_inflight=3, retry_limit=0),
+                                 provider=MockProvider(script=[send] * 6, latency=0.02),
+                                 build=build, then=lambda prompt, result: (prompt.user, result.text))
+        assert results == [(f"q{i}", f"Q{i}") for i in range(6)]
+        assert built_on == sent_on and len(set(sent_on.values())) > 1
+
+    def test_failing_build_raises_the_lowest_index_and_sends_no_later_item(self):
+        def build(i):
+            if i in (1, 3):
+                raise ValueError(f"item {i}")
+            return prompt_of(f"q{i}")
+
+        provider = MockProvider()
+        with pytest.raises(ValueError, match="item 1"):
+            complete_batch(range(5), ProviderConfig(max_inflight=1), provider=provider, build=build)
+        assert provider.calls == 1
 
     def test_failing_then_raises_the_lowest_index(self):
         def then(prompt, result):
