@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import json
 import sys
 from dataclasses import asdict, dataclass, field, fields
@@ -35,6 +34,7 @@ from .corpus import (
     load_corpus,
     map_in_threads,
     select_solutions,
+    sha256_hex,
 )
 from .llm_client import HttpProvider, MockProvider, ProviderError, ResponseCache, complete_batch
 from .settings import ComparePolicy, InfrastructureError, ProviderConfig, ResourceLimits
@@ -183,12 +183,9 @@ def _outdir(cfg: PipelineConfig, command: str) -> Path:
 
 
 def _write_manifest(out: Path, command: str, cfg: PipelineConfig) -> None:
-    config_hash = hashlib.sha256(
-        json.dumps(cfg.raw, sort_keys=True).encode("utf-8")
-    ).hexdigest()
     manifest = {
         "command": command,
-        "config_hash": config_hash,
+        "config_hash": sha256_hex(json.dumps(cfg.raw, sort_keys=True)),
         "version": __version__,
         "python": ".".join(str(v) for v in sys.version_info[:3]),
     }
@@ -357,6 +354,19 @@ def cmd_transform(cfg: PipelineConfig) -> int:
 # --- evaluate ----------------------------------------------------------------
 
 
+def _jsonl_lines(path: Path, what: str):
+    """(line number, text) of each nonblank line of ``path``, read one at a time;
+    a line ends at ``"\\n"`` alone.  Invalid UTF-8 is a ConfigError naming its line."""
+    with path.open("rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                text = line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"{path}: malformed {what} line {lineno}: {exc}") from exc
+            if text.strip():
+                yield lineno, text
+
+
 def _load_candidates(path: Path) -> list[tuple[str, list[str]]]:
     """Candidate programs per problem, file order, from a candidates JSONL.
 
@@ -366,9 +376,7 @@ def _load_candidates(path: Path) -> list[tuple[str, list[str]]]:
     if not path.exists():
         raise ConfigError(f"candidates file does not exist: {path}")
     grouped: dict[str, list[str]] = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").split("\n"), start=1):
-        if not line.strip():
-            continue
+    for lineno, line in _jsonl_lines(path, "candidates"):
         try:
             obj = json.loads(line)
             pid = decode(str, obj["problem_id"], "problem_id")
@@ -472,9 +480,7 @@ def _load_rows(path: Path, corpus: Corpus) -> list[CandidateRow]:
     if not path.exists():
         raise ConfigError(f"evaluate records not found: {path} (run evaluate first)")
     rows = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").split("\n"), start=1):
-        if not line.strip():
-            continue
+    for lineno, line in _jsonl_lines(path, "records"):
         try:
             row = decode(CandidateRow, json.loads(line), "row")
             Difficulty(row.difficulty), Split(row.split)  # known level and split, or ValueError

@@ -27,7 +27,6 @@ comment-line ratio in [0, 1].
 
 from __future__ import annotations
 
-import hashlib
 import json
 import keyword
 import math
@@ -38,7 +37,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
-from .corpus import EntryLog, decode
+from .corpus import EntryLog, decode, sha256_hex
 
 
 class TokenKind(str, Enum):
@@ -361,8 +360,7 @@ class MetricsCache:
 
     def analyze(self, source: str, top_level_functions_only: bool = False) -> CodeMetrics:
         """``analyze`` of the same arguments, replayed from disk when recorded."""
-        payload = json.dumps([source, top_level_functions_only, METRICS_SEMANTICS])
-        key = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        key = sha256_hex(json.dumps([source, top_level_functions_only, METRICS_SEMANTICS]))
         metrics = self._log.get(key, _metrics_from_json)
         if metrics is not None:
             self.hits += 1

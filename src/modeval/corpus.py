@@ -1,7 +1,8 @@
 """Problem corpora: JSONL loading, normalization, dedup and summary stats;
 ``decode``, the typed reader of every JSON value the pipeline reads back;
-``EntryLog``, the append-only store under both disk caches; and
-``map_in_threads``, the worker map of every concurrent stage.
+``EntryLog``, the append-only store under every disk cache, and ``sha256_hex``,
+the hash of its keys; and ``map_in_threads``, the worker map of every
+concurrent stage.
 
 A corpus is an ordered list of competitive-programming problems in the
 de facto APPS/CodeContests JSONL layout, one problem per line:
@@ -31,6 +32,14 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 from enum import Enum
 from functools import lru_cache
 from pathlib import Path
+
+try:  # hashlib is heavy to load (OpenSSL's libcrypto): try CPython's built-in SHA-256 first
+    from _sha256 import sha256 as _sha256
+except ImportError:
+    try:
+        from _sha2 import sha256 as _sha256  # Python 3.12+
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 
 @lru_cache(maxsize=None)
@@ -83,6 +92,15 @@ def decode(tp, value, name: str):
             raise ValueError(f"{name} must be one of {[m.value for m in tp]}, got {value!r}") from None
     expected = tp.__name__ if kind in (None, dataclass) else re.sub(r"[\w.]+\.", "", str(tp))
     raise TypeError(f"{name} must be {expected}, got {value!r}")
+
+
+def sha256_hex(text: str) -> str:
+    """The hex SHA-256 digest of ``text`` in UTF-8: every cache key and manifest config hash.
+
+    The digests are the ones ``hashlib`` gives.  They name cache entries and
+    guard nothing, so CPython's built-in (non-FIPS) implementation serves.
+    """
+    return _sha256(text.encode("utf-8")).hexdigest()
 
 
 class EntryLog:
@@ -305,35 +323,36 @@ def _problem_from_obj(obj: dict, split: Split) -> Problem:
 def load_corpus(path: str | Path, split: Split = Split.TRAIN) -> Corpus:
     """Load a JSONL corpus file.
 
-    Malformed lines are skipped and recorded as diagnostics on the returned
-    corpus.  Duplicate ids raise :class:`CorpusError` naming both offending
-    line numbers.  An unreadable file raises :class:`CorpusError`.
+    The file is read one line at a time; a line ends at ``"\\n"`` alone.
+    Malformed lines, invalid UTF-8 among them, are skipped and recorded as
+    diagnostics on the returned corpus.  Duplicate ids raise
+    :class:`CorpusError` naming both offending line numbers.  An unreadable
+    file raises :class:`CorpusError`.
     """
     path = Path(path)
-    try:
-        raw = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise CorpusError(f"cannot read corpus file {path}: {exc}") from exc
-
     problems: list[Problem] = []
     diagnostics: list[LineDiagnostic] = []
     id_lines: dict[str, int] = {}
-    for lineno, line in enumerate(raw.split("\n"), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-            problem = _problem_from_obj(obj, split)
-        except (ValueError, TypeError) as exc:
-            diagnostics.append(LineDiagnostic(lineno, str(exc)))
-            continue
-        if problem.id in id_lines:
-            raise CorpusError(
-                f"duplicate problem id {problem.id!r} at lines "
-                f"{id_lines[problem.id]} and {lineno} of {path}"
-            )
-        id_lines[problem.id] = lineno
-        problems.append(problem)
+    try:
+        with path.open("rb") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                try:
+                    text = line.decode("utf-8")
+                    if not text.strip():
+                        continue
+                    problem = _problem_from_obj(json.loads(text), split)
+                except (ValueError, TypeError) as exc:
+                    diagnostics.append(LineDiagnostic(lineno, str(exc)))
+                    continue
+                if problem.id in id_lines:
+                    raise CorpusError(
+                        f"duplicate problem id {problem.id!r} at lines "
+                        f"{id_lines[problem.id]} and {lineno} of {path}"
+                    )
+                id_lines[problem.id] = lineno
+                problems.append(problem)
+    except OSError as exc:
+        raise CorpusError(f"cannot read corpus file {path}: {exc}") from exc
 
     return Corpus(problems=problems, provenance=str(path), diagnostics=diagnostics)
 

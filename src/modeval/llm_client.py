@@ -12,7 +12,6 @@ temperature, max_output_tokens), so pipeline reruns cost nothing.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import threading
@@ -21,7 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
-from .corpus import EntryLog, decode, map_in_threads
+from .corpus import EntryLog, decode, map_in_threads, sha256_hex
 from .settings import ProviderConfig
 
 if TYPE_CHECKING:
@@ -177,12 +176,16 @@ class MockProvider:
         return rule
 
     def _rule_response(self, prompt: Prompt) -> str | None:
+        """The response of the first rule whose tag and every ``contains`` needle match."""
+        tag, user = prompt.tag.value, prompt.user
         for rule in self._rules:
-            if rule.get("tag") and rule["tag"] != prompt.tag.value:
+            if rule.get("tag") and rule["tag"] != tag:
                 continue
-            if any(needle not in prompt.user for needle in rule["contains"]):
-                continue
-            return rule.get("response", "")
+            for needle in rule["contains"]:
+                if needle not in user:
+                    break
+            else:
+                return rule.get("response", "")
         return None
 
     def send(self, prompt: Prompt, cfg: ProviderConfig) -> tuple[str, dict]:
@@ -227,19 +230,17 @@ class ResponseCache:
              cfg.max_output_tokens],
             sort_keys=True,
         )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        return sha256_hex(payload)
 
     def get(self, key: str) -> Completion | None:
         return self._log.get(key, lambda obj: decode(
             Completion, {"text": obj["response"], "provider_meta": obj.get("meta", {}),
                          "cached": True}, "entry"))
 
-    def put(self, key: str, prompt: Prompt, cfg: ProviderConfig, completion: Completion) -> None:
+    def put(self, key: str, cfg: ProviderConfig, completion: Completion) -> None:
+        """Record ``completion`` under ``key``, which already commits to the prompt."""
         self._log.put(key, {
             "key": {
-                "prompt_sha256": hashlib.sha256(
-                    (prompt.system + "\n" + prompt.user).encode("utf-8")
-                ).hexdigest(),
                 "model_name": cfg.model_name,
                 "temperature": cfg.temperature,
                 "max_output_tokens": cfg.max_output_tokens,
@@ -280,7 +281,7 @@ def complete(
 
     completion = Completion(text=text, provider_meta=meta, cached=False)
     if cache is not None:
-        cache.put(key, prompt, cfg, completion)
+        cache.put(key, cfg, completion)
     return completion
 
 

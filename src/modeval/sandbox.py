@@ -44,7 +44,6 @@ environment.
 from __future__ import annotations
 
 import atexit
-import hashlib
 import json
 import math
 import os
@@ -62,7 +61,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Sequence
 
-from .corpus import EntryLog, Problem, decode, map_in_threads
+from .corpus import EntryLog, Problem, decode, map_in_threads, sha256_hex
 from .settings import MB, ComparePolicy, InfrastructureError, ResourceLimits
 
 # Address space allowed beyond the resident-memory budget (interpreter
@@ -743,7 +742,7 @@ class VerdictCache:
             ],
             sort_keys=True,
         )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        return sha256_hex(payload)
 
     def judge(self, program: str, problem: Problem, settings: Judge) -> JudgeVerdict:
         """``settings.uncached(program, problem)``, replayed from disk when recorded."""

@@ -163,6 +163,23 @@ class TestStats:
         assert rows[0] == ["split", "source", "difficulty", "count"]
         assert (out / "manifest.json").exists()
 
+    def test_invalid_utf8_corpus_line_is_skipped(self, tmp_path):
+        corpus = tmp_path / "corpus.jsonl"
+        line = json.dumps({"id": "a", "question": "Print 1.", "solutions": ["print(1)"]})
+        corpus.write_bytes(line.encode() + b"\n" + line.replace('"a"', '"b"').encode() + b"\xff\n")
+        config = write_config(tmp_path, corpus={"test": str(corpus)})
+        assert main(["stats", "--config", str(config)]) == 0
+        summary = json.loads((tmp_path / "out" / "stats" / "stats.json").read_text())
+        assert (summary["test"]["total_problems"], summary["test"]["skipped_lines"]) == (1, 1)
+
+    def test_manifest_config_hash_pinned(self, tmp_path):
+        # computed with hashlib.sha256: a manifest names the same config as before
+        raw = {"corpus": {"test": "c.jsonl"}, "workers": 2}
+        cli._write_manifest(tmp_path, "stats", argparse.Namespace(raw=raw))
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["config_hash"] == (
+            "6919d9edf9dad660b28f59b6b640cc491e03262d6bccbfe4efb30648e6754774")
+
 
 class TestTransform:
     def test_transform_pipeline(self, tmp_path, capsys):
@@ -419,6 +436,16 @@ class TestEvaluate:
         assert rc == 1
         assert "line 1" in capsys.readouterr().err
 
+    def test_invalid_utf8_candidates_line(self, tmp_path, capsys):
+        candidates = tmp_path / "cands.jsonl"
+        line = json.dumps({"problem_id": "e2e-echo", "candidates": ["print(input())"]})
+        candidates.write_bytes(line.encode() + b"\n" + line.encode()[:-3] + b"\xff\"]}\n")
+        config = write_config(tmp_path)
+        rc = main(["evaluate", "--config", str(config), "--candidates", str(candidates)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {candidates}: malformed candidates line 2: 'utf-8' codec")
+
     def test_candidates_must_be_a_list(self, tmp_path, capsys):
         candidates = tmp_path / "cands.jsonl"
         candidates.write_text(json.dumps({"problem_id": "e2e-echo",
@@ -573,6 +600,17 @@ class TestRecordsLoader:
         assert main([command, "--config", str(config)]) == 1
         assert "malformed records line 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["analyze", "reflect"])
+    def test_invalid_utf8_row_names_its_file_line(self, tmp_path, capsys, command):
+        config = write_config(tmp_path)
+        self.write_records(tmp_path, [json.dumps(ECHO_ROW)])
+        records = tmp_path / "out" / "evaluate" / "records.jsonl"
+        with records.open("ab") as fh:
+            fh.write(json.dumps(ECHO_ROW).encode().replace(b"e2e-echo", b"e2e-\xffecho") + b"\n")
+        assert main([command, "--config", str(config)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {records}: malformed records line 2: 'utf-8' codec")
+
 
 class TestAnalyze:
     def test_profiles_emitted(self, tmp_path):
@@ -658,6 +696,22 @@ def test_import_loads_no_third_party_or_network_module():
     loaded = loaded_modules("import modeval.cli\nfrom modeval import *")
     assert {"modeval.sandbox", "modeval.validator", "modeval.evaluate"} <= loaded
     assert {"numpy", "requests", "urllib.request"}.isdisjoint(loaded)
+
+
+def test_no_command_loads_openssl(tmp_path):
+    # cache keys and manifests hash with CPython's built-in SHA-256: hashlib loads libcrypto
+    config = write_config(tmp_path)
+    candidates = tmp_path / "candidates.jsonl"
+    candidates.write_text(json.dumps({"problem_id": "e2e-echo",
+                                      "candidates": ["print(input())"]}) + "\n")
+    runs = [["transform"], ["evaluate", "--candidates", str(candidates)], ["reflect"],
+            ["analyze"], ["stats"]]
+    code = "\n".join(f"assert main({[*run, '--config', str(config)]!r}) == 0" for run in runs)
+    # -S, as below
+    loaded = loaded_modules(f"from modeval.cli import main\n{code}", "-S")
+    assert {"modeval.sandbox", "modeval.promptgen", "modeval.codemetrics"} <= loaded
+    assert {"hashlib", "_hashlib"}.isdisjoint(loaded), sorted({"hashlib", "_hashlib"} & loaded)
+    assert {"responses", "verdicts", "metrics"} <= {p.name for p in (tmp_path / "cache").iterdir()}
 
 
 # stats and analyze run no sandbox, build no prompt and start no thread pool

@@ -490,6 +490,12 @@ class TestMetricsCache:
         assert (cache.hits, cache.misses) == (0, 3)
         assert len({key for key, _ in cache_entries(tmp_path)}) == 3
 
+    def test_key_pinned(self, tmp_path):
+        # computed with hashlib.sha256: existing caches hit only while this holds
+        MetricsCache(tmp_path).analyze("def f():\n    return 1\nprint(f())\n", True)
+        [(key, _)] = cache_entries(tmp_path)
+        assert key == "3302bf9b4a505eb5b3c6c2294fbc419d463d0d245e0ec8636c4781a3356eb562"
+
     def assert_measured_again(self, tmp_path, monkeypatch):
         """A later run misses, measures the program once more and appends a
         line that supersedes the bad one; the run after that hits."""

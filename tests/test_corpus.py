@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -28,6 +29,7 @@ from modeval.corpus import (
     normalize_statement,
     save_corpus,
     select_solutions,
+    sha256_hex,
 )
 
 from conftest import cache_entries, corpus_of, make_problem
@@ -94,6 +96,31 @@ class TestLoadCorpus:
         assert [p.id for p in corpus] == ["a", "b"]
         assert corpus.problems[0].statement == question
         assert [d.line_number for d in corpus.diagnostics] == [3]
+
+    def test_invalid_utf8_line_becomes_diagnostic(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        good = json.dumps(problem_obj("a"), ensure_ascii=False).encode("utf-8")
+        path.write_bytes(good + b"\n" + good.replace(b'"a"', b'"b\xff"') + b"\n")
+        corpus = load_corpus(path)
+        assert [p.id for p in corpus] == ["a"]
+        [diagnostic] = corpus.diagnostics
+        assert diagnostic.line_number == 2 and "utf-8" in diagnostic.reason
+
+    def test_peak_is_about_what_it_keeps(self, tmp_path):
+        # one line at a time: the file is never held whole beside its problems
+        path = tmp_path / "c.jsonl"
+        write_jsonl(path, [problem_obj(f"p{i}", question=f"Problem {i}: " + "add numbers " * 200,
+                                       solutions=["print(sum(map(int, input().split())))"] * 4)
+                           for i in range(200)])
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            corpus = load_corpus(path)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(corpus) == 200
+        assert peak - base <= 1.5 * (kept - base), (peak - base, kept - base)
 
     def test_duplicate_id_fatal_with_line_numbers(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -506,6 +533,15 @@ class TestCorpusStats:
         assert sum(stats.by_difficulty.values()) == stats.total_problems
         assert sum(stats.by_split.values()) == stats.total_problems
         assert sum(stats.by_source_difficulty_split.values()) == stats.total_problems
+
+
+class TestSha256Hex:
+    @pytest.mark.parametrize("text", ["", "abc", "na\u00efve \u2713 \U0001f600", "a\u2028b\n"],
+                             ids=["empty", "ascii", "non_ascii", "line_separator"])
+    def test_matches_hashlib(self, text):
+        import hashlib
+
+        assert sha256_hex(text) == hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 class TestEntryLog:

@@ -113,9 +113,27 @@ class TestComplete:
         [(key, entry)] = cache_entries(tmp_path / "cache")
         assert key == ResponseCache.key(prompt_of("q"), CFG)
         assert entry["response"] == "answer"
-        assert entry["key"]["model_name"] == "test-model"
-        assert entry["key"]["max_output_tokens"] == CFG.max_output_tokens
+        assert entry["key"] == {"model_name": "test-model", "temperature": CFG.temperature,
+                                "max_output_tokens": CFG.max_output_tokens}
         assert "timestamp" in entry
+
+    def test_key_pinned(self):
+        # computed with hashlib.sha256: existing caches hit only while this holds
+        prompt = Prompt(system="You rewrite programs.", user="Rewrite: print(1) \u00e9",
+                        tag=PromptTag.CLEAN)
+        cfg = ProviderConfig(model_name="m-1", temperature=0.5, max_output_tokens=512)
+        assert (ResponseCache.key(prompt, cfg)
+                == "4a261b4cd1cb69dc97f87fbbcb9b673c2c15fe31ca1d0488368e66d2fd808c0b")
+
+    def test_entry_with_prompt_digest_still_reads(self, tmp_path):
+        # entries once also held the prompt's own SHA-256, which nothing reads
+        complete(prompt_of("q"), CFG, provider=MockProvider(script=["answer"]),
+                 cache=ResponseCache(tmp_path))
+        edit_cache_entry(tmp_path, lambda entry: dict(
+            entry, key=dict(entry["key"], prompt_sha256=64 * "0")))
+        again = complete(prompt_of("q"), CFG, provider=MockProvider(synthesize=False),
+                         cache=ResponseCache(tmp_path))
+        assert (again.text, again.cached) == ("answer", True)
 
     @pytest.mark.parametrize("edit", [
         lambda entry: [],
@@ -403,3 +421,15 @@ class TestMockSynthesis:
         provider = MockProvider(fixture_dir=tmp_path, synthesize=False)
         assert provider.send(prompt_of("alpha beta"), CFG)[0] == "both"
         assert provider.send(prompt_of("alpha only"), CFG)[0] == "fallback"
+
+    def test_first_rule_matching_tag_and_needles_wins(self, tmp_path):
+        rules = [{"tag": "clean", "contains": "x", "response": "clean x"},
+                 {"contains": ["x", "y"], "response": "x and y"},
+                 {"contains": [], "response": "any"},
+                 {"contains": "x", "response": "unreached"}]
+        (tmp_path / "rules.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rules))
+        provider = MockProvider(fixture_dir=tmp_path, synthesize=False)
+        clean = Prompt(system="sys", user="x", tag=PromptTag.CLEAN)
+        assert provider.send(clean, CFG)[0] == "clean x"
+        assert provider.send(prompt_of("x y"), CFG)[0] == "x and y"
+        assert provider.send(prompt_of("x"), CFG)[0] == "any"

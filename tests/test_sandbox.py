@@ -482,6 +482,17 @@ class TestVerdictCache:
         monkeypatch.setattr(sys, "version", "3.9.18 (main) [GCC 12.2.0]")
         assert cache._key(*args) != here
 
+    def test_key_pinned(self, tmp_path, monkeypatch):
+        # computed with hashlib.sha256: existing caches hit only while this holds
+        monkeypatch.setattr(sys, "executable", "/nonexistent/bin/python3")
+        monkeypatch.setattr(sys, "version", "3.11.7 (fixed)")
+        monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+        problem = make_problem(tests=(("1\n", "1\n"), ("\u00fc\n", "\u00fc\n")))
+        settings = Judge(ResourceLimits(wall_time=2.0), ComparePolicy(mode="exact"),
+                         fail_fast=True)
+        assert (VerdictCache(tmp_path)._key("print(input())", problem, settings)
+                == "c1b66352f931d84090dca3c3e5c3d00b0fec22d35987c9fb00d2a0616a42de0f")
+
     def test_key_resolves_each_interpreter_path_once(self, tmp_path, monkeypatch):
         # realpath lstat's every path component, and a round makes a key per candidate
         cache = VerdictCache(tmp_path / "verdicts")
