@@ -150,10 +150,15 @@ class MockProvider:
         if self.fixture_dir is not None:
             rules_path = self.fixture_dir / "rules.jsonl"
             if rules_path.exists():
-                lines = rules_path.read_text(encoding="utf-8").split("\n")
-                for lineno, line in enumerate(lines, start=1):
-                    if line.strip():
-                        self._rules.append(self._load_rule(line, f"{rules_path}:{lineno}"))
+                with rules_path.open("rb") as fh:  # a line ends at "\n" alone
+                    for lineno, raw in enumerate(fh, start=1):
+                        where = f"{rules_path}:{lineno}"
+                        try:
+                            line = raw.decode("utf-8")
+                        except UnicodeDecodeError as exc:
+                            raise ValueError(f"{where}: bad mock rule: {exc}") from exc
+                        if line.strip():
+                            self._rules.append(self._load_rule(line, where))
             default_path = self.fixture_dir / "default.txt"
             if default_path.exists():
                 self._default = default_path.read_text(encoding="utf-8")

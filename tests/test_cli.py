@@ -127,13 +127,15 @@ class TestConfig:
         json.dumps({"contains": "", "response_file": "missing.txt"}),
         json.dumps({"contains": 5, "response": "x"}),
         json.dumps({"contains": "", "response": 5}),
+        '{"contains": "\udcff", "response": "y"}',  # written as the byte 0xFF
     ], ids=["bad_json", "not_an_object", "missing_response_file", "contains_int",
-            "response_int"])
+            "response_int", "invalid_utf8"])
     def test_malformed_mock_fixture_is_config_error(self, tmp_path, capsys, rules):
         mock = tmp_path / "mock"
         mock.mkdir()
         (mock / "rules.jsonl").write_text(json.dumps({"contains": "x", "response": "y"})
-                                          + "\n\n" + rules + "\n")
+                                          + "\n\n" + rules + "\n",
+                                          encoding="utf-8", errors="surrogateescape")
         config = write_config(tmp_path, mock_provider=str(mock))
         assert main(["transform", "--config", str(config)]) == 1
         err = capsys.readouterr().err
@@ -699,7 +701,8 @@ def test_import_loads_no_third_party_or_network_module():
 
 
 def test_no_command_loads_openssl(tmp_path):
-    # cache keys and manifests hash with CPython's built-in SHA-256: hashlib loads libcrypto
+    # cache keys and manifests hash with CPython's built-in SHA-256 below
+    # corpus.HASHLIB_MIN_BYTES, as every payload here is: hashlib loads libcrypto
     config = write_config(tmp_path)
     candidates = tmp_path / "candidates.jsonl"
     candidates.write_text(json.dumps({"problem_id": "e2e-echo",

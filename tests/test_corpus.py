@@ -106,6 +106,16 @@ class TestLoadCorpus:
         [diagnostic] = corpus.diagnostics
         assert diagnostic.line_number == 2 and "utf-8" in diagnostic.reason
 
+    def test_lone_carriage_return_stays_inside_its_line(self, tmp_path):
+        # "\r" is JSON whitespace, not a line end: the record parses whole and
+        # the malformed line after it keeps its number
+        path = tmp_path / "c.jsonl"
+        split = json.dumps(problem_obj("a")).replace(", ", ",\r", 1)
+        path.write_bytes(f"{split}\n{{not json\n{json.dumps(problem_obj('b'))}\n".encode())
+        corpus = load_corpus(path)
+        assert [p.id for p in corpus] == ["a", "b"]
+        assert [d.line_number for d in corpus.diagnostics] == [2]
+
     def test_peak_is_about_what_it_keeps(self, tmp_path):
         # one line at a time: the file is never held whole beside its problems
         path = tmp_path / "c.jsonl"
@@ -542,6 +552,21 @@ class TestSha256Hex:
         import hashlib
 
         assert sha256_hex(text) == hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+    def test_only_large_payloads_load_hashlib(self):
+        # the built-in below HASHLIB_MIN_BYTES of UTF-8, hashlib from there on; same digests
+        src = Path(corpus.__file__).resolve().parent.parent
+        subprocess.run([sys.executable, "-S", "-c", (
+            "import sys\n"
+            "from modeval.corpus import HASHLIB_MIN_BYTES as n, sha256_hex\n"
+            "small, large = 'x' * (n - 1), '\\u00e9' * (n // 2)\n"
+            "digests = [sha256_hex(small)]\n"
+            "assert 'hashlib' not in sys.modules, 'loaded for a small payload'\n"
+            "digests.append(sha256_hex(large))\n"
+            "assert 'hashlib' in sys.modules, 'not loaded for a large payload'\n"
+            "import hashlib\n"
+            "assert digests == [hashlib.sha256(t.encode()).hexdigest() for t in (small, large)]\n"
+        )], check=True, env={**os.environ, "PYTHONPATH": str(src)})
 
 
 class TestEntryLog:

@@ -414,6 +414,16 @@ class TestMockSynthesis:
         provider = MockProvider(fixture_dir=tmp_path)
         assert provider.send(prompt_of("some magic\u2028words"), CFG)[0] == "matched\x85!"
 
+    def test_lone_carriage_return_does_not_end_a_rule_line(self, tmp_path):
+        # "\r" between JSON tokens is whitespace: the rule is one line, and a bad
+        # line after it keeps its number
+        rule = json.dumps({"contains": "magic", "response": "matched!"}).replace(", ", ",\r")
+        (tmp_path / "rules.jsonl").write_bytes(f"{rule}\n{{not json\n".encode())
+        with pytest.raises(ValueError, match=r"rules\.jsonl:2: bad mock rule"):
+            MockProvider(fixture_dir=tmp_path)
+        (tmp_path / "rules.jsonl").write_bytes(f"{rule}\n".encode())
+        assert MockProvider(fixture_dir=tmp_path).send(prompt_of("magic"), CFG)[0] == "matched!"
+
     def test_rules_all_substrings_must_match(self, tmp_path):
         rules = tmp_path / "rules.jsonl"
         rules.write_text(json.dumps({"contains": ["alpha", "beta"], "response": "both"}) + "\n")
