@@ -1,7 +1,6 @@
 #!/usr/bin/env python3
 """Tour of the static code metrics: tokens, SLOC, complexity, volume, MI."""
-from modeval import analyze, cyclomatic_complexity, maintainability_index, tokenize
-from modeval.codemetrics import TokenKind, halstead_volume
+from modeval import analyze, maintainability_index, tokenize
 
 SAMPLE = '''\
 def read_values():
@@ -28,10 +27,10 @@ for tok in tokens:
     kind_counts[tok.kind.value] = kind_counts.get(tok.kind.value, 0) + 1
 print("kind histogram:", dict(sorted(kind_counts.items())))
 
-# --- the individual metrics --------------------------------------------------
-print("\ncyclomatic complexity:", cyclomatic_complexity(SAMPLE))
-print("halstead volume: %.2f" % halstead_volume(tokens))
+# --- the metric record -------------------------------------------------------
 metrics = analyze(SAMPLE)
+print("\ncyclomatic complexity:", metrics.cyclomatic)
+print("halstead volume: %.2f" % metrics.halstead_volume)
 print("full record:", metrics)
 
 # --- how MI responds to each input -------------------------------------------

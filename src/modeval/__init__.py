@@ -13,10 +13,9 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "codemetrics": ["CodeMetrics", "analyze", "cyclomatic_complexity", "function_count",
-                    "halstead_volume", "maintainability_index", "sloc_and_comments", "tokenize"],
+    "codemetrics": ["CodeMetrics", "analyze", "maintainability_index", "tokenize"],
     "corpus": ["Corpus", "CorpusError", "Difficulty", "Problem", "Split", "TestCase",
-               "corpus_stats", "dedup_against", "load_corpus", "save_corpus", "select_solutions"],
+               "corpus_stats", "dedup_against", "load_corpus"],
     "evaluate": ["CandidateRow", "EvalReport", "ReflectionTrace", "evaluate_corpus",
                  "function_accuracy_profile", "mi_profile", "pass_at_k", "resource_profile",
                  "self_reflect"],

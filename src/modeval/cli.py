@@ -33,7 +33,6 @@ from .corpus import (
     dedup_against,
     load_corpus,
     map_in_threads,
-    select_solutions,
     sha256_hex,
 )
 from .llm_client import HttpProvider, MockProvider, ProviderError, ResponseCache, complete_batch
@@ -139,6 +138,10 @@ def load_pipeline_config(config_path: str | Path, overrides: argparse.Namespace)
         raise ConfigError(f"dedup_threshold must be in (0, 1], got {cfg.dedup_threshold}")
     if cfg.max_reflection_rounds < 1:
         raise ConfigError(f"max_reflection_rounds must be >= 1, got {cfg.max_reflection_rounds}")
+    if cfg.ks and cfg.ks[0] < 1:
+        raise ConfigError(f"ks must be >= 1, got {cfg.ks[0]}")
+    if cfg.all_mode not in ("problems", "difficulty-means"):
+        raise ConfigError(f"unknown all_mode {cfg.all_mode!r}")
     for i, dt in enumerate(cfg.data_types):
         if dt not in ("mot", "clean"):
             raise ConfigError(f"unknown data type {dt!r}")
@@ -241,7 +244,7 @@ def cmd_transform(cfg: PipelineConfig) -> int:
 
     items: list[tuple[Problem, int, str, str]] = []
     for problem in corpus:
-        for si, solution in enumerate(select_solutions(problem, cfg.solution_cap)):
+        for si, solution in enumerate(problem.solutions[:cfg.solution_cap]):
             if not solution:  # no prompt can be built from it: stop before any completion
                 raise CorpusError(f"problem {problem.id!r}: solution {si} is empty")
             for data_type in cfg.data_types:

@@ -35,7 +35,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .corpus import EntryLog, decode, sha256_hex
 
@@ -116,9 +116,6 @@ _GROUP_KINDS = {
     "operator": TokenKind.OPERATOR,
     "error": TokenKind.ERROR,
 }
-_HALSTEAD_KINDS = frozenset({
-    TokenKind.OPERATOR, TokenKind.OPERAND, TokenKind.KEYWORD, TokenKind.STRING, TokenKind.NUMBER,
-})
 
 
 def tokenize(source: str) -> TokenStream:
@@ -256,30 +253,6 @@ def _measure(source: str) -> tuple[float, int, int, int, int, int, int]:
     return volume, decisions, counts["def"], top_level, sloc, comment_only, total
 
 
-def sloc_and_comments(source: str) -> tuple[int, int, int, float]:
-    """(sloc, comment_lines, total_lines, comment_density).
-
-    sloc counts lines holding at least one non-comment, non-blank token;
-    comment lines are pure-comment lines plus docstring-only lines; the
-    density is comment_lines / total_lines (0 for empty source), where the
-    total counts the ``\\n``-terminated lines, plus an unterminated last one.
-    """
-    *_, sloc, comments, total = _measure(source)
-    return sloc, comments, total, comments / total if total else 0.0
-
-
-def cyclomatic_complexity(source: str) -> int:
-    """1 + number of decision tokens (see DECISION_KEYWORDS)."""
-    return 1 + _measure(source)[1]
-
-
-def halstead_volume(stream: Iterable[Token]) -> float:
-    """V = N * log2(n): total vs distinct operator/operand occurrences."""
-    texts = [text for kind, text, _ in stream if kind in _HALSTEAD_KINDS]
-    distinct = len(set(texts))
-    return len(texts) * math.log2(distinct) if distinct > 1 else 0.0
-
-
 def maintainability_index(volume: float, cyclomatic: int, loc: int, comment_density: float) -> float:
     """Composite maintainability score, clamped at 0 (max is 171 + 50)."""
     if not (0.0 <= comment_density <= 1.0):
@@ -301,11 +274,6 @@ def maintainability_index(volume: float, cyclomatic: int, loc: int, comment_dens
     return max(0.0, mi)
 
 
-def function_count(source: str, top_level_only: bool = False) -> int:
-    """Number of ``def`` definitions, at any nesting depth by default."""
-    return _measure(source)[3 if top_level_only else 2]
-
-
 @dataclass
 class CodeMetrics:
     halstead_volume: float
@@ -317,7 +285,12 @@ class CodeMetrics:
 
 
 def analyze(source: str, top_level_functions_only: bool = False) -> CodeMetrics:
-    """All metrics for one program from one counting pass."""
+    """All metrics for one program from one counting pass.
+
+    ``cyclomatic`` is 1 + the decision keywords (see DECISION_KEYWORDS),
+    ``comment_density`` is comment lines over total lines (0 for empty
+    source), and ``function_count`` counts ``def``s at any depth, or only
+    the top-level ones."""
     volume, decisions, functions, top_level, sloc, comments, total = _measure(source)
     density = comments / total if total else 0.0
     cc = 1 + decisions

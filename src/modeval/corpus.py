@@ -371,33 +371,6 @@ def load_corpus(path: str | Path, split: Split = Split.TRAIN) -> Corpus:
     return Corpus(problems=problems, provenance=str(path), diagnostics=diagnostics)
 
 
-def save_corpus(corpus: Corpus, path: str | Path) -> None:
-    """Write a corpus back out in the same JSONL schema ``load_corpus`` reads."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        for p in corpus.problems:
-            obj: dict = {
-                "id": p.id,
-                "question": p.statement,
-                "solutions": p.solutions,
-            }
-            if not p.untestable:
-                obj["input_output"] = {
-                    "inputs": [t.input for t in p.tests],
-                    "outputs": [t.expected_output for t in p.tests],
-                }
-            obj["difficulty"] = p.difficulty.value
-            obj["source"] = p.source
-            fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
-
-
-def select_solutions(problem: Problem, cap: int) -> list[str]:
-    """First ``min(cap, len(solutions))`` reference solutions, stored order."""
-    if cap < 1:
-        raise ValueError(f"cap must be >= 1, got {cap}")
-    return problem.solutions[:cap]
-
-
 _PUNCT_TABLE = str.maketrans({c: " " for c in string.punctuation})
 
 

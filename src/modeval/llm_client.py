@@ -171,9 +171,10 @@ class MockProvider:
             if "response_file" in rule:
                 path = self.fixture_dir / decode(str, rule.pop("response_file"), "response_file")
                 rule["response"] = path.read_text(encoding="utf-8")
-            needles = rule.get("contains") or []
-            rule["contains"] = decode(list[str], needles if isinstance(needles, list) else [needles],
-                                      "contains")
+            needles = rule.get("contains")
+            if needles is None or isinstance(needles, str):
+                needles = [needles] if needles else []
+            rule["contains"] = decode(list[str], needles, "contains")
             decode(str | None, rule.get("tag"), "tag")
             decode(str, rule.get("response", ""), "response")
         except (ValueError, TypeError, OSError) as exc:

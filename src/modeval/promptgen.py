@@ -63,13 +63,10 @@ class Prompt:
     system: str
     user: str
     tag: PromptTag
-    one_shot_example: tuple[str, str] | None = None
 
     def __post_init__(self) -> None:
         if not self.user:
             raise ValueError("prompt user text must be nonempty")
-        if self.tag is PromptTag.MOT and self.one_shot_example is None:
-            raise ValueError("modularization prompts must carry the one-shot example")
 
 
 @dataclass(frozen=True)
@@ -135,12 +132,7 @@ def build_mot_prompt(problem: Problem, solution: str) -> Prompt:
         statement=problem.statement,
         solution=solution.rstrip("\n"),
     )
-    return Prompt(
-        system=SYSTEM_MOT,
-        user=user,
-        tag=PromptTag.MOT,
-        one_shot_example=example,
-    )
+    return Prompt(system=SYSTEM_MOT, user=user, tag=PromptTag.MOT)
 
 
 def build_clean_prompt(problem: Problem, solution: str) -> Prompt:

@@ -261,8 +261,9 @@ def test_criterion_8_metrics_cross_check():
         assert len(programs) == 10
         for path in programs:
             source = path.read_text()
-            assert codemetrics.cyclomatic_complexity(source) == cyclomatic_ast(source), path.name
-            mine = codemetrics.halstead_volume(codemetrics.tokenize(source))
+            metrics = codemetrics.analyze(source)
+            assert metrics.cyclomatic == cyclomatic_ast(source), path.name
+            mine = metrics.halstead_volume
             reference = halstead_volume_std(source)
             assert mine == pytest.approx(reference, rel=0.05), path.name
 

@@ -111,8 +111,10 @@ class TestConfig:
         ({"dedup_threshold": 1.5, "dedup_holdout_split": "test"}, "dedup_threshold", "transform"),
         ({"max_reflection_rounds": 0}, "max_reflection_rounds", "reflect"),
         ({"data_types": ["mot", "mot"]}, "data_types", "transform"),
+        ({"ks": [2, 0]}, "ks", "stats"),
+        ({"all_mode": "median"}, "all_mode", "stats"),
     ], ids=["solution_cap_zero", "dedup_threshold_above_one", "max_reflection_rounds_zero",
-            "data_types_repeated"])
+            "data_types_repeated", "ks_zero", "all_mode_unknown"])
     def test_out_of_range_value_is_config_error(self, tmp_path, capsys, config, named, command):
         if command == "reflect":
             run_evaluate(tmp_path, write_config(tmp_path))
@@ -128,8 +130,11 @@ class TestConfig:
         json.dumps({"contains": 5, "response": "x"}),
         json.dumps({"contains": "", "response": 5}),
         '{"contains": "\udcff", "response": "y"}',  # written as the byte 0xFF
+        json.dumps({"contains": 0, "response": "x"}),
+        json.dumps({"contains": False, "response": "x"}),
+        json.dumps({"contains": {}, "response": "x"}),
     ], ids=["bad_json", "not_an_object", "missing_response_file", "contains_int",
-            "response_int", "invalid_utf8"])
+            "response_int", "invalid_utf8", "contains_zero", "contains_false", "contains_object"])
     def test_malformed_mock_fixture_is_config_error(self, tmp_path, capsys, rules):
         mock = tmp_path / "mock"
         mock.mkdir()

@@ -15,18 +15,20 @@ from modeval.codemetrics import (
     MetricsCache,
     TokenKind,
     analyze,
-    cyclomatic_complexity,
-    function_count,
-    halstead_volume,
     maintainability_index,
-    sloc_and_comments,
     tokenize,
 )
 
 from conftest import FIXTURES, cache_entries, count_analyze_calls, edit_cache_entry
-from oracles import analyze_reference, tokenize_reference
+from oracles import _halstead_volume, analyze_reference, tokenize_reference
 
 PROGRAMS = sorted((FIXTURES / "programs").glob("p*.py"))
+
+
+def line_counts(source):
+    """(sloc, comment lines, total lines, comment density) of ``source``."""
+    *_, sloc, comments, total = codemetrics._measure(source)
+    return sloc, comments, total, analyze(source).comment_density
 
 
 class TestTokenize:
@@ -137,32 +139,32 @@ class TestTokenize:
 
 class TestSlocAndComments:
     def test_pure_code(self):
-        assert sloc_and_comments("a = 1\nb = 2\nc = 3\nd = 4\n") == (4, 0, 4, 0.0)
+        assert line_counts("a = 1\nb = 2\nc = 3\nd = 4\n") == (4, 0, 4, 0.0)
 
     def test_three_code_one_comment(self):
-        sloc, comments, total, c = sloc_and_comments("a = 1\nb = 2\nc = 3\n# note\n")
+        sloc, comments, total, c = line_counts("a = 1\nb = 2\nc = 3\n# note\n")
         assert (sloc, comments, total) == (3, 1, 4)
         assert c == 0.25
 
     def test_empty_source(self):
-        assert sloc_and_comments("") == (0, 0, 0, 0.0)
+        assert line_counts("") == (0, 0, 0, 0.0)
 
     def test_blank_lines_neither_code_nor_comment(self):
-        sloc, comments, total, c = sloc_and_comments("a = 1\n\n\nb = 2\n")
+        sloc, comments, total, c = line_counts("a = 1\n\n\nb = 2\n")
         assert (sloc, comments, total) == (2, 0, 4)
 
     def test_docstring_lines_count_as_comments(self):
         source = 'def f():\n    """One.\n    Two.\n    """\n    return 1\n'
-        sloc, comments, total, c = sloc_and_comments(source)
+        sloc, comments, total, c = line_counts(source)
         assert comments == 3
         assert sloc == 2  # def line and return line
 
     def test_inline_comment_is_code(self):
-        sloc, comments, total, c = sloc_and_comments("a = 1  # inline\n")
+        sloc, comments, total, c = line_counts("a = 1  # inline\n")
         assert (sloc, comments) == (1, 0)
 
     def test_assigned_string_is_code(self):
-        sloc, comments, total, c = sloc_and_comments('s = """not a docstring"""\n')
+        sloc, comments, total, c = line_counts('s = """not a docstring"""\n')
         assert (sloc, comments) == (1, 0)
 
     @pytest.mark.parametrize("source, expected", [
@@ -172,60 +174,59 @@ class TestSlocAndComments:
         ("x = '''abc\n", (1, 0, 1, 0.0)),  # an unterminated string ends at the last line
     ], ids=["form_feed", "line_separator", "carriage_return", "unterminated_string"])
     def test_total_counts_newline_terminated_lines(self, source, expected):
-        assert sloc_and_comments(source) == expected
-        assert analyze(source).comment_density == expected[3]
+        assert line_counts(source) == expected
 
 
 class TestCyclomaticComplexity:
     def test_straight_line(self):
-        assert cyclomatic_complexity("a = 1\nb = a * 2\nprint(b)\n") == 1
+        assert analyze("a = 1\nb = a * 2\nprint(b)\n").cyclomatic == 1
 
     def test_if_else_counts_once(self):
-        assert cyclomatic_complexity("if a:\n    x = 1\nelse:\n    x = 2\n") == 2
+        assert analyze("if a:\n    x = 1\nelse:\n    x = 2\n").cyclomatic == 2
 
     def test_if_and_while(self):
-        assert cyclomatic_complexity("if a and b:\n    pass\nwhile c:\n    pass\n") == 4
+        assert analyze("if a and b:\n    pass\nwhile c:\n    pass\n").cyclomatic == 4
 
     def test_elif_chain(self):
         source = "if a:\n    pass\nelif b:\n    pass\nelif c:\n    pass\n"
-        assert cyclomatic_complexity(source) == 4
+        assert analyze(source).cyclomatic == 4
 
     def test_comprehension_clauses(self):
         # for-clause and if-filter each add a path
-        assert cyclomatic_complexity("ys = [x for x in xs if x > 0]\n") == 3
+        assert analyze("ys = [x for x in xs if x > 0]\n").cyclomatic == 3
 
     def test_ternary(self):
-        assert cyclomatic_complexity("y = 1 if flag else 2\n") == 2
+        assert analyze("y = 1 if flag else 2\n").cyclomatic == 2
 
     def test_except_handlers(self):
         source = "try:\n    f()\nexcept ValueError:\n    pass\nexcept KeyError:\n    pass\n"
-        assert cyclomatic_complexity(source) == 3
+        assert analyze(source).cyclomatic == 3
 
     def test_keywords_in_strings_ignored(self):
-        assert cyclomatic_complexity("s = 'if and while or for'\n") == 1
+        assert analyze("s = 'if and while or for'\n").cyclomatic == 1
 
     def test_nonempty_source_at_least_one(self):
         for path in PROGRAMS:
-            assert cyclomatic_complexity(path.read_text()) >= 1
+            assert analyze(path.read_text()).cyclomatic >= 1
 
 
 class TestHalsteadVolume:
     def test_empty_stream(self):
-        assert halstead_volume([]) == 0.0
+        assert analyze("").halstead_volume == 0.0
 
     def test_single_distinct_token_is_zero(self):
-        assert halstead_volume(tokenize("x x x")) == 0.0
+        assert analyze("x x x").halstead_volume == 0.0
 
     def test_hand_counted_assignment(self):
         # a = b + c: operators {=, +} x2, operands {a, b, c} x3
         # V = 5 * log2(5)
-        volume = halstead_volume(tokenize("a = b + c"))
+        volume = analyze("a = b + c").halstead_volume
         assert volume == pytest.approx(5 * math.log2(5), abs=1e-9)
         assert volume == pytest.approx(11.6096, abs=1e-4)
 
     def test_value_keywords_are_operands(self):
         # x = True: operands {x, True}, operators {=}
-        volume = halstead_volume(tokenize("x = True"))
+        volume = analyze("x = True").halstead_volume
         assert volume == pytest.approx(3 * math.log2(3), abs=1e-9)
 
 
@@ -270,11 +271,11 @@ class TestMaintainabilityIndex:
 
 class TestFunctionCount:
     def test_no_definitions(self):
-        assert function_count("x = 1\nprint(x)\n") == 0
+        assert analyze("x = 1\nprint(x)\n").function_count == 0
 
     def test_nested_definitions_counted(self):
         source = "def a():\n    def b():\n        pass\n    return b\ndef c():\n    pass\n"
-        assert function_count(source) == 3
+        assert analyze(source).function_count == 3
 
     def test_modular_solution_shape(self):
         # three helpers plus a main entry point
@@ -285,26 +286,26 @@ class TestFunctionCount:
             "def main():\n    pass\n"
             "main()\n"
         )
-        assert function_count(source) == 4
+        assert analyze(source).function_count == 4
 
     def test_top_level_only_flag(self):
         source = "def a():\n    def b():\n        pass\nclass C:\n    def m(self):\n        pass\n"
-        assert function_count(source) == 3
-        assert function_count(source, top_level_only=True) == 1
+        assert analyze(source).function_count == 3
+        assert analyze(source, top_level_functions_only=True).function_count == 1
 
     def test_async_def_counted_once(self):
-        assert function_count("async def f():\n    pass\n") == 1
+        assert analyze("async def f():\n    pass\n").function_count == 1
 
     def test_lambda_not_counted(self):
-        assert function_count("f = lambda x: x + 1\n") == 0
+        assert analyze("f = lambda x: x + 1\n").function_count == 0
 
     def test_concat_additivity(self):
         parts = [p.read_text() for p in PROGRAMS[:4]]
-        total = function_count("\n".join(parts))
-        assert total == sum(function_count(p) for p in parts)
+        total = analyze("\n".join(parts)).function_count
+        assert total == sum(analyze(p).function_count for p in parts)
 
     def test_def_in_string_not_counted(self):
-        assert function_count("s = 'def fake():'\n") == 0
+        assert analyze("s = 'def fake():'\n").function_count == 0
 
 
 class TestAnalyze:
@@ -334,17 +335,20 @@ class TestAnalyze:
         assert sum(again) / len(again) == pytest.approx(mean_of_values, abs=1e-12)
 
     def test_matches_individual_operations(self):
+        # each field from the counts it is built of; the volume also from the token stream
         assert len(PROGRAMS) == 10
         for path in PROGRAMS:
             source = path.read_text()
-            sloc, _, _, density = sloc_and_comments(source)
-            for top_level_only in (False, True):
+            volume, decisions, functions, top_level, sloc, comments, total = (
+                codemetrics._measure(source))
+            assert volume == _halstead_volume(tokenize(source)), path.name
+            for top_level_only, defs in ((False, functions), (True, top_level)):
                 metrics = analyze(source, top_level_functions_only=top_level_only)
                 assert metrics.sloc == sloc, path.name
-                assert metrics.comment_density == density, path.name
-                assert metrics.cyclomatic == cyclomatic_complexity(source), path.name
-                assert metrics.halstead_volume == halstead_volume(tokenize(source)), path.name
-                assert metrics.function_count == function_count(source, top_level_only), path.name
+                assert metrics.comment_density == comments / total, path.name
+                assert metrics.cyclomatic == 1 + decisions, path.name
+                assert metrics.halstead_volume == volume, path.name
+                assert metrics.function_count == defs, path.name
 
     def test_builds_no_tokens(self, monkeypatch):
         # the counter reads the lexer's matches; it never calls tokenize

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from modeval import corpus
+from modeval import cli, corpus
 from modeval.corpus import (
     Corpus,
     CorpusError,
@@ -27,8 +27,6 @@ from modeval.corpus import (
     load_corpus,
     map_in_threads,
     normalize_statement,
-    save_corpus,
-    select_solutions,
     sha256_hex,
 )
 
@@ -190,28 +188,6 @@ class TestLoadCorpus:
         corpus = load_corpus(path)
         assert corpus.problems[0].difficulty is Difficulty.UNKNOWN
 
-    def test_round_trip_identity(self, tmp_path):
-        path = tmp_path / "c.jsonl"
-        objs = [
-            problem_obj("a", question="Stmt one\nwith newline", solutions=("s1", "s2")),
-            problem_obj("b", testable=False),
-            problem_obj("c", difficulty="competition", source="beta"),
-        ]
-        write_jsonl(path, objs)
-        first = load_corpus(path, Split.TEST)
-        out = tmp_path / "saved.jsonl"
-        save_corpus(first, out)
-        second = load_corpus(out, Split.TEST)
-        assert [p.id for p in second] == [p.id for p in first]
-        for p, q in zip(first.problems, second.problems):
-            assert (p.statement, p.solutions, p.tests, p.difficulty, p.source,
-                    p.untestable) == (q.statement, q.solutions, q.tests, q.difficulty,
-                                      q.source, q.untestable)
-        # and the save is byte-stable
-        out2 = tmp_path / "saved2.jsonl"
-        save_corpus(second, out2)
-        assert out.read_bytes() == out2.read_bytes()
-
 
 class TestCorpusInvariants:
     def test_duplicate_ids_rejected_at_construction(self):
@@ -229,27 +205,43 @@ class TestCorpusInvariants:
 
 
 class TestSelectSolutions:
-    def test_below_cap_returns_all(self):
-        p = make_problem(solutions=["a", "b", "c"])
-        assert select_solutions(p, 100) == ["a", "b", "c"]
+    """transform rewrites the first ``solution_cap`` solutions of each problem, in stored order."""
 
-    def test_cap_truncates_in_stored_order(self):
-        p = make_problem(solutions=[f"s{i}" for i in range(150)])
-        picked = select_solutions(p, 100)
-        assert len(picked) == 100
-        assert picked == [f"s{i}" for i in range(100)]
+    def transform(self, tmp_path, solutions, cap):
+        """(solution_index, final_code) of each MoT row transform writes, or None if it fails."""
+        (tmp_path / "mock").mkdir(parents=True)
+        write_jsonl(tmp_path / "c.jsonl", [problem_obj("u", solutions=solutions, testable=False)])
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "corpus": {"train": str(tmp_path / "c.jsonl")}, "solution_cap": cap,
+            "data_types": ["mot"], "mock_provider": str(tmp_path / "mock"),
+            "outdir": str(tmp_path / "out"),
+        }))
+        if cli.main(["transform", "--config", str(config)]) != 0:
+            return None
+        rows = (tmp_path / "out" / "transform" / "mot.jsonl").read_text(encoding="utf-8")
+        return [(row["solution_index"], row["final_code"])
+                for row in map(json.loads, rows.splitlines())]
 
-    def test_no_solutions(self):
-        p = make_problem(solutions=[])
-        assert select_solutions(p, 100) == []
+    def test_below_cap_returns_all(self, tmp_path):
+        assert self.transform(tmp_path, ["print(1)", "print(2)", "print(3)"], 100) == [
+            (0, "print(1)"), (1, "print(2)"), (2, "print(3)")]
 
-    def test_cap_must_be_positive(self):
-        with pytest.raises(ValueError):
-            select_solutions(make_problem(), 0)
+    def test_cap_truncates_in_stored_order(self, tmp_path):
+        assert self.transform(tmp_path, ["print(1)", "print(2)", "print(3)"], 2) == [
+            (0, "print(1)"), (1, "print(2)")]
 
-    def test_deterministic(self):
-        p = make_problem(solutions=[f"s{i}" for i in range(10)])
-        assert select_solutions(p, 5) == select_solutions(p, 5)
+    def test_no_solutions(self, tmp_path):
+        assert self.transform(tmp_path, [], 100) == []
+
+    def test_cap_must_be_positive(self, tmp_path, capsys):
+        assert self.transform(tmp_path, ["print(1)"], 0) is None
+        assert "solution_cap must be >= 1" in capsys.readouterr().err
+
+    def test_deterministic(self, tmp_path):
+        solutions = [f"print({i})" for i in range(10)]
+        first = self.transform(tmp_path / "a", solutions, 5)
+        assert first == self.transform(tmp_path / "b", solutions, 5)
 
 
 class TestDedup:

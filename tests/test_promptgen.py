@@ -1,3 +1,4 @@
+import pkgutil
 import random
 
 import pytest
@@ -56,13 +57,13 @@ class TestBuildMotPrompt:
         second = prompt.user.index("second step")
         assert first < second
         assert prompt.tag is PromptTag.MOT
-        assert prompt.one_shot_example is not None
 
     def test_prompts_share_one_one_shot_example(self):
-        first = build_mot_prompt(make_problem(pid="a"), "print(1)")
-        second = build_mot_prompt(make_problem(pid="b"), "print(2)")
-        assert all(a is b for a, b in zip(first.one_shot_example, second.one_shot_example))
-        assert first.one_shot_example[0] in first.user and first.one_shot_example[1] in first.user
+        texts = [pkgutil.get_data("modeval", f"templates/one_shot_{part}.txt").decode().rstrip("\n")
+                 for part in ("input", "output")]
+        for pid, solution in (("a", "print(1)"), ("b", "print(2)")):
+            user = build_mot_prompt(make_problem(pid=pid), solution).user
+            assert all(text in user for text in texts)
 
     def test_embeds_statement_and_solution(self):
         prompt = build_mot_prompt(make_problem(statement="UNIQUE-STMT"), "UNIQUE_SOL = 1")
@@ -308,9 +309,9 @@ class TestSections:
         assert prompt.tag is PromptTag.DIRECT
         assert "THE-TASK" in prompt.user
 
-    def test_mot_prompt_requires_one_shot(self):
+    def test_prompt_requires_user_text(self):
         with pytest.raises(ValueError):
-            promptgen.Prompt(system="s", user="u", tag=PromptTag.MOT)
+            promptgen.Prompt(system="s", user="", tag=PromptTag.MOT)
 
 
 class TestSplitSteps:

@@ -1,4 +1,4 @@
-"""The lazy ``modeval`` surface serves the names the package has always re-exported."""
+"""The lazy ``modeval`` surface serves the names the package re-exports."""
 
 import importlib
 
@@ -10,10 +10,9 @@ from conftest import loaded_modules
 
 # each public name, and the module it was first re-exported from
 SURFACE = {
-    "codemetrics": ["CodeMetrics", "analyze", "cyclomatic_complexity", "function_count",
-                    "halstead_volume", "maintainability_index", "sloc_and_comments", "tokenize"],
+    "codemetrics": ["CodeMetrics", "analyze", "maintainability_index", "tokenize"],
     "corpus": ["Corpus", "CorpusError", "Difficulty", "Problem", "Split", "TestCase",
-               "corpus_stats", "dedup_against", "load_corpus", "save_corpus", "select_solutions"],
+               "corpus_stats", "dedup_against", "load_corpus"],
     "evaluate": ["CandidateRow", "EvalReport", "ReflectionTrace", "evaluate_corpus",
                  "function_accuracy_profile", "mi_profile", "pass_at_k", "resource_profile",
                  "self_reflect"],
