@@ -32,11 +32,11 @@ print(completion.text)
 
 structure, solution = assess_structure(completion.text)
 print("outline:", [s.name for s in solution.outline])
-print("structural check:", structure.verdict.value)
+print("structural check:", "accept" if structure.accepted else "reject")
 
 verdict = Judge()(solution.final_code, problem)
 result = assess_verdict(verdict)
-print("functional check:", result.verdict.value,
+print("functional check:", "accept" if result.accepted else "reject",
       f"(all {len(verdict.per_test)} tests matched)" if verdict.passed else result.detail)
 
 # --- what the rejection markers look like --------------------------------------

@@ -29,7 +29,7 @@ _EXPORTS = {
                 "compare_output", "judge", "judge_batch", "run_once"],
     # re-exported by llm_client (ProviderConfig) and sandbox (the rest) as well
     "settings": ["ComparePolicy", "InfrastructureError", "ProviderConfig", "ResourceLimits"],
-    "validator": ["AssessmentResult", "FilterRecord", "Marker", "Verdict", "assess_clean",
+    "validator": ["AssessmentResult", "FilterRecord", "Marker", "assess_clean",
                   "assess_structure", "assess_verdict", "filter_pass_rate"],
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

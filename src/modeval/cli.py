@@ -33,6 +33,7 @@ from .corpus import (
     dedup_against,
     load_corpus,
     map_in_threads,
+    read_jsonl,
     sha256_hex,
 )
 from .llm_client import HttpProvider, MockProvider, ProviderError, ResponseCache, complete_batch
@@ -221,7 +222,7 @@ def _corpus_for(cfg: PipelineConfig, split: str) -> Corpus:
 
 def cmd_transform(cfg: PipelineConfig) -> int:
     from . import promptgen, validator
-    from .validator import AssessmentResult, FilterRecord, Verdict
+    from .validator import AssessmentResult, FilterRecord
 
     corpus = _corpus_for(cfg, cfg.transform_split)
     provider = _make_provider(cfg)
@@ -229,18 +230,15 @@ def cmd_transform(cfg: PipelineConfig) -> int:
     out = _outdir(cfg, "transform")
 
     if cfg.dedup_holdout_split:  # the holdout corpus is released once dedup has read it
-        corpus, dedup_report = dedup_against(corpus, _corpus_for(cfg, cfg.dedup_holdout_split),
-                                             cfg.dedup_threshold)
+        corpus, removed = dedup_against(corpus, _corpus_for(cfg, cfg.dedup_holdout_split),
+                                        cfg.dedup_threshold)
         _write_csv(
             out / "dedup_report.csv",
             ["train_id", "holdout_id", "similarity", "reason"],
-            [[r.train_id, r.holdout_id, round(r.similarity, 6), r.reason]
-             for r in dedup_report.removed],
+            [[r.train_id, r.holdout_id, round(r.similarity, 6), r.reason] for r in removed],
         )
-        print(
-            f"dedup against {cfg.dedup_holdout_split}: removed "
-            f"{dedup_report.removed_count}, kept {dedup_report.kept_count}"
-        )
+        print(f"dedup against {cfg.dedup_holdout_split}: "
+              f"removed {len(removed)}, kept {len(corpus)}")
 
     items: list[tuple[Problem, int, str, str]] = []
     for problem in corpus:
@@ -300,9 +298,7 @@ def cmd_transform(cfg: PipelineConfig) -> int:
         if assessment.accepted and i in verdict_by_idx:
             assessment = validator.assess_verdict(verdict_by_idx[i])
         elif assessment.accepted and problem.untestable:
-            assessment = AssessmentResult(
-                verdict=Verdict.ACCEPT, detail="functional check skipped (untestable)"
-            )
+            assessment = AssessmentResult(detail="functional check skipped (untestable)")
         records.append(FilterRecord(problem.id, problem.source, data_type, assessment))
         if assessment.accepted:
             row = {
@@ -331,7 +327,7 @@ def cmd_transform(cfg: PipelineConfig) -> int:
         [
             {
                 "problem_id": r.problem_id, "source": r.source, "data_type": r.data_type,
-                "verdict": r.result.verdict.value,
+                "verdict": "accept" if r.result.accepted else "reject",
                 "marker": r.result.marker.value if r.result.marker else None,
                 "detail": r.result.detail,
             }
@@ -357,17 +353,13 @@ def cmd_transform(cfg: PipelineConfig) -> int:
 # --- evaluate ----------------------------------------------------------------
 
 
-def _jsonl_lines(path: Path, what: str):
-    """(line number, text) of each nonblank line of ``path``, read one at a time;
-    a line ends at ``"\\n"`` alone.  Invalid UTF-8 is a ConfigError naming its line."""
-    with path.open("rb") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            try:
-                text = line.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise ConfigError(f"{path}: malformed {what} line {lineno}: {exc}") from exc
-            if text.strip():
-                yield lineno, text
+def _read_or_fail(path: Path, what: str, parse) -> list:
+    """``read_jsonl(path, parse)``'s values; its first diagnostic is a ConfigError."""
+    values, diagnostics = read_jsonl(path, parse)
+    if diagnostics:
+        bad = diagnostics[0]
+        raise ConfigError(f"{path}: malformed {what} line {bad.line_number}: {bad.reason}")
+    return values
 
 
 def _load_candidates(path: Path) -> list[tuple[str, list[str]]]:
@@ -378,15 +370,14 @@ def _load_candidates(path: Path) -> list[tuple[str, list[str]]]:
     """
     if not path.exists():
         raise ConfigError(f"candidates file does not exist: {path}")
+
+    def parse(lineno: int, obj) -> tuple[str, list[str]]:
+        return decode(str, obj["problem_id"], "problem_id"), (
+            decode(list[str], obj["candidates"], "candidates") if "candidates" in obj
+            else [decode(str, obj["final_code"], "final_code")])
+
     grouped: dict[str, list[str]] = {}
-    for lineno, line in _jsonl_lines(path, "candidates"):
-        try:
-            obj = json.loads(line)
-            pid = decode(str, obj["problem_id"], "problem_id")
-            codes = (decode(list[str], obj["candidates"], "candidates") if "candidates" in obj
-                     else [decode(str, obj["final_code"], "final_code")])
-        except (ValueError, KeyError, TypeError) as exc:
-            raise ConfigError(f"{path}: malformed candidates line {lineno}: {exc}") from exc
+    for pid, codes in _read_or_fail(path, "candidates", parse):
         grouped.setdefault(pid, []).extend(codes)
     return list(grouped.items())
 
@@ -482,14 +473,13 @@ def _load_rows(path: Path, corpus: Corpus) -> list[CandidateRow]:
 
     if not path.exists():
         raise ConfigError(f"evaluate records not found: {path} (run evaluate first)")
-    rows = []
-    for lineno, line in _jsonl_lines(path, "records"):
-        try:
-            row = decode(CandidateRow, json.loads(line), "row")
-            Difficulty(row.difficulty), Split(row.split)  # known level and split, or ValueError
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"{path}: malformed records line {lineno}: {exc}") from exc
-        rows.append(row)
+
+    def parse(lineno: int, obj) -> CandidateRow:
+        row = decode(CandidateRow, obj, "row")
+        Difficulty(row.difficulty), Split(row.split)  # known level and split, or ValueError
+        return row
+
+    rows = _read_or_fail(path, "records", parse)
     unknown = sorted({row.problem_id for row in rows if row.problem_id not in corpus})
     if unknown:
         raise ConfigError(f"records reference unknown problem ids: {', '.join(unknown)}")

@@ -11,9 +11,9 @@ de facto APPS/CodeContests JSONL layout, one problem per line:
      "input_output": {"inputs": [str], "outputs": [str]},
      "difficulty": str, "source": str | int}
 
-A missing ``input_output`` key marks the problem as untestable.  Loading is
-forgiving about malformed lines (they become diagnostics) but strict about
-duplicate ids, which indicate a broken export.
+A problem whose ``input_output`` is missing, ``null`` or empty has no tests
+and is untestable.  Loading is forgiving about malformed lines (they become
+diagnostics) but strict about duplicate ids, which indicate a broken export.
 """
 
 from __future__ import annotations
@@ -264,13 +264,14 @@ class Problem:
     difficulty: Difficulty = Difficulty.UNKNOWN
     source: str = ""
     split: Split = Split.TRAIN
-    untestable: bool = False
 
     def __post_init__(self) -> None:
         if not self.id:
             raise ValueError("problem id must be nonempty")
-        if not self.untestable and not self.tests:
-            raise ValueError(f"problem {self.id!r}: no tests but not flagged untestable")
+
+    @property
+    def untestable(self) -> bool:
+        return not self.tests
 
 
 @dataclass
@@ -282,7 +283,6 @@ class LineDiagnostic:
 @dataclass
 class Corpus:
     problems: list[Problem]
-    provenance: str = ""
     diagnostics: list[LineDiagnostic] = field(default_factory=list)
 
     def __post_init__(self) -> None:
@@ -330,45 +330,50 @@ def _problem_from_obj(obj: dict, split: Split) -> Problem:
         difficulty=Difficulty.parse(obj.get("difficulty", "unknown")),
         source="" if source is None else str(source),
         split=split,
-        untestable=not tests,
     )
 
 
-def load_corpus(path: str | Path, split: Split = Split.TRAIN) -> Corpus:
-    """Load a JSONL corpus file.
+def read_jsonl(path: str | Path, parse) -> tuple[list, list[LineDiagnostic]]:
+    """``parse(lineno, value)`` of each nonblank line of the JSONL file ``path``,
+    read one binary line at a time (a line ends at ``"\\n"`` alone), and a
+    :class:`LineDiagnostic` for each line that is not strict UTF-8 or JSON or
+    that ``parse`` rejects with ValueError, TypeError or KeyError."""
+    values: list = []
+    diagnostics: list[LineDiagnostic] = []
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                text = line.decode("utf-8")
+                if text.strip():
+                    values.append(parse(lineno, json.loads(text)))
+            except (ValueError, TypeError, KeyError) as exc:
+                diagnostics.append(LineDiagnostic(lineno, str(exc)))
+    return values, diagnostics
 
-    The file is read one line at a time; a line ends at ``"\\n"`` alone.
+
+def load_corpus(path: str | Path, split: Split = Split.TRAIN) -> Corpus:
+    """Load a JSONL corpus file through :func:`read_jsonl`.
+
     Malformed lines, invalid UTF-8 among them, are skipped and recorded as
     diagnostics on the returned corpus.  Duplicate ids raise
     :class:`CorpusError` naming both offending line numbers.  An unreadable
     file raises :class:`CorpusError`.
     """
-    path = Path(path)
-    problems: list[Problem] = []
-    diagnostics: list[LineDiagnostic] = []
     id_lines: dict[str, int] = {}
+
+    def parse(lineno: int, obj) -> Problem:
+        problem = _problem_from_obj(obj, split)
+        if problem.id in id_lines:
+            raise CorpusError(f"duplicate problem id {problem.id!r} at lines "
+                              f"{id_lines[problem.id]} and {lineno} of {path}")
+        id_lines[problem.id] = lineno
+        return problem
+
     try:
-        with path.open("rb") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                try:
-                    text = line.decode("utf-8")
-                    if not text.strip():
-                        continue
-                    problem = _problem_from_obj(json.loads(text), split)
-                except (ValueError, TypeError) as exc:
-                    diagnostics.append(LineDiagnostic(lineno, str(exc)))
-                    continue
-                if problem.id in id_lines:
-                    raise CorpusError(
-                        f"duplicate problem id {problem.id!r} at lines "
-                        f"{id_lines[problem.id]} and {lineno} of {path}"
-                    )
-                id_lines[problem.id] = lineno
-                problems.append(problem)
+        problems, diagnostics = read_jsonl(path, parse)
     except OSError as exc:
         raise CorpusError(f"cannot read corpus file {path}: {exc}") from exc
-
-    return Corpus(problems=problems, provenance=str(path), diagnostics=diagnostics)
+    return Corpus(problems=problems, diagnostics=diagnostics)
 
 
 _PUNCT_TABLE = str.maketrans({c: " " for c in string.punctuation})
@@ -396,17 +401,6 @@ class DedupRemoval:
     holdout_id: str
     similarity: float
     reason: str  # "exact" or "jaccard"
-
-
-@dataclass
-class DedupReport:
-    removed: list[DedupRemoval]
-    kept_count: int
-    threshold: float
-
-    @property
-    def removed_count(self) -> int:
-        return len(self.removed)
 
 
 # The filters below may only over-approximate the pairs at Jaccard >= t.  A
@@ -468,8 +462,9 @@ class _PrefixIndex:
 
 def dedup_against(
     train: Corpus, holdout: Corpus, jaccard_threshold: float = 0.9
-) -> tuple[Corpus, DedupReport]:
-    """Drop training problems that leak into the holdout set.
+) -> tuple[Corpus, list[DedupRemoval]]:
+    """Drop training problems that leak into the holdout set: the kept
+    training corpus, and one removal per dropped problem in training order.
 
     A training problem is removed when its normalized statement exactly
     equals a holdout statement (reason ``"exact"``, first such holdout), or
@@ -514,8 +509,7 @@ def dedup_against(
         else:
             kept.append(problem)
 
-    deduped = replace(train, problems=kept)
-    return deduped, DedupReport(removed=removed, kept_count=len(kept), threshold=jaccard_threshold)
+    return replace(train, problems=kept), removed
 
 
 @dataclass
@@ -523,7 +517,6 @@ class StatsReport:
     total_problems: int
     by_source: dict[str, int]
     by_difficulty: dict[str, int]
-    by_split: dict[str, int]
     by_source_difficulty_split: dict[tuple[str, str, str], int]
     untestable_count: int
     total_solutions: int
@@ -534,7 +527,6 @@ def corpus_stats(corpus: Corpus) -> StatsReport:
     """Count problems per source/difficulty/split plus solution and test totals."""
     by_source: dict[str, int] = {}
     by_difficulty: dict[str, int] = {}
-    by_split: dict[str, int] = {}
     by_cell: dict[tuple[str, str, str], int] = {}
     untestable = 0
     solutions = 0
@@ -542,7 +534,6 @@ def corpus_stats(corpus: Corpus) -> StatsReport:
     for p in corpus.problems:
         by_source[p.source] = by_source.get(p.source, 0) + 1
         by_difficulty[p.difficulty.value] = by_difficulty.get(p.difficulty.value, 0) + 1
-        by_split[p.split.value] = by_split.get(p.split.value, 0) + 1
         cell = (p.source, p.difficulty.value, p.split.value)
         by_cell[cell] = by_cell.get(cell, 0) + 1
         untestable += p.untestable
@@ -552,7 +543,6 @@ def corpus_stats(corpus: Corpus) -> StatsReport:
         total_problems=len(corpus.problems),
         by_source=by_source,
         by_difficulty=by_difficulty,
-        by_split=by_split,
         by_source_difficulty_split=by_cell,
         untestable_count=untestable,
         total_solutions=solutions,

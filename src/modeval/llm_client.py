@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
-from .corpus import EntryLog, decode, map_in_threads, sha256_hex
+from .corpus import EntryLog, decode, map_in_threads, read_jsonl, sha256_hex
 from .settings import ProviderConfig
 
 if TYPE_CHECKING:
@@ -114,6 +114,16 @@ class HttpProvider:
         return text, meta
 
 
+@dataclass
+class _MockRule:
+    """One line of a mock ``rules.jsonl``, as written there."""
+
+    contains: list[str] | None = None  # a single string is read as a list of one
+    tag: str | None = None  # a PromptTag value
+    response: str = ""
+    response_file: str | None = None  # read into the response when the provider is built
+
+
 class MockProvider:
     """Deterministic provider for tests and offline runs.
 
@@ -122,9 +132,10 @@ class MockProvider:
     prompt content.  Rules live in ``rules.jsonl``: one JSON object per line
     with ``contains`` (substring, or list of substrings that must all appear,
     in the prompt user text), optional ``tag``, and either ``response`` or
-    ``response_file``.  A malformed rule or an unreadable response file raises
-    ValueError naming the file and line when the provider is built.  ``calls``
-    counts the requests; the mock keeps no prompt.
+    ``response_file``, and no other key.  A malformed rule, an unknown tag or
+    an unreadable response file raises ValueError naming the file and line
+    when the provider is built.  ``calls`` counts the requests; the mock keeps
+    no prompt.
     """
 
     def __init__(
@@ -142,7 +153,7 @@ class MockProvider:
         self._lock = threading.Lock()
         self._inflight = 0
         self.peak_inflight = 0
-        self._rules: list[dict] = []
+        self._rules: list[tuple] = []  # (tag or None, needles, response)
         self._default: str | None = None
         from .promptgen import echo_response  # here, so importing llm_client loads no promptgen
 
@@ -150,48 +161,41 @@ class MockProvider:
         if self.fixture_dir is not None:
             rules_path = self.fixture_dir / "rules.jsonl"
             if rules_path.exists():
-                with rules_path.open("rb") as fh:  # a line ends at "\n" alone
-                    for lineno, raw in enumerate(fh, start=1):
-                        where = f"{rules_path}:{lineno}"
-                        try:
-                            line = raw.decode("utf-8")
-                        except UnicodeDecodeError as exc:
-                            raise ValueError(f"{where}: bad mock rule: {exc}") from exc
-                        if line.strip():
-                            self._rules.append(self._load_rule(line, where))
+                self._rules, bad = read_jsonl(rules_path, lambda _, obj: self._load_rule(obj))
+                if bad:
+                    where = f"{rules_path}:{bad[0].line_number}"
+                    raise ValueError(f"{where}: bad mock rule: {bad[0].reason}")
             default_path = self.fixture_dir / "default.txt"
             if default_path.exists():
                 self._default = default_path.read_text(encoding="utf-8")
 
-    def _load_rule(self, line: str, where: str) -> dict:
-        """One rules.jsonl line, ``contains`` as a list and ``response_file``
-        read into ``response``."""
-        try:
-            rule = decode(dict, json.loads(line), "rule")
-            if "response_file" in rule:
-                path = self.fixture_dir / decode(str, rule.pop("response_file"), "response_file")
-                rule["response"] = path.read_text(encoding="utf-8")
-            needles = rule.get("contains")
-            if needles is None or isinstance(needles, str):
-                needles = [needles] if needles else []
-            rule["contains"] = decode(list[str], needles, "contains")
-            decode(str | None, rule.get("tag"), "tag")
-            decode(str, rule.get("response", ""), "response")
-        except (ValueError, TypeError, OSError) as exc:
-            raise ValueError(f"{where}: bad mock rule: {exc}") from exc
-        return rule
+    def _load_rule(self, obj) -> tuple:
+        """A rules.jsonl object decoded as a ``_MockRule``, as ``(tag, needles, response)``."""
+        from .promptgen import PromptTag
+
+        obj = decode(dict, obj, "rule")
+        if isinstance(obj.get("contains"), str):
+            obj = {**obj, "contains": [obj["contains"]]}
+        rule = decode(_MockRule, obj, "rule")
+        tag, response = decode(PromptTag | None, rule.tag, "rule.tag"), rule.response
+        if rule.response_file is not None:
+            try:
+                response = (self.fixture_dir / rule.response_file).read_text(encoding="utf-8")
+            except OSError as exc:
+                raise ValueError(str(exc)) from exc
+        return tag, rule.contains or [], response
 
     def _rule_response(self, prompt: Prompt) -> str | None:
         """The response of the first rule whose tag and every ``contains`` needle match."""
-        tag, user = prompt.tag.value, prompt.user
-        for rule in self._rules:
-            if rule.get("tag") and rule["tag"] != tag:
+        tag, user = prompt.tag, prompt.user
+        for rule_tag, needles, response in self._rules:
+            if rule_tag is not None and rule_tag is not tag:
                 continue
-            for needle in rule["contains"]:
+            for needle in needles:
                 if needle not in user:
                     break
             else:
-                return rule.get("response", "")
+                return response
         return None
 
     def send(self, prompt: Prompt, cfg: ProviderConfig) -> tuple[str, dict]:

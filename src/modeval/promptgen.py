@@ -86,7 +86,6 @@ class SubModule:
 class ModularSolution:
     outline: list[SubModule]
     final_code: str
-    raw_response: str
 
 
 class ParseError(Exception):
@@ -376,7 +375,7 @@ def parse_mot_response(raw: str) -> ModularSolution:
             f"{len(blocks)} fenced code blocks in the final-solution region",
         )
     final_code = blocks[0][0]
-    return ModularSolution(outline=outline, final_code=final_code, raw_response=raw)
+    return ModularSolution(outline=outline, final_code=final_code)
 
 
 def parse_code_response(raw: str) -> str:
@@ -455,7 +454,7 @@ def _echo_mot(user_text: str) -> str:
                 )
     outline = outline or [SubModule(name="solve", header="def solve():",
                                     docstring="Read standard input, compute the answer, print it.")]
-    return render_modular_solution(ModularSolution(outline=outline, final_code=solution, raw_response=""))
+    return render_modular_solution(ModularSolution(outline=outline, final_code=solution))
 
 
 def echo_response(prompt: Prompt) -> str:

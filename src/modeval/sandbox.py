@@ -18,10 +18,10 @@ one run at a time as a fork server: it forks a child, and the child
   with ``shlex``; no shell).
 
 Forking the warm broker skips interpreter start-up, which is most of the cost
-of a typical test run.  Forked children share their broker's hash seed, so
-string hashes (and set order) are the same in every run a broker serves,
-where separately started interpreters each draw their own unless
-``PYTHONHASHSEED`` is set.
+of a typical test run.  Every broker starts with ``PYTHONHASHSEED`` set to
+``HASH_SEED``, and forked children and exec'd runners keep it, so string
+hashes (and so the order of a set of strings) are the same in every run of
+every process, where a default interpreter draws a seed at random.
 
 The broker waits on a pidfd with ``select`` until the wall-time deadline, then
 kills the child and its process group; where ``os.pidfd_open`` is missing it
@@ -79,7 +79,9 @@ KILL_GRACE = 0.5
 # Part of every verdict-cache key.  Bump it when a change to how programs run
 # or how outputs compare can change a verdict, so verdicts recorded before
 # the change miss once instead of being replayed.
-SANDBOX_SEMANTICS = 2
+SANDBOX_SEMANTICS = 3
+
+HASH_SEED = "0"  # every broker's PYTHONHASHSEED: changing it changes SANDBOX_SEMANTICS
 
 
 class ExecStatus(str, Enum):
@@ -378,6 +380,7 @@ class _Broker:
         try:
             self.proc = subprocess.Popen(
                 [sys.executable, "-c", _BROKER_SOURCE],
+                env={**os.environ, "PYTHONHASHSEED": HASH_SEED},
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
                 text=True,
@@ -578,12 +581,13 @@ def compare_output(expected: str, actual: str, policy: ComparePolicy = ComparePo
     The default ``token`` policy splits both texts on whitespace and compares
     token sequences.  Two tokens that are both finite ASCII decimal numbers
     (``_NUMBER``) are equal within an absolute tolerance; any other tokens
-    must be identical strings.  The ``exact`` policy compares lines after
-    stripping trailing whitespace and trailing blank lines.
+    must be identical strings.  The ``exact`` policy splits both texts at
+    ``"\n"`` alone and compares the lines after stripping each one's trailing
+    whitespace (a CRLF's ``"\r"`` among it) and dropping trailing blank lines.
     """
     if policy.mode == "exact":
         def norm(text: str) -> list[str]:
-            lines = [ln.rstrip() for ln in text.splitlines()]
+            lines = [ln.rstrip() for ln in text.split("\n")]
             while lines and not lines[-1]:
                 lines.pop()
             return lines
@@ -614,7 +618,7 @@ def judge(
     scratch directory for all its tests; each test runs in a fresh
     subdirectory of it.
     """
-    if problem.untestable or not problem.tests:
+    if problem.untestable:
         raise ValueError(f"problem {problem.id!r} has no tests (untestable)")
 
     per_test: list[tuple[ExecutionReport, bool]] = []

@@ -28,11 +28,6 @@ if TYPE_CHECKING:  # structural checks run no sandbox
     from .sandbox import JudgeVerdict
 
 
-class Verdict(str, Enum):
-    ACCEPT = "accept"
-    REJECT = "reject"
-
-
 class Marker(str, Enum):
     M1_STRATEGY_DIVERGENCE = "m1_strategy_divergence"
     M2_NO_SUBMODULES = "m2_no_submodules"
@@ -42,19 +37,14 @@ class Marker(str, Enum):
 
 @dataclass
 class AssessmentResult:
-    verdict: Verdict
+    """A rejection names the marker that fired; an acceptance names none."""
+
     marker: Marker | None = None
     detail: str = ""
 
-    def __post_init__(self) -> None:
-        if self.verdict is Verdict.REJECT and self.marker is None:
-            raise ValueError("a rejection must name its marker")
-        if self.verdict is Verdict.ACCEPT and self.marker is not None:
-            raise ValueError("an acceptance must not carry a marker")
-
     @property
     def accepted(self) -> bool:
-        return self.verdict is Verdict.ACCEPT
+        return self.marker is None
 
 
 @dataclass
@@ -65,16 +55,13 @@ class FilterRecord:
     result: AssessmentResult
 
 
-def _reject(marker: Marker, detail: str) -> AssessmentResult:
-    return AssessmentResult(verdict=Verdict.REJECT, marker=marker, detail=detail)
-
-
 def _single_block(text: str, where: str) -> tuple[AssessmentResult, str | None]:
     """Marker m3: ``text`` must hold exactly one non-empty fenced code block."""
     blocks = [b for b, _ in promptgen.extract_code_blocks(text) if b.strip()]
     if len(blocks) != 1:
-        return _reject(Marker.M3_MAIN_CODE_COUNT, f"{len(blocks)} code blocks in {where}"), None
-    return AssessmentResult(verdict=Verdict.ACCEPT), blocks[0]
+        return AssessmentResult(Marker.M3_MAIN_CODE_COUNT,
+                                f"{len(blocks)} code blocks in {where}"), None
+    return AssessmentResult(), blocks[0]
 
 
 def assess_structure(raw: str) -> tuple[AssessmentResult, ModularSolution | None]:
@@ -87,26 +74,22 @@ def assess_structure(raw: str) -> tuple[AssessmentResult, ModularSolution | None
     try:
         split = promptgen.split_steps(raw)
     except ParseError as exc:
-        return _reject(Marker.M1_STRATEGY_DIVERGENCE, exc.message), None
+        return AssessmentResult(Marker.M1_STRATEGY_DIVERGENCE, exc.message), None
     if "```" in raw[: split.step1_char]:
-        return _reject(
-            Marker.M1_STRATEGY_DIVERGENCE,
-            "code block appears before the outline region",
-        ), None
+        return AssessmentResult(Marker.M1_STRATEGY_DIVERGENCE,
+                                "code block appears before the outline region"), None
 
     outline, strays = promptgen.parse_outline(split.step1)
     if not outline:
-        return _reject(Marker.M2_NO_SUBMODULES, "no sub-modules outlined"), None
+        return AssessmentResult(Marker.M2_NO_SUBMODULES, "no sub-modules outlined"), None
     if strays:
-        return _reject(
-            Marker.M2_NO_SUBMODULES,
-            f"outline contains more than headers and docstrings: {strays[0]!r}",
-        ), None
+        detail = f"outline contains more than headers and docstrings: {strays[0]!r}"
+        return AssessmentResult(Marker.M2_NO_SUBMODULES, detail), None
 
     result, final_code = _single_block(split.step2, "the final region")
     if final_code is None:
         return result, None
-    return result, ModularSolution(outline=outline, final_code=final_code, raw_response=raw)
+    return result, ModularSolution(outline=outline, final_code=final_code)
 
 
 def assess_clean(text: str) -> tuple[AssessmentResult, str | None]:
@@ -117,10 +100,10 @@ def assess_clean(text: str) -> tuple[AssessmentResult, str | None]:
 def assess_verdict(verdict: JudgeVerdict) -> AssessmentResult:
     """Marker m4 over a judge verdict: accept only when every test passed."""
     if verdict.passed:
-        return AssessmentResult(verdict=Verdict.ACCEPT)
+        return AssessmentResult()
     idx = verdict.first_failure
     status = verdict.per_test[idx][0].status.value
-    return _reject(Marker.M4_TESTS_FAILED, f"first failing test {idx} ({status})")
+    return AssessmentResult(Marker.M4_TESTS_FAILED, f"first failing test {idx} ({status})")
 
 
 @dataclass

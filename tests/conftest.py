@@ -30,7 +30,6 @@ def make_problem(
     difficulty=Difficulty.INTRODUCTORY,
     source="alpha",
     split=Split.TRAIN,
-    untestable=False,
 ) -> Problem:
     return Problem(
         id=pid,
@@ -40,7 +39,6 @@ def make_problem(
         difficulty=difficulty,
         source=source,
         split=split,
-        untestable=untestable,
     )
 
 
@@ -76,7 +74,7 @@ def make_rows(problem, n, c, code="print(1)", metrics: CodeMetrics | None = None
 
 
 def corpus_of(*problems) -> Corpus:
-    return Corpus(problems=list(problems), provenance="test")
+    return Corpus(problems=list(problems))
 
 
 def cache_entries(root) -> list[tuple[str, object]]:

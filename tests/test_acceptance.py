@@ -26,7 +26,7 @@ from modeval.sandbox import (
     judge_batch,
     run_once,
 )
-from modeval.validator import Marker, Verdict, filter_pass_rate
+from modeval.validator import Marker, filter_pass_rate
 
 import test_validator as marker_fixtures
 from conftest import FIXTURES
@@ -115,7 +115,7 @@ def test_criterion_4_validator_marker_fixtures():
             assert len(fixtures) == 3
             for name, raw in fixtures.items():
                 result = marker_fixtures.assess(raw)
-                assert result.verdict is Verdict.REJECT, name
+                assert not result.accepted, name
                 assert result.marker is marker, name
                 total += 1
 
@@ -139,7 +139,7 @@ def test_criterion_4_validator_marker_fixtures():
         assert total == 12
 
         for name, raw in marker_fixtures.WELL_FORMED.items():
-            assert marker_fixtures.assess(raw).verdict is Verdict.ACCEPT, name
+            assert marker_fixtures.assess(raw).accepted, name
 
 
 def test_criterion_5_sandbox_limits():

@@ -133,8 +133,11 @@ class TestConfig:
         json.dumps({"contains": 0, "response": "x"}),
         json.dumps({"contains": False, "response": "x"}),
         json.dumps({"contains": {}, "response": "x"}),
+        json.dumps({"contain": "NEVER-IN-PROMPT", "response": "typo-key rule"}),
+        json.dumps({"tag": "reflection", "contains": "x", "response": "x"}),
     ], ids=["bad_json", "not_an_object", "missing_response_file", "contains_int",
-            "response_int", "invalid_utf8", "contains_zero", "contains_false", "contains_object"])
+            "response_int", "invalid_utf8", "contains_zero", "contains_false", "contains_object",
+            "contains_misspelt", "tag_unknown"])
     def test_malformed_mock_fixture_is_config_error(self, tmp_path, capsys, rules):
         mock = tmp_path / "mock"
         mock.mkdir()

@@ -18,7 +18,6 @@ from modeval.corpus import (
     CorpusError,
     Difficulty,
     EntryLog,
-    Problem,
     Split,
     TestCase,
     corpus_stats,
@@ -141,9 +140,11 @@ class TestLoadCorpus:
         with pytest.raises(CorpusError):
             load_corpus(tmp_path / "missing.jsonl")
 
-    def test_missing_input_output_marks_untestable(self, tmp_path):
+    @pytest.mark.parametrize("kwargs", [{"testable": False}, {"inputs": (), "outputs": ()}],
+                             ids=["missing", "empty"])
+    def test_missing_input_output_marks_untestable(self, tmp_path, kwargs):
         path = tmp_path / "c.jsonl"
-        write_jsonl(path, [problem_obj("a", testable=False)])
+        write_jsonl(path, [problem_obj("a", **kwargs)])
         corpus = load_corpus(path)
         assert corpus.problems[0].untestable
         assert corpus.problems[0].tests == []
@@ -198,11 +199,6 @@ class TestCorpusInvariants:
         with pytest.raises(ValueError):
             make_problem(pid="")
 
-    def test_tests_required_unless_untestable(self):
-        with pytest.raises(ValueError):
-            Problem(id="a", statement="s", solutions=[], tests=[])
-        Problem(id="a", statement="s", solutions=[], tests=[], untestable=True)
-
 
 class TestSelectSolutions:
     """transform rewrites the first ``solution_cap`` solutions of each problem, in stored order."""
@@ -248,25 +244,25 @@ class TestDedup:
     def test_byte_identical_statement_removed(self):
         train = corpus_of(make_problem("t1", statement="Exact same text."))
         holdout = corpus_of(make_problem("h1", statement="Exact same text."))
-        deduped, report = dedup_against(train, holdout)
+        deduped, removed = dedup_against(train, holdout)
         assert len(deduped) == 0
-        assert report.removed[0].train_id == "t1"
-        assert report.removed[0].holdout_id == "h1"
-        assert report.removed[0].similarity == 1.0
+        assert removed[0].train_id == "t1"
+        assert removed[0].holdout_id == "h1"
+        assert removed[0].similarity == 1.0
 
     def test_whitespace_and_case_variant_removed_via_normalization(self):
         train = corpus_of(make_problem("t1", statement="Count   the WORDS, please!"))
         holdout = corpus_of(make_problem("h1", statement="count the words please"))
-        deduped, report = dedup_against(train, holdout, jaccard_threshold=0.9)
+        deduped, removed = dedup_against(train, holdout, jaccard_threshold=0.9)
         assert len(deduped) == 0
-        assert report.removed[0].similarity == 1.0
+        assert removed[0].similarity == 1.0
 
     def test_unrelated_statements_kept(self):
         train = corpus_of(make_problem("t1", statement="alpha beta gamma"))
         holdout = corpus_of(make_problem("h1", statement="delta epsilon zeta"))
-        deduped, report = dedup_against(train, holdout)
+        deduped, removed = dedup_against(train, holdout)
         assert len(deduped) == 1
-        assert report.removed == []
+        assert removed == []
 
     def test_jaccard_threshold_boundary(self):
         # 9 shared words out of 10 union -> similarity 0.9
@@ -285,9 +281,9 @@ class TestDedup:
         )
         holdout = corpus_of(make_problem("h1", statement="Shared problem statement here."))
         once, _ = dedup_against(train, holdout)
-        twice, report = dedup_against(once, holdout)
+        twice, removed = dedup_against(once, holdout)
         assert [p.id for p in twice] == [p.id for p in once]
-        assert report.removed == []
+        assert removed == []
 
     def test_diagnostics_kept(self, tmp_path):
         path = tmp_path / "train.jsonl"
@@ -365,14 +361,12 @@ def brute_force_dedup(train, holdout, threshold):
 
 
 def assert_matches_brute_force(train, holdout, threshold):
-    deduped, report = dedup_against(train, holdout, jaccard_threshold=threshold)
+    deduped, removals = dedup_against(train, holdout, jaccard_threshold=threshold)
     kept, removed = brute_force_dedup(train, holdout, threshold)
     assert [p.id for p in deduped] == kept
     assert [(r.train_id, r.holdout_id, r.similarity, r.reason)
-            for r in report.removed] == removed
-    assert report.kept_count == len(kept)
-    assert report.threshold == threshold
-    return report
+            for r in removals] == removed
+    return removals
 
 
 def random_statement(rng, vocab):
@@ -446,8 +440,7 @@ class TestDedupEquivalence:
         holdout = corpus_of(make_problem("h0", statement="unrelated words only"),
                             make_problem("h1", statement="alpha beta gamma delta"),
                             make_problem("h2", statement="gamma delta alpha beta"))
-        report = assert_matches_brute_force(train, holdout, threshold)
-        [removal] = report.removed
+        [removal] = assert_matches_brute_force(train, holdout, threshold)
         assert (removal.holdout_id, removal.similarity, removal.reason) == ("h1", 1.0, "jaccard")
 
     def test_threshold_equal_to_similarity_is_found(self):
@@ -462,8 +455,8 @@ class TestDedupEquivalence:
                     holdout = corpus_of(make_problem("h", statement=" ".join(
                         [f"s{k}" for k in range(shared)]
                         + [f"b{k}" for k in range(extra - left)])))
-                    report = assert_matches_brute_force(train, holdout, shared / union)
-                    assert report.removed_count == 1
+                    removals = assert_matches_brute_force(train, holdout, shared / union)
+                    assert len(removals) == 1
 
     def test_verifies_few_pairs(self, monkeypatch):
         calls = []
@@ -489,8 +482,8 @@ class TestDedupEquivalence:
                             for t, w in enumerate(train_words)))
         holdout = corpus_of(*(make_problem(f"h{h}", statement=" ".join(w))
                               for h, w in enumerate(holdout_words)))
-        deduped, report = dedup_against(train, holdout, jaccard_threshold=0.9)
-        assert [(r.train_id, r.holdout_id) for r in report.removed] == [
+        deduped, removals = dedup_against(train, holdout, jaccard_threshold=0.9)
+        assert [(r.train_id, r.holdout_id) for r in removals] == [
             (f"t{t}", f"h{t // 2}") for t in range(0, 400, 40)]
         assert len(deduped) == 390
         assert 10 <= len(calls) < 1000  # against 80,000 pairs in a full scan
@@ -526,14 +519,12 @@ class TestCorpusStats:
             make_problem(f"p{i}",
                          difficulty=list(Difficulty)[i % 4],
                          source=["alpha", "beta"][i % 2],
-                         untestable=(i % 5 == 0),
                          tests=() if i % 5 == 0 else (("1\n", "1\n"),))
             for i in range(23)
         ]
         stats = corpus_stats(corpus_of(*problems))
         assert sum(stats.by_source.values()) == stats.total_problems
         assert sum(stats.by_difficulty.values()) == stats.total_problems
-        assert sum(stats.by_split.values()) == stats.total_problems
         assert sum(stats.by_source_difficulty_split.values()) == stats.total_problems
 
 

@@ -204,7 +204,6 @@ class TestParseMotResponse:
         assert [s.name for s in sol.outline] == ["read_input", "solve"]
         assert sol.outline[0].docstring == "Read n and the list of ints from stdin."
         assert "print(solve(read_input()))" in sol.final_code
-        assert sol.raw_response == WELL_FORMED
 
     def test_missing_step2_delimiter(self):
         raw = WELL_FORMED.replace("### STEP 2", "## part two")
@@ -244,7 +243,6 @@ class TestParseMotResponse:
                 SubModule("answer", "def answer(xs):", "Compute the output value."),
             ],
             final_code="def parse(line):\n    return line.split()\nprint(parse(input()))",
-            raw_response="",
         )
         rendered = render_modular_solution(sol)
         back = parse_mot_response(rendered)

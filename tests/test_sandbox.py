@@ -305,10 +305,28 @@ class TestCompareOutput:
         policy = ComparePolicy(mode="exact")
         assert compare_output("a b\n", "a b", policy) is True
         assert compare_output("a  b", "a b", policy) is False
+        assert compare_output("a\nb\n", "a\r\nb\r\n", policy) is True  # a CRLF's "\r" is stripped
+
+    @pytest.mark.parametrize("sep", ["\u2028", "\x85", "\v", "\f", "\r"],
+                             ids=["line_separator", "next_line", "vertical_tab", "form_feed", "cr"])
+    def test_exact_mode_ends_lines_at_newline_alone(self, sep):
+        policy = ComparePolicy(mode="exact")
+        assert compare_output("a\nb\n", "a" + sep + "b\n", policy) is False
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             compare_output("a", "a", ComparePolicy(mode="fuzzy"))
+
+
+def test_set_order_is_the_same_in_every_harness_process():
+    # each harness process starts its own broker; none is given a hash seed
+    program = 'print(list({f"w{i}" for i in range(20)}))'
+    probe = f"from modeval.sandbox import run_once\nprint(run_once({program!r}, '').stdout, end='')"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONHASHSEED"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = [subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              text=True, timeout=60, check=True).stdout for _ in range(3)]
+    assert outputs[0].startswith("['w") and len(set(outputs)) == 1, outputs
 
 
 class TestJudge:
@@ -337,7 +355,7 @@ class TestJudge:
         assert len(verdict.per_test) == 1
 
     def test_untestable_problem_rejected(self):
-        problem = make_problem(tests=(), untestable=True)
+        problem = make_problem(tests=())
         with pytest.raises(ValueError):
             judge("print(1)", problem, FAST)
 
@@ -491,7 +509,7 @@ class TestVerdictCache:
         settings = Judge(ResourceLimits(wall_time=2.0), ComparePolicy(mode="exact"),
                          fail_fast=True)
         assert (VerdictCache(tmp_path)._key("print(input())", problem, settings)
-                == "c1b66352f931d84090dca3c3e5c3d00b0fec22d35987c9fb00d2a0616a42de0f")
+                == "4c3ebe6a7074c5e1e60a9d761310ba9ba89e314a4e8524252f5248cdf02ae406")
 
     def test_key_resolves_each_interpreter_path_once(self, tmp_path, monkeypatch):
         # realpath lstat's every path component, and a round makes a key per candidate

@@ -25,7 +25,7 @@ SURFACE = {
     "sandbox": ["ComparePolicy", "ExecStatus", "ExecutionReport", "InfrastructureError", "Judge",
                 "JudgeVerdict", "ResourceLimits", "VerdictCache", "compare_output", "judge",
                 "judge_batch", "run_once"],
-    "validator": ["AssessmentResult", "FilterRecord", "Marker", "Verdict", "assess_clean",
+    "validator": ["AssessmentResult", "FilterRecord", "Marker", "assess_clean",
                   "assess_structure", "assess_verdict", "filter_pass_rate"],
 }
 NAMES = [(module, name) for module, names in SURFACE.items() for name in names]

@@ -6,7 +6,6 @@ from modeval.validator import (
     AssessmentResult,
     FilterRecord,
     Marker,
-    Verdict,
     assess_structure,
     assess_verdict,
     filter_pass_rate,
@@ -94,13 +93,13 @@ class TestStructuralMarkers:
     @pytest.mark.parametrize("name", sorted(WELL_FORMED))
     def test_well_formed_accepted(self, name):
         result = assess(WELL_FORMED[name])
-        assert result.verdict is Verdict.ACCEPT
+        assert result.accepted
         assert result.marker is None
 
     @pytest.mark.parametrize("name", sorted(M1_FIXTURES))
     def test_m1_strategy_divergence(self, name):
         result = assess(M1_FIXTURES[name])
-        assert result.verdict is Verdict.REJECT
+        assert not result.accepted
         assert result.marker is Marker.M1_STRATEGY_DIVERGENCE
 
     @pytest.mark.parametrize("name", sorted(M2_FIXTURES))
@@ -125,17 +124,11 @@ class TestStructuralMarkers:
     def test_accept_implies_reparseable(self):
         for raw in WELL_FORMED.values():
             result = assess(raw)
-            assert result.verdict is Verdict.ACCEPT
+            assert result.accepted
             sol = parse_mot_response(raw)
             assert sol.outline  # nonempty outline
             assert sol.final_code.strip()
             assert assess_structure(raw)[1] == sol
-
-    def test_assessment_result_invariants(self):
-        with pytest.raises(ValueError):
-            AssessmentResult(verdict=Verdict.REJECT)  # reject without marker
-        with pytest.raises(ValueError):
-            AssessmentResult(verdict=Verdict.ACCEPT, marker=Marker.M1_STRATEGY_DIVERGENCE)
 
 
 class TestFunctionalMarker:
@@ -145,7 +138,7 @@ class TestFunctionalMarker:
         sol = parse_mot_response(WELL_FORMED["plain"])
         problem = make_problem(tests=(("3\n", "6\n"), ("10\n", "20\n")))
         verdict = Judge(self.LIMITS)(sol.final_code, problem)
-        assert assess_verdict(verdict).verdict is Verdict.ACCEPT
+        assert assess_verdict(verdict).accepted
         assert verdict.passed
 
     def test_constant_program_rejected_at_first_test(self):
@@ -170,7 +163,7 @@ class TestFunctionalMarker:
 
     def test_untestable_problem_rejected_as_precondition(self):
         sol = parse_mot_response(WELL_FORMED["plain"])
-        problem = make_problem(tests=(), untestable=True)
+        problem = make_problem(tests=())
         with pytest.raises(ValueError):
             Judge()(sol.final_code, problem)
 
@@ -185,11 +178,9 @@ def records_for(source: str, data_type: str, pre: int, post: int) -> list[Filter
     rows = []
     for i in range(pre):
         if i < post:
-            result = AssessmentResult(verdict=Verdict.ACCEPT)
+            result = AssessmentResult()
         else:
-            result = AssessmentResult(
-                verdict=Verdict.REJECT, marker=Marker.M4_TESTS_FAILED, detail="t"
-            )
+            result = AssessmentResult(marker=Marker.M4_TESTS_FAILED, detail="t")
         rows.append(FilterRecord(f"{source}-{data_type}-{i}", source, data_type, result))
     return rows
 
