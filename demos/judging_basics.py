@@ -2,11 +2,11 @@
 """Run programs under resource limits and judge them against I/O tests."""
 from modeval import (
     ComparePolicy,
+    Judge,
     Problem,
     ResourceLimits,
     TestCase,
     compare_output,
-    judge,
     run_once,
 )
 
@@ -45,6 +45,7 @@ problem = Problem(
     tests=[TestCase("3\n", "9\n"), TestCase("-4\n", "16\n"), TestCase("0\n", "0\n")],
 )
 
+judge = Judge()  # default limits and token comparison, no verdict cache
 verdict = judge(problem.solutions[0], problem)
 print(f"\nreference solution: passed={verdict.passed}, "
       f"avg {verdict.avg_time * 1e3:.0f} ms, {verdict.avg_peak_memory / MB:.1f} MB peak")

@@ -26,7 +26,7 @@ _EXPORTS = {
                   "build_reflection_prompt", "parse_code_response", "parse_mot_response",
                   "render_modular_solution"],
     "sandbox": ["ExecStatus", "ExecutionReport", "Judge", "JudgeVerdict", "VerdictCache",
-                "compare_output", "judge", "judge_batch", "run_once"],
+                "compare_output", "judge_batch", "run_once"],
     # re-exported by llm_client (ProviderConfig) and sandbox (the rest) as well
     "settings": ["ComparePolicy", "InfrastructureError", "ProviderConfig", "ResourceLimits"],
     "validator": ["AssessmentResult", "FilterRecord", "Marker", "assess_clean",

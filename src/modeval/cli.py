@@ -339,8 +339,7 @@ def cmd_transform(cfg: PipelineConfig) -> int:
         out / "filter_rates.csv",
         ["source", "data_type", "pre_count", "post_count", "rate_percent"],
         [
-            [source, data_type, row.pre_count, row.post_count,
-             row.rate_percent if row.rate_percent is not None else ""]
+            [source, data_type, row.pre_count, row.post_count, row.rate_percent]
             for (source, data_type), row in table.items()
         ],
     )
@@ -475,8 +474,14 @@ def _load_rows(path: Path, corpus: Corpus) -> list[CandidateRow]:
         raise ConfigError(f"evaluate records not found: {path} (run evaluate first)")
 
     def parse(lineno: int, obj) -> CandidateRow:
-        row = decode(CandidateRow, obj, "row")
+        written = decode(dict, obj, "row")
+        stated = [written.pop("passed"), written.pop("first_failure")]  # KeyError when missing
+        row = decode(CandidateRow, written, "row")
         Difficulty(row.difficulty), Split(row.split)  # known level and split, or ValueError
+        computed = [row.passed, row.first_failure]
+        if [(type(v), v) for v in stated] != [(type(v), v) for v in computed]:  # 1 is not True
+            raise ValueError(f"row.passed and row.first_failure are {stated}, "
+                             f"where row.matched gives {computed}")
         return row
 
     rows = _read_or_fail(path, "records", parse)

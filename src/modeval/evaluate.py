@@ -57,19 +57,28 @@ def pass_at_k(n: int, c: int, k: int) -> float:
 
 @dataclass
 class CandidateRow:
-    """One judged candidate program: the schema of a ``records.jsonl`` line."""
+    """One judged candidate program: the schema of a ``records.jsonl`` line.
+
+    ``passed`` and ``first_failure`` are computed from ``matched`` and
+    written beside it; the records loader of ``cli`` rejects a line where
+    they disagree.
+    """
 
     problem_id: str
     candidate_index: int
     difficulty: str
     split: str
-    passed: bool
-    first_failure: int | None
+    passed: bool = field(init=False)
+    first_failure: int | None = field(init=False)
     matched: list[bool]
     statuses: list[str]
     avg_time: float
     avg_peak_memory: float
     metrics: CodeMetrics
+
+    def __post_init__(self) -> None:
+        self.passed = all(self.matched)
+        self.first_failure = next((i for i, ok in enumerate(self.matched) if not ok), None)
 
     @classmethod
     def judged(
@@ -80,8 +89,6 @@ class CandidateRow:
             candidate_index=index,
             difficulty=problem.difficulty.value,
             split=problem.split.value,
-            passed=verdict.passed,
-            first_failure=verdict.first_failure,
             matched=[bool(ok) for _, ok in verdict.per_test],
             statuses=[report.status.value for report, _ in verdict.per_test],
             avg_time=verdict.avg_time,
@@ -253,7 +260,6 @@ def mi_profile(rows: list[CandidateRow]) -> MiProfile:
 @dataclass
 class ReflectionRound:
     prompt: Prompt
-    completion_text: str
     attempt: str
     verdict: JudgeVerdict
 
@@ -262,8 +268,14 @@ class ReflectionRound:
 class ReflectionTrace:
     problem_id: str
     rounds: list[ReflectionRound] = field(default_factory=list)
-    solved_at: int | None = None
     error: str | None = None
+
+    @property
+    def solved_at(self) -> int | None:
+        """The index of the round that passed: the last one, as the loop stops there."""
+        if self.rounds and self.rounds[-1].verdict.passed:
+            return len(self.rounds) - 1
+        return None
 
     @property
     def solved(self) -> bool:
@@ -304,16 +316,8 @@ def self_reflect(
             return trace
         attempt = promptgen.parse_code_response(completion.text)
         verdict = judge(attempt, problem)
-        trace.rounds.append(
-            ReflectionRound(
-                prompt=prompt, completion_text=completion.text,
-                attempt=attempt, verdict=verdict,
-            )
-        )
-        if verdict.passed:
-            trace.solved_at = len(trace.rounds) - 1
-            return trace
-        if len(trace.rounds) >= max_rounds:
+        trace.rounds.append(ReflectionRound(prompt=prompt, attempt=attempt, verdict=verdict))
+        if verdict.passed or len(trace.rounds) >= max_rounds:
             return trace
         prompt = promptgen.build_reflection_prompt(
             problem, attempt, verdict, round=len(trace.rounds), max_rounds=max_rounds

@@ -104,8 +104,8 @@ class HttpProvider:
             finish = choice.get("finish_reason", "")
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise ProviderError("protocol", f"malformed response body: {exc}") from exc
-        if text is None:
-            raise ProviderError("protocol", "response carried no text")
+        if not isinstance(text, str):  # null, or a list of content parts
+            raise ProviderError("protocol", f"response content is not text: {text!r:.200}")
         meta = {
             "finish_reason": finish,
             "truncated": finish == "length",

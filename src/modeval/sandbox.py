@@ -601,35 +601,27 @@ def compare_output(expected: str, actual: str, policy: ComparePolicy = ComparePo
     return all(_tokens_match(e, a, policy.float_tolerance) for e, a in zip(etoks, atoks))
 
 
-def judge(
-    program: str,
-    problem: Problem,
-    limits: ResourceLimits = ResourceLimits(),
-    policy: ComparePolicy = ComparePolicy(),
-    *,
-    runner: str | None = None,
-    fail_fast: bool = False,
-    keep_scratch: bool = False,
-) -> JudgeVerdict:
-    """Run ``program`` against every test of ``problem`` and aggregate.
+def judge(program: str, problem: Problem, settings: Judge) -> JudgeVerdict:
+    """Run ``program`` against every test of ``problem`` under ``settings``,
+    past its cache, and aggregate.
 
-    Averages are over executed tests; with ``fail_fast`` the remaining tests
-    after the first failure are not executed.  The program is written to one
-    scratch directory for all its tests; each test runs in a fresh
-    subdirectory of it.
+    Averages are over executed tests; with ``settings.fail_fast`` the
+    remaining tests after the first failure are not executed.  The program is
+    written to one scratch directory for all its tests; each test runs in a
+    fresh subdirectory of it.
     """
     if problem.untestable:
         raise ValueError(f"problem {problem.id!r} has no tests (untestable)")
 
     per_test: list[tuple[ExecutionReport, bool]] = []
-    with _Scratch(program, runner, keep_scratch) as scratch:
+    with _Scratch(program, settings.runner, settings.keep_scratch) as scratch:
         for test in problem.tests:
-            report = run_once(program, test.input, limits, _scratch=scratch)
+            report = run_once(program, test.input, settings.limits, _scratch=scratch)
             matched = report.status is ExecStatus.OK and compare_output(
-                test.expected_output, report.stdout, policy
+                test.expected_output, report.stdout, settings.policy
             )
             per_test.append((report, matched))
-            if fail_fast and not matched:
+            if settings.fail_fast and not matched:
                 break
     return JudgeVerdict(per_test)
 
@@ -652,15 +644,8 @@ class Judge:
 
     def __call__(self, program: str, problem: Problem) -> JudgeVerdict:
         if self.cache is None:
-            return self.uncached(program, problem)
+            return judge(program, problem, self)
         return self.cache.judge(program, problem, self)
-
-    def uncached(self, program: str, problem: Problem) -> JudgeVerdict:
-        """Judge ``program`` in the sandbox under these settings, past any cache."""
-        return judge(
-            program, problem, self.limits, self.policy,
-            runner=self.runner, fail_fast=self.fail_fast, keep_scratch=self.keep_scratch,
-        )
 
 
 def judge_batch(
@@ -749,13 +734,13 @@ class VerdictCache:
         return sha256_hex(payload)
 
     def judge(self, program: str, problem: Problem, settings: Judge) -> JudgeVerdict:
-        """``settings.uncached(program, problem)``, replayed from disk when recorded."""
+        """``judge(program, problem, settings)``, replayed from disk when recorded."""
         key = self._key(program, problem, settings)
         verdict = self._log.get(key, lambda obj: _verdict_from_json(obj, problem, settings.fail_fast))
         if verdict is not None:
             self.hits += 1
             return verdict
-        verdict = settings.uncached(program, problem)
+        verdict = judge(program, problem, settings)
         self.misses += 1
         self._log.put(key, asdict(verdict))
         return verdict

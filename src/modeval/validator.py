@@ -108,9 +108,13 @@ def assess_verdict(verdict: JudgeVerdict) -> AssessmentResult:
 
 @dataclass
 class RateRow:
-    pre_count: int
+    pre_count: int  # at least 1: a cell exists once a record is counted in it
     post_count: int
-    rate_percent: int | None  # whole percent, absent when pre_count is 0
+
+    @property
+    def rate_percent(self) -> int:
+        """The whole percent of the cell's records that were accepted, rounded half up."""
+        return int(self.post_count * 100 / self.pre_count + 0.5)
 
 
 def filter_pass_rate(records: list[FilterRecord]) -> dict[tuple[str, str], RateRow]:
@@ -122,19 +126,14 @@ def filter_pass_rate(records: list[FilterRecord]) -> dict[tuple[str, str], RateR
         pre[cell] = pre.get(cell, 0) + 1
         if record.result.accepted:
             post[cell] = post.get(cell, 0) + 1
-    table: dict[tuple[str, str], RateRow] = {}
-    for cell, pre_count in sorted(pre.items()):
-        post_count = post.get(cell, 0)
-        rate = int(post_count * 100 / pre_count + 0.5) if pre_count else None
-        table[cell] = RateRow(pre_count=pre_count, post_count=post_count, rate_percent=rate)
-    return table
+    return {cell: RateRow(pre_count, post.get(cell, 0)) for cell, pre_count in sorted(pre.items())}
 
 
 def rate_table_lines(table: dict[tuple[str, str], RateRow]) -> list[str]:
     """Human-readable rate table, one row per (source, data_type)."""
     lines = [f"{'source':<16} {'type':<6} {'pre':>8} {'post':>8} {'rate':>6}"]
     for (source, data_type), row in table.items():
-        rate = f"{row.rate_percent}%" if row.rate_percent is not None else "-"
+        rate = f"{row.rate_percent}%"
         lines.append(
             f"{source:<16} {data_type:<6} {row.pre_count:>8} {row.post_count:>8} {rate:>6}"
         )

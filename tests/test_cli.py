@@ -216,6 +216,22 @@ class TestTransform:
         assert table[("alpha", "mot")][2:] == ["6", "6", "100"]
         assert "rate" in capsys.readouterr().out
 
+    def test_content_parts_reply_is_a_rejected_row(self, tmp_path, monkeypatch):
+        # an endpoint that answers with a list of content parts, not text: each
+        # completion is a protocol error, so each item is a rejected row
+        monkeypatch.setenv("TEST_KEY_VAR", "secret")
+        reply = {"choices": [{"message": {"content": [{"type": "text", "text": "hi"}]}}]}
+        monkeypatch.setattr("modeval.llm_client._post", lambda *a, **kw: (200, json.dumps(reply)))
+        config = write_config(tmp_path, mock_provider=None, provider={
+            "endpoint": "https://api.example/v1", "api_key_env": "TEST_KEY_VAR",
+            "model_name": "m", "retry_limit": 1, "retry_backoff": 0.001})
+        assert main(["transform", "--config", str(config)]) == 0
+        out = tmp_path / "out" / "transform"
+        assert read_jsonl(out / "mot.jsonl") == read_jsonl(out / "clean.jsonl") == []
+        rejected = read_jsonl(out / "rejected.jsonl")
+        assert len(rejected) == 20
+        assert all(r["detail"].startswith("provider error: protocol: ") for r in rejected)
+
     def test_empty_corpus(self, tmp_path):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")
@@ -609,6 +625,23 @@ class TestRecordsLoader:
         self.write_records(tmp_path, [json.dumps(ECHO_ROW), "", json.dumps(row)])
         assert main([command, "--config", str(config)]) == 1
         assert "malformed records line 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["analyze", "reflect"])
+    @pytest.mark.parametrize("passed, first_failure, matched", [
+        (True, 0, [False, False]), (False, 1, [False, False]), (1, None, [True, True]),
+    ], ids=["passed_contradicts", "first_failure_contradicts", "passed_one"])
+    def test_row_must_agree_with_its_matched(self, tmp_path, capsys, command,
+                                             passed, first_failure, matched):
+        # passed and first_failure are written from matched: a line where they
+        # disagree is an error, and nothing is written
+        config = write_config(tmp_path)
+        self.write_records(tmp_path, [json.dumps(dict(
+            ECHO_ROW, passed=passed, first_failure=first_failure, matched=matched,
+            statuses=["ok", "ok"]))])
+        assert main([command, "--config", str(config)]) == 1
+        records = tmp_path / "out" / "evaluate" / "records.jsonl"
+        assert capsys.readouterr().err.startswith(f"error: {records}: malformed records line 1: ")
+        assert not (tmp_path / "out" / command).exists()
 
     @pytest.mark.parametrize("command", ["analyze", "reflect"])
     def test_invalid_utf8_row_names_its_file_line(self, tmp_path, capsys, command):

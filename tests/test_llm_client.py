@@ -273,6 +273,17 @@ class TestHttpProvider:
         assert captured["payload"]["model"] == "m1"
         assert captured["payload"]["messages"][1]["content"] == "question"
 
+    @pytest.mark.parametrize("content", [None, [{"type": "text", "text": "hi"}]],
+                             ids=["null", "parts"])
+    def test_content_that_is_not_text_is_protocol_error(self, monkeypatch, content):
+        monkeypatch.setenv("TEST_KEY_VAR", "secret")
+        reply = {"choices": [{"message": {"content": content}, "finish_reason": "stop"}]}
+        monkeypatch.setattr("modeval.llm_client._post", lambda *a, **k: (200, json.dumps(reply)))
+        cfg = ProviderConfig(endpoint="https://api.example/v1", api_key_env="TEST_KEY_VAR")
+        with pytest.raises(ProviderError) as exc:
+            HttpProvider().send(prompt_of("q"), cfg)
+        assert exc.value.kind == "protocol"
+
     @pytest.mark.parametrize("status,kind", [
         (500, "transient"), (429, "transient"), (401, "auth"), (403, "auth"), (400, "protocol"),
     ])

@@ -28,7 +28,6 @@ from modeval.sandbox import (
     VerdictCache,
     _Broker,
     compare_output,
-    judge,
     judge_batch,
     run_once,
 )
@@ -335,7 +334,7 @@ class TestJudge:
             solutions=("a, b = map(int, input().split())\nprint(a + b)",),
             tests=(("1 2\n", "3\n"), ("5 7\n", "12\n")),
         )
-        verdict = judge(problem.solutions[0], problem, FAST)
+        verdict = Judge(FAST)(problem.solutions[0], problem)
         assert verdict.passed
         assert verdict.first_failure is None
         assert verdict.avg_time > 0
@@ -343,25 +342,25 @@ class TestJudge:
 
     def test_constant_program_first_failure_zero(self):
         problem = make_problem(tests=(("a\n", "x\n"), ("b\n", "7\n"), ("c\n", "y\n")))
-        verdict = judge("print(7)", problem, FAST)
+        verdict = Judge(FAST)("print(7)", problem)
         assert not verdict.passed
         assert verdict.first_failure == 0
         assert [m for _, m in verdict.per_test] == [False, True, False]
 
     def test_fail_fast_stops_early(self):
         problem = make_problem(tests=(("a\n", "x\n"), ("b\n", "7\n"), ("c\n", "y\n")))
-        verdict = judge("print(7)", problem, FAST, fail_fast=True)
+        verdict = Judge(FAST, fail_fast=True)("print(7)", problem)
         assert not verdict.passed
         assert len(verdict.per_test) == 1
 
     def test_untestable_problem_rejected(self):
         problem = make_problem(tests=())
         with pytest.raises(ValueError):
-            judge("print(1)", problem, FAST)
+            Judge(FAST)("print(1)", problem)
 
     def test_averages_over_executed_tests(self):
         problem = make_problem(tests=(("1\n", "1\n"), ("2\n", "2\n")))
-        verdict = judge("print(input())", problem, FAST)
+        verdict = Judge(FAST)("print(input())", problem)
         times = [r.wall_time_used for r, _ in verdict.per_test]
         assert verdict.avg_time == pytest.approx(sum(times) / len(times))
 
@@ -372,7 +371,7 @@ class TestJudge:
                             lambda *a, **kw: made.append(1) or mkdtemp(*a, **kw))
         monkeypatch.setattr(sandbox, "run_once", lambda *a, **kw: runs.append(1) or run(*a, **kw))
         problem = make_problem(tests=(("1\n", "1\n"), ("2\n", "2\n"), ("3\n", "3\n")))
-        verdict = judge("print(input())", problem, FAST)
+        verdict = Judge(FAST)("print(input())", problem)
         assert verdict.passed
         assert (len(made), len(runs)) == (1, 3)
 
@@ -380,7 +379,7 @@ class TestJudge:
     def test_keep_scratch(self, monkeypatch, tmp_path, keep):
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         problem = make_problem(tests=(("1\n", "1\n"),))
-        assert judge("print(input())", problem, FAST, keep_scratch=keep).passed
+        assert Judge(FAST, keep_scratch=keep)("print(input())", problem).passed
         assert [(d / "main.py").exists() for d in tmp_path.iterdir()] == ([True] if keep else [])
 
     @pytest.mark.parametrize("runner", [None, EXEC], ids=["fork", "exec"])
@@ -388,7 +387,7 @@ class TestJudge:
         program = "import os\nprint(sorted(os.listdir()))\nopen('left.txt', 'w').write('x')"
         expected = "['stderr.txt', 'stdin.txt', 'stdout.txt']\n"
         problem = make_problem(tests=(("", expected), ("", expected)))
-        verdict = judge(program, problem, FAST, runner=runner)
+        verdict = Judge(FAST, runner=runner)(program, problem)
         assert [r.stdout for r, _ in verdict.per_test] == [expected, expected]
 
     @pytest.mark.parametrize("change", ["open(__file__, 'a').write('print(2)\\n')",
@@ -398,7 +397,7 @@ class TestJudge:
     def test_every_test_runs_the_program_as_written(self, runner, change):
         program = f"print(input())\n{change}\n"
         problem = make_problem(tests=(("1\n", "1\n"), ("2\n", "2\n"), ("3\n", "3\n")))
-        verdict = judge(program, problem, FAST, runner=runner)
+        verdict = Judge(FAST, runner=runner)(program, problem)
         assert [r.stdout for r, _ in verdict.per_test] == ["1\n", "2\n", "3\n"]
 
     @pytest.mark.parametrize("runner, lookups", [(None, 0), (EXEC, 1)], ids=["fork", "exec"])
@@ -407,7 +406,7 @@ class TestJudge:
         which = sandbox.shutil.which
         monkeypatch.setattr(sandbox.shutil, "which", lambda *a, **kw: calls.append(a) or which(*a, **kw))
         problem = make_problem(tests=(("1\n", "1\n"), ("2\n", "2\n"), ("3\n", "3\n")))
-        assert judge("print(input())", problem, FAST, runner=runner).passed
+        assert Judge(FAST, runner=runner)("print(input())", problem).passed
         assert len(calls) == lookups
 
 
@@ -460,15 +459,14 @@ class TestJudgeBatch:
             assert inspect.signature(fn).parameters["judge"].default is None
         settings = []
         real = sandbox.judge
-        monkeypatch.setattr(sandbox, "judge", lambda program, problem, *args, **kw:
-                            settings.append((args, kw)) or real(program, problem, *args, **kw))
+        monkeypatch.setattr(sandbox, "judge", lambda program, problem, judged_under:
+                            settings.append(judged_under) or real(program, problem, judged_under))
         problem = make_problem()
         [verdict] = judge_batch([("print(input())", problem)])
         trace = self_reflect(problem, ProviderConfig(), provider=MockProvider(
             script=["```python\nprint(input())\n```"]))
         assert verdict.passed and trace.solved
-        assert settings == 2 * [((ResourceLimits(), ComparePolicy()),
-                                 {"runner": None, "fail_fast": False, "keep_scratch": False})]
+        assert settings == 2 * [Judge()]
 
 
 class TestVerdictCache:

@@ -23,8 +23,8 @@ SURFACE = {
                   "build_reflection_prompt", "parse_code_response", "parse_mot_response",
                   "render_modular_solution"],
     "sandbox": ["ComparePolicy", "ExecStatus", "ExecutionReport", "InfrastructureError", "Judge",
-                "JudgeVerdict", "ResourceLimits", "VerdictCache", "compare_output", "judge",
-                "judge_batch", "run_once"],
+                "JudgeVerdict", "ResourceLimits", "VerdictCache", "compare_output", "judge_batch",
+                "run_once"],
     "validator": ["AssessmentResult", "FilterRecord", "Marker", "assess_clean",
                   "assess_structure", "assess_verdict", "filter_pass_rate"],
 }
