@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import json
 import sys
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
 from . import __version__
 from .corpus import (
@@ -50,6 +51,8 @@ class ConfigError(Exception):
 
 @dataclass
 class PipelineConfig:
+    """One pipeline config: the JSON file's values after command-line flags win."""
+
     corpus_paths: dict[str, str]
     provider: ProviderConfig
     limits: ResourceLimits
@@ -482,6 +485,19 @@ def _load_rows(path: Path, corpus: Corpus) -> list[CandidateRow]:
         if [(type(v), v) for v in stated] != [(type(v), v) for v in computed]:  # 1 is not True
             raise ValueError(f"row.passed and row.first_failure are {stated}, "
                              f"where row.matched gives {computed}")
+        ran = len(row.matched)
+        if len(row.statuses) != ran:
+            raise ValueError(f"row.matched has {ran} results and row.statuses {len(row.statuses)}")
+        if not ran:
+            raise ValueError("row.matched is empty, where judge records at least one result")
+        problem = corpus.get(row.problem_id)  # an unknown id is reported below, with the others
+        tests = len(problem.tests) if problem else ran
+        # judge records one result per test, or stops early only after a failure
+        if ran > tests:
+            raise ValueError(f"row.matched has {ran} results for a problem of {tests} tests")
+        if ran < tests and row.first_failure != ran - 1:
+            raise ValueError(f"row.matched has {ran} of {tests} results and does not end "
+                             "at its first failure")
         return row
 
     rows = _read_or_fail(path, "records", parse)
@@ -686,5 +702,23 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
+def console_main() -> NoReturn:
+    """The process entry of the ``modeval`` script and of ``python -m modeval.cli``:
+    ``main()``, then exit with its status without collecting the heap.
+
+    ``gc.freeze()`` moves every object to the permanent generation, which the
+    collections of interpreter finalization skip, so the exit does not walk
+    the reference cycles of every loaded module.  Finalization still runs the
+    atexit functions (the sandbox's broker shutdown, each cache log's fd
+    close) and flushes stdout and stderr; only cyclic garbage is left to the
+    OS.  No modeval object has a ``__del__`` in a cycle, and every output file
+    is closed before ``main`` returns.  ``main`` called in process keeps its
+    collections.
+    """
+    status = main()
+    gc.freeze()
+    sys.exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    console_main()

@@ -34,6 +34,7 @@ import re
 from collections import Counter
 from dataclasses import asdict, dataclass
 from enum import Enum
+from functools import lru_cache
 from pathlib import Path
 from typing import NamedTuple
 
@@ -83,7 +84,7 @@ _OPERATORS = [
 # unterminated string runs to the end of the source, except that a
 # single-quote one stops before its line break, so lexing can continue.
 # Operators are listed longest first, so the longest one at a position wins.
-_TOKEN_RE = re.compile(
+_TOKEN_PATTERN = (
     r"""
       (?P<newline>\n)
     | (?P<blank>[ \t]+)
@@ -107,8 +108,7 @@ _TOKEN_RE = re.compile(
     + "|".join(re.escape(op) for op in sorted(_OPERATORS, key=len, reverse=True))
     + r""")
     | (?P<error>.)
-    """,
-    re.VERBOSE,
+    """
 )
 _GROUP_KINDS = {
     "comment": TokenKind.COMMENT,
@@ -116,6 +116,23 @@ _GROUP_KINDS = {
     "operator": TokenKind.OPERATOR,
     "error": TokenKind.ERROR,
 }
+
+
+@lru_cache(maxsize=None)
+def _lexers() -> tuple[re.Pattern, re.Pattern]:
+    """The token scan and the counter's lexeme scan, compiled on first use:
+    a command that replays its metrics from the cache, or measures nothing,
+    never pays for the compile.
+
+    The lexeme scan has the token scan's alternatives, unnamed, in the one
+    group that ``findall`` returns, each match swallowing the blanks after
+    it.  A line break keeps its blanks, so a lexeme of a line break and
+    blanks opens an indented line.  Blanks open a match only at the start of
+    the source.
+    """
+    alternatives = re.sub(r"\(\?P<\w+>", "(?:", _TOKEN_PATTERN)
+    lexeme = "(" + alternatives.replace(r"(?:\n)", r"(?:\n[ \t]*)", 1) + r")[ \t]*"
+    return re.compile(_TOKEN_PATTERN, re.VERBOSE), re.compile(lexeme, re.VERBOSE)
 
 
 def tokenize(source: str) -> TokenStream:
@@ -140,7 +157,7 @@ def tokenize(source: str) -> TokenStream:
     kinds = _GROUP_KINDS
     line = 1
     at_line_start = True
-    for m in _TOKEN_RE.finditer(source):
+    for m in _lexers()[0].finditer(source):
         group = m.lastgroup
         if group == "blank":
             if at_line_start:
@@ -170,22 +187,13 @@ def tokenize(source: str) -> TokenStream:
     return tokens
 
 
-# The counter's scan: the lexer's alternatives, unnamed, in the one group
-# that ``findall`` returns, each match swallowing the blanks after it.  A line
-# break keeps its blanks, so a lexeme of a line break and blanks opens an
-# indented line.  Blanks open a match only at the start of the source.
-_LEXEME_RE = re.compile(
-    "(" + re.sub(r"\(\?P<\w+>", "(?:", _TOKEN_RE.pattern).replace(r"(?:\n)", r"(?:\n[ \t]*)", 1)
-    + r")[ \t]*",
-    re.VERBOSE,
-)
 _COUNTED = frozenset({"operator", "name", "def", "number", "string"})  # Halstead's
 _PLAIN = frozenset({"operator", "name", "number", "error"})  # code, and nothing else
 
 
 def _measure(source: str) -> tuple[float, int, int, int, int, int, int]:
     """(volume, decisions, functions, top_level_functions, sloc, comment_lines,
-    total_lines) of ``source``, counted straight off one ``_LEXEME_RE`` scan.
+    total_lines) of ``source``, counted straight off one lexeme scan.
 
     Each distinct lexeme is classified once.  Halstead's N counts operator and
     operand lexemes and n the distinct ones.  A line is code when a lexeme
@@ -193,9 +201,10 @@ def _measure(source: str) -> tuple[float, int, int, int, int, int, int]:
     does; a docstring is a string that is the only lexeme of its logical line
     besides comments.  A ``def`` is top level when no blanks open its line.
     """
-    lexemes = _LEXEME_RE.findall(source)
+    token_re, lexeme_re = _lexers()
+    lexemes = lexeme_re.findall(source)
     counts = Counter(lexemes)
-    kinds = {lexeme: "def" if lexeme == "def" else _TOKEN_RE.match(lexeme).lastgroup
+    kinds = {lexeme: "def" if lexeme == "def" else token_re.match(lexeme).lastgroup
              for lexeme in counts}
     counted = [n for lexeme, n in counts.items() if kinds[lexeme] in _COUNTED]
     volume = sum(counted) * math.log2(len(counted)) if len(counted) > 1 else 0.0
@@ -276,6 +285,8 @@ def maintainability_index(volume: float, cyclomatic: int, loc: int, comment_dens
 
 @dataclass
 class CodeMetrics:
+    """The static metrics of one program, as ``analyze`` computes them."""
+
     halstead_volume: float
     cyclomatic: int
     sloc: int

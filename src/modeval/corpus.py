@@ -251,12 +251,16 @@ class CorpusError(Exception):
 
 @dataclass(frozen=True)
 class TestCase:
+    """One I/O test: the stdin text and the stdout it expects."""
+
     input: str
     expected_output: str
 
 
 @dataclass
 class Problem:
+    """One corpus problem: statement, reference solutions and I/O tests."""
+
     id: str
     statement: str
     solutions: list[str]
@@ -276,12 +280,16 @@ class Problem:
 
 @dataclass
 class LineDiagnostic:
+    """A JSONL line that was skipped: its 1-based number and why."""
+
     line_number: int
     reason: str
 
 
 @dataclass
 class Corpus:
+    """The problems of one split, in file order and unique by id, with the skipped lines."""
+
     problems: list[Problem]
     diagnostics: list[LineDiagnostic] = field(default_factory=list)
 
@@ -397,6 +405,8 @@ def jaccard_similarity(a: frozenset[str], b: frozenset[str]) -> float:
 
 @dataclass
 class DedupRemoval:
+    """One training problem that dedup dropped, and the holdout problem it matched."""
+
     train_id: str
     holdout_id: str
     similarity: float
@@ -514,6 +524,8 @@ def dedup_against(
 
 @dataclass
 class StatsReport:
+    """The counts ``corpus_stats`` reports for one corpus."""
+
     total_problems: int
     by_source: dict[str, int]
     by_difficulty: dict[str, int]

@@ -61,7 +61,8 @@ class CandidateRow:
 
     ``passed`` and ``first_failure`` are computed from ``matched`` and
     written beside it; the records loader of ``cli`` rejects a line where
-    they disagree.
+    they disagree, or where ``matched`` and ``statuses`` do not hold one
+    result per test of the problem, or fewer that end at the first failure.
     """
 
     problem_id: str
@@ -99,12 +100,16 @@ class CandidateRow:
 
 @dataclass
 class BinStat:
+    """The candidates in one function-count bin and the share of them that passed."""
+
     count: int
     accuracy: float
 
 
 @dataclass
 class ResourceAverages:
+    """Mean time and peak memory over the passed candidates of one group."""
+
     passed_count: int
     avg_time: float
     avg_peak_memory: float
@@ -112,6 +117,8 @@ class ResourceAverages:
 
 @dataclass
 class EvalReport:
+    """Everything ``evaluate_corpus`` computes: pass@k and the analysis profiles."""
+
     pass_at_k: dict[str, dict[int, float]]  # difficulty label / "all" -> k -> rate
     function_profile: dict[str, dict[str, BinStat]]
     resource_profile: dict[str, ResourceAverages | None]
@@ -235,6 +242,8 @@ def resource_profile(rows: list[CandidateRow]) -> dict[str, ResourceAverages | N
 
 @dataclass
 class MiProfile:
+    """Mean maintainability of passed candidates, per difficulty and per split."""
+
     by_difficulty: dict[str, float | None]
     by_split: dict[str, float | None]
 
@@ -259,6 +268,8 @@ def mi_profile(rows: list[CandidateRow]) -> MiProfile:
 
 @dataclass
 class ReflectionRound:
+    """One round of the self-reflection loop: its prompt, attempt and verdict."""
+
     prompt: Prompt
     attempt: str
     verdict: JudgeVerdict
@@ -266,6 +277,8 @@ class ReflectionRound:
 
 @dataclass
 class ReflectionTrace:
+    """The rounds the self-reflection loop ran for one problem, or the error that stopped it."""
+
     problem_id: str
     rounds: list[ReflectionRound] = field(default_factory=list)
     error: str | None = None

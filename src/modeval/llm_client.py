@@ -29,6 +29,8 @@ if TYPE_CHECKING:
 
 @dataclass
 class Completion:
+    """One model response, with the provider's metadata and whether the cache replayed it."""
+
     text: str
     provider_meta: dict
     cached: bool = False

@@ -60,6 +60,8 @@ class PromptTag(str, Enum):
 
 @dataclass(frozen=True)
 class Prompt:
+    """A system and user message pair, tagged with the kind of prompt it is."""
+
     system: str
     user: str
     tag: PromptTag
@@ -71,6 +73,8 @@ class Prompt:
 
 @dataclass(frozen=True)
 class SubModule:
+    """One function of a MoT outline: its name, its ``def`` header and its docstring."""
+
     name: str
     header: str
     docstring: str
@@ -84,6 +88,8 @@ class SubModule:
 
 @dataclass
 class ModularSolution:
+    """A parsed MoT response: the outline of sub-modules and the final code."""
+
     outline: list[SubModule]
     final_code: str
 
@@ -213,6 +219,8 @@ _DEF_RE = re.compile(r"^\s*(?:async\s+)?def\s+([A-Za-z_]\w*)\s*\(")
 
 @dataclass
 class StepSplit:
+    """The two step bodies of a MoT response and where their delimiter lines start."""
+
     step1: str
     step2: str
     step1_char: int  # char offset of the STEP 1 delimiter line start

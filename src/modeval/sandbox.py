@@ -36,6 +36,11 @@ large) process: a forked child starts with its parent's resident pages, which
 would put a harness-sized floor under every memory reading.  Brokers are
 small, single-threaded processes, so forking them is safe and cheap.
 
+The run machinery (``subprocess``, ``tempfile``, ``shutil``, ``shlex`` and
+``signal``) is imported by the first run, not with this module: a command
+whose every verdict replays from a ``VerdictCache`` starts no broker, and
+this module imports none of it.
+
 This is resource isolation, not a security boundary: candidates can read the
 filesystem and open sockets.  Do not run untrusted code outside a disposable
 environment.
@@ -48,12 +53,7 @@ import json
 import math
 import os
 import re
-import shlex
-import shutil
-import signal
-import subprocess
 import sys
-import tempfile
 import threading
 from dataclasses import asdict, dataclass, field
 from enum import Enum
@@ -94,6 +94,8 @@ class ExecStatus(str, Enum):
 
 @dataclass
 class ExecutionReport:
+    """What one run of a program did: status, output, time, peak memory and exit code."""
+
     status: ExecStatus
     stdout: str
     stderr: str
@@ -128,6 +130,9 @@ class JudgeVerdict:
 
 def _runner_argv(runner: str, src: Path) -> list[str]:
     """The argv of a custom ``runner`` template for ``src``; its interpreter must exist."""
+    import shlex
+    import shutil
+
     command = runner.format(file=shlex.quote(str(src)))
     try:
         argv = shlex.split(command)
@@ -377,6 +382,8 @@ for line in sys.stdin:
 
 class _Broker:
     def __init__(self) -> None:
+        import subprocess
+
         try:
             self.proc = subprocess.Popen(
                 [sys.executable, "-c", _BROKER_SOURCE],
@@ -403,6 +410,8 @@ class _Broker:
         return json.loads(line)
 
     def close(self) -> None:
+        import subprocess
+
         try:
             self.proc.stdin.close()
             self.proc.wait(timeout=2)
@@ -453,6 +462,8 @@ class _Scratch:
     """
 
     def __init__(self, program: str, runner: str | None, keep: bool) -> None:
+        import tempfile
+
         self.dir = Path(tempfile.mkdtemp(prefix="modeval-run-"))
         self.keep = keep
         self.src = self.dir / "main.py"
@@ -474,6 +485,8 @@ class _Scratch:
 
     def close(self) -> None:
         if not self.keep:
+            import shutil
+
             shutil.rmtree(self.dir, ignore_errors=True)
 
     def next_workdir(self) -> Path:
@@ -507,6 +520,8 @@ def run_once(
 
 
 def _run_in(scratch: _Scratch, stdin_text: str, limits: ResourceLimits) -> ExecutionReport:
+    import signal
+
     workdir = scratch.next_workdir()
     stdin_path = workdir / "stdin.txt"
     stdin_path.write_text(stdin_text, encoding="utf-8")

@@ -17,6 +17,8 @@ class InfrastructureError(Exception):
 
 @dataclass(frozen=True)
 class ResourceLimits:
+    """The wall time, resident memory and output size each run may use."""
+
     wall_time: float = 10.0  # seconds
     memory: int = 256 * MB  # bytes, resident budget
     output_cap: int = 1 * MB  # bytes of stdout kept / allowed
@@ -28,6 +30,8 @@ class ResourceLimits:
 
 @dataclass(frozen=True)
 class ComparePolicy:
+    """How a run's stdout is compared with the expected output."""
+
     mode: str = "token"  # "token" or "exact"
     float_tolerance: float = 1e-6
 
@@ -38,6 +42,8 @@ class ComparePolicy:
 
 @dataclass(frozen=True)
 class ProviderConfig:
+    """The model, sampling settings and request budget of completion requests."""
+
     endpoint: str = ""
     model_name: str = "mock"
     temperature: float = 0.0

@@ -49,6 +49,8 @@ class AssessmentResult:
 
 @dataclass
 class FilterRecord:
+    """The assessment of one transformed solution, with its problem, source and data type."""
+
     problem_id: str
     source: str
     data_type: str  # "mot" or "clean"
@@ -108,6 +110,8 @@ def assess_verdict(verdict: JudgeVerdict) -> AssessmentResult:
 
 @dataclass
 class RateRow:
+    """The records of one (source, data type) cell before and after filtering."""
+
     pre_count: int  # at least 1: a cell exists once a record is counted in it
     post_count: int
 

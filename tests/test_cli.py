@@ -1,6 +1,9 @@
 import argparse
 import csv
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import fields
 from pathlib import Path
@@ -644,6 +647,28 @@ class TestRecordsLoader:
         assert not (tmp_path / "out" / command).exists()
 
     @pytest.mark.parametrize("command", ["analyze", "reflect"])
+    @pytest.mark.parametrize("passed, first_failure, matched, statuses", [
+        (True, None, [True, True], ["ok"]),
+        (True, None, [True], ["ok", "ok", "ok"]),
+        (True, None, [], []),
+        (True, None, [True, True, True], ["ok", "ok", "ok"]),
+        (True, None, [True], ["ok"]),
+    ], ids=["statuses_shorter", "statuses_longer", "no_results", "more_results_than_tests",
+            "stopped_without_failure"])
+    def test_row_must_fit_its_problem(self, tmp_path, capsys, command,
+                                      passed, first_failure, matched, statuses):
+        # e2e-echo has two tests: judge records a result and a status for each,
+        # or stops after the first failure
+        config = write_config(tmp_path)
+        self.write_records(tmp_path, [json.dumps(ECHO_ROW), json.dumps(dict(
+            ECHO_ROW, passed=passed, first_failure=first_failure, matched=matched,
+            statuses=statuses))])
+        assert main([command, "--config", str(config)]) == 1
+        records = tmp_path / "out" / "evaluate" / "records.jsonl"
+        assert capsys.readouterr().err.startswith(f"error: {records}: malformed records line 2: ")
+        assert not (tmp_path / "out" / command).exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "reflect"])
     def test_invalid_utf8_row_names_its_file_line(self, tmp_path, capsys, command):
         config = write_config(tmp_path)
         self.write_records(tmp_path, [json.dumps(ECHO_ROW)])
@@ -808,3 +833,37 @@ def test_transform_with_tests_opens_the_verdict_log(tmp_path):
     config = write_config(tmp_path)
     assert main(["transform", "--config", str(config)]) == 0
     assert (tmp_path / "cache" / "verdicts" / "entries.jsonl").is_file()
+
+
+def test_warm_command_loads_no_run_machinery(tmp_path):
+    # one cold evaluate and reflect fill the verdict cache; warm, every verdict
+    # replays from it, so no broker starts and the run machinery never loads
+    config = write_config(tmp_path)
+    candidates = tmp_path / "candidates.jsonl"
+    candidates.write_text(json.dumps({"problem_id": "e2e-echo", "candidates": ["print(1)"]}) + "\n")
+    runs = [["evaluate", "--config", str(config), "--candidates", str(candidates)],
+            ["reflect", "--config", str(config)]]
+    for argv in runs:
+        assert main(argv) == 0
+    assert json.loads((tmp_path / "out" / "evaluate" / "records.jsonl").read_text())["matched"] == [False]
+    for argv in runs:
+        # -S, as above
+        loaded = loaded_modules(f"from modeval.cli import main\nassert main({argv!r}) == 0", "-S")
+        assert "modeval.sandbox" in loaded
+        assert {"subprocess", "tempfile", "shlex"}.isdisjoint(loaded), (argv[0], sorted(
+            {"subprocess", "tempfile", "shlex"} & loaded))
+
+
+def test_module_entry_exits_with_mains_status(tmp_path):
+    # python -m modeval.cli exits through the same process entry as the modeval script
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    mistyped = tmp_path / "mistyped.json"
+    mistyped.write_text(json.dumps({"limits": {"memory": 1.5}}))
+    done = [subprocess.run([sys.executable, "-m", "modeval.cli", "stats", "--config", str(config)],
+                           capture_output=True, text=True, env=env, timeout=60)
+            for config in (write_config(tmp_path), mistyped)]
+    assert [d.returncode for d in done] == [0, 1]
+    assert done[0].stdout.startswith("test: 10 problems") and not done[0].stderr
+    assert (tmp_path / "out" / "stats" / "manifest.json").is_file()
+    assert done[1].stderr.startswith("error:") and "memory" in done[1].stderr

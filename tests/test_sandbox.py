@@ -366,8 +366,8 @@ class TestJudge:
 
     def test_one_scratch_directory_and_one_run_per_test(self, monkeypatch):
         made, runs = [], []
-        mkdtemp, run = sandbox.tempfile.mkdtemp, sandbox.run_once
-        monkeypatch.setattr(sandbox.tempfile, "mkdtemp",
+        mkdtemp, run = tempfile.mkdtemp, sandbox.run_once
+        monkeypatch.setattr(tempfile, "mkdtemp",
                             lambda *a, **kw: made.append(1) or mkdtemp(*a, **kw))
         monkeypatch.setattr(sandbox, "run_once", lambda *a, **kw: runs.append(1) or run(*a, **kw))
         problem = make_problem(tests=(("1\n", "1\n"), ("2\n", "2\n"), ("3\n", "3\n")))
@@ -403,8 +403,8 @@ class TestJudge:
     @pytest.mark.parametrize("runner, lookups", [(None, 0), (EXEC, 1)], ids=["fork", "exec"])
     def test_runner_checked_once_per_judge(self, monkeypatch, runner, lookups):
         calls = []
-        which = sandbox.shutil.which
-        monkeypatch.setattr(sandbox.shutil, "which", lambda *a, **kw: calls.append(a) or which(*a, **kw))
+        which = shutil.which
+        monkeypatch.setattr(shutil, "which", lambda *a, **kw: calls.append(a) or which(*a, **kw))
         problem = make_problem(tests=(("1\n", "1\n"), ("2\n", "2\n"), ("3\n", "3\n")))
         assert Judge(FAST, runner=runner)("print(input())", problem).passed
         assert len(calls) == lookups

@@ -1,6 +1,9 @@
 """The lazy ``modeval`` surface serves the names the package re-exports."""
 
+import dataclasses
 import importlib
+import inspect
+import pkgutil
 
 import pytest
 
@@ -76,3 +79,20 @@ def test_structural_checks_load_no_sandbox():
     # m1-m4 load no sandbox: m4 reads a verdict that the caller judged
     assert "modeval.sandbox" not in loaded_modules(
         "from modeval import assess_structure, assess_verdict")
+
+
+def test_every_dataclass_has_its_own_docstring():
+    # without one, @dataclass builds a docstring from inspect.signature at import
+    # (CPython 3.10-3.12), which every command start pays for
+    checked, missing = set(), []
+    for info in pkgutil.iter_modules(modeval.__path__):
+        module = importlib.import_module(f"modeval.{info.name}")
+        for cls in vars(module).values():
+            if (inspect.isclass(cls) and cls.__module__ == module.__name__
+                    and dataclasses.is_dataclass(cls)):
+                checked.add(cls.__name__)
+                generated = cls.__name__ + str(inspect.signature(cls)).replace(" -> None", "")
+                if not cls.__doc__ or cls.__doc__ == generated:
+                    missing.append(f"{module.__name__}.{cls.__name__}")
+    assert {"PipelineConfig", "Judge", "CodeMetrics", "Problem", "ResourceLimits"} <= checked
+    assert not missing
