@@ -18,7 +18,7 @@ import csv
 import gc
 import json
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, NoReturn
 
@@ -26,7 +26,6 @@ from . import __version__
 from .corpus import (
     Corpus,
     CorpusError,
-    Difficulty,
     Problem,
     Split,
     corpus_stats,
@@ -51,12 +50,12 @@ class ConfigError(Exception):
 
 @dataclass
 class PipelineConfig:
-    """One pipeline config: the JSON file's values after command-line flags win."""
+    """One pipeline config: the JSON file's keys, then the command-line flags given."""
 
-    corpus_paths: dict[str, str]
-    provider: ProviderConfig
-    limits: ResourceLimits
-    compare: ComparePolicy
+    corpus: dict[Split, str | None] = field(default_factory=dict)
+    provider: ProviderConfig = field(default_factory=ProviderConfig)
+    limits: ResourceLimits = field(default_factory=ResourceLimits)
+    compare: ComparePolicy = field(default_factory=ComparePolicy)
     dedup_threshold: float = 0.9
     dedup_holdout_split: str | None = None
     solution_cap: int = 100
@@ -73,22 +72,33 @@ class PipelineConfig:
     fail_fast: bool = False
     all_mode: str = "problems"
     mock_provider: str | None = None
-    use_cache: bool = True
     top_level_functions_only: bool = False
-    raw: dict = field(default_factory=dict)
+    raw: dict = field(default_factory=dict, init=False, compare=False)  # hashed into manifests
+
+    def __post_init__(self) -> None:
+        self.ks = sorted(set(self.ks))
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
+        if self.solution_cap < 1:
+            raise ValueError(f"solution_cap must be >= 1, got {self.solution_cap}")
+        if not 0 < self.dedup_threshold <= 1:
+            raise ValueError(f"dedup_threshold must be in (0, 1], got {self.dedup_threshold}")
+        if self.max_reflection_rounds < 1:
+            raise ValueError(f"max_reflection_rounds must be >= 1, got {self.max_reflection_rounds}")
+        if self.ks and self.ks[0] < 1:
+            raise ValueError(f"ks must be >= 1, got {self.ks[0]}")
+        if self.all_mode not in ("problems", "difficulty-means"):
+            raise ValueError(f"unknown all_mode {self.all_mode!r}")
+        for i, dt in enumerate(self.data_types):
+            if dt not in ("mot", "clean"):
+                raise ValueError(f"unknown data type {dt!r}")
+            if dt in self.data_types[:i]:
+                raise ValueError(f"data_types names {dt!r} twice")
 
 
-# fields not copied as they stand from the config: corpus_paths comes from "corpus", a
-# null section means its defaults, and use_cache and raw are set by the loader
-_NOT_PLAIN = {"corpus_paths", "provider", "limits", "compare", "use_cache", "raw"}
-
-
-def _resolve(path: str, base: Path) -> str:
-    p = Path(path)
-    return str(p if p.is_absolute() else base / p)
-
-
-def load_pipeline_config(config_path: str | Path, overrides: argparse.Namespace) -> PipelineConfig:
+def load_pipeline_config(config_path: str | Path, flags: argparse.Namespace) -> PipelineConfig:
+    """The config file's object, each relative path resolved against its directory,
+    then each flag of ``flags`` stored under the config key it sets."""
     config_path = Path(config_path)
     try:
         raw = json.loads(config_path.read_text(encoding="utf-8"))
@@ -100,60 +110,24 @@ def load_pipeline_config(config_path: str | Path, overrides: argparse.Namespace)
         raise ConfigError(f"config {config_path} must be a JSON object")
     base = config_path.parent
 
-    try:
-        corpus = decode(dict[Split, str | None], raw.get("corpus") or {}, "corpus")
-        cfg = decode(PipelineConfig, {
-            **{f.name: raw[f.name] for f in fields(PipelineConfig)
-               if f.name in raw and f.name not in _NOT_PLAIN},
-            **{section: raw.get(section) or {} for section in ("provider", "limits", "compare")},
-            "corpus_paths": {split.value: _resolve(p, base) for split, p in corpus.items() if p},
-            "raw": raw,
-        }, "config")
+    try:  # a null section means its defaults
+        cfg = decode(PipelineConfig, {key: value for key, value in raw.items() if value is not None
+                                      or key not in ("corpus", "provider", "limits", "compare")},
+                     "config")
+        # a path joined to the config's directory stays as it is when absolute
+        cfg = replace(cfg, **{
+            "corpus": {split: str(base / path) for split, path in cfg.corpus.items() if path},
+            "outdir": str(base / cfg.outdir),
+            "cache_dir": cfg.cache_dir and str(base / cfg.cache_dir),
+            "mock_provider": cfg.mock_provider and str(base / cfg.mock_provider),
+            **{f.name: getattr(flags, f.name) for f in fields(cfg) if hasattr(flags, f.name)},
+        })
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    cfg.ks = sorted(set(cfg.ks))
-    cfg.outdir = _resolve(cfg.outdir, base)
-    cfg.cache_dir = _resolve(cfg.cache_dir, base) if cfg.cache_dir else None
-    cfg.mock_provider = _resolve(cfg.mock_provider, base) if cfg.mock_provider else None
-
-    # flags win over config values
-    if getattr(overrides, "outdir", None):
-        cfg.outdir = overrides.outdir
-    if getattr(overrides, "workers", None) is not None:
-        cfg.workers = overrides.workers
-    if getattr(overrides, "runner", None):
-        cfg.runner = overrides.runner
-    if getattr(overrides, "keep_scratch", False):
-        cfg.keep_scratch = True
-    if getattr(overrides, "mock_provider", None):
-        cfg.mock_provider = overrides.mock_provider
-    if getattr(overrides, "no_cache", False):
-        cfg.use_cache = False
-    if getattr(overrides, "per_level_mean", False):
-        cfg.all_mode = "difficulty-means"
-    if getattr(overrides, "top_level_only", False):
-        cfg.top_level_functions_only = True
-
-    if cfg.workers < 1:
-        raise ConfigError("workers must be >= 1")
-    if cfg.solution_cap < 1:
-        raise ConfigError(f"solution_cap must be >= 1, got {cfg.solution_cap}")
-    if not 0 < cfg.dedup_threshold <= 1:
-        raise ConfigError(f"dedup_threshold must be in (0, 1], got {cfg.dedup_threshold}")
-    if cfg.max_reflection_rounds < 1:
-        raise ConfigError(f"max_reflection_rounds must be >= 1, got {cfg.max_reflection_rounds}")
-    if cfg.ks and cfg.ks[0] < 1:
-        raise ConfigError(f"ks must be >= 1, got {cfg.ks[0]}")
-    if cfg.all_mode not in ("problems", "difficulty-means"):
-        raise ConfigError(f"unknown all_mode {cfg.all_mode!r}")
-    for i, dt in enumerate(cfg.data_types):
-        if dt not in ("mot", "clean"):
-            raise ConfigError(f"unknown data type {dt!r}")
-        if dt in cfg.data_types[:i]:
-            raise ConfigError(f"data_types names {dt!r} twice")
-    for split, path in cfg.corpus_paths.items():
+    cfg.raw = raw
+    for split, path in cfg.corpus.items():
         if not Path(path).exists():
-            raise ConfigError(f"corpus path for split {split!r} does not exist: {path}")
+            raise ConfigError(f"corpus path for split {split.value!r} does not exist: {path}")
     if cfg.mock_provider and not Path(cfg.mock_provider).is_dir():
         raise ConfigError(f"mock provider fixture dir does not exist: {cfg.mock_provider}")
     return cfg
@@ -170,7 +144,7 @@ def _make_provider(cfg: PipelineConfig):
 
 def _cache(cfg: PipelineConfig, kind, name: str):
     """A ``kind`` cache under ``<cache_dir>/<name>``, or None when caching is off."""
-    return kind(Path(cfg.cache_dir) / name) if cfg.use_cache and cfg.cache_dir else None
+    return kind(Path(cfg.cache_dir) / name) if cfg.cache_dir else None
 
 
 def _judge(cfg: PipelineConfig) -> Judge:
@@ -215,9 +189,9 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 
 def _corpus_for(cfg: PipelineConfig, split: str) -> Corpus:
-    if split not in cfg.corpus_paths:
+    if split not in cfg.corpus:
         raise ConfigError(f"no corpus configured for split {split!r}")
-    return load_corpus(cfg.corpus_paths[split], Split(split))
+    return load_corpus(cfg.corpus[split], Split(split))
 
 
 # --- transform ---------------------------------------------------------------
@@ -480,7 +454,6 @@ def _load_rows(path: Path, corpus: Corpus) -> list[CandidateRow]:
         written = decode(dict, obj, "row")
         stated = [written.pop("passed"), written.pop("first_failure")]  # KeyError when missing
         row = decode(CandidateRow, written, "row")
-        Difficulty(row.difficulty), Split(row.split)  # known level and split, or ValueError
         computed = [row.passed, row.first_failure]
         if [(type(v), v) for v in stated] != [(type(v), v) for v in computed]:  # 1 is not True
             raise ValueError(f"row.passed and row.first_failure are {stated}, "
@@ -490,8 +463,17 @@ def _load_rows(path: Path, corpus: Corpus) -> list[CandidateRow]:
             raise ValueError(f"row.matched has {ran} results and row.statuses {len(row.statuses)}")
         if not ran:
             raise ValueError("row.matched is empty, where judge records at least one result")
-        problem = corpus.get(row.problem_id)  # an unknown id is reported below, with the others
-        tests = len(problem.tests) if problem else ran
+        for i, (matched, status) in enumerate(zip(row.matched, row.statuses)):
+            if matched and status != "ok":  # judge matches only the output of an ok run
+                raise ValueError(f"row.matched[{i}] is true where row.statuses[{i}] is {status!r}")
+        problem = corpus.get(row.problem_id)
+        if problem is None:  # reported below, with the other unknown ids
+            return row
+        expected = [problem.difficulty.value, problem.split.value]
+        if [row.difficulty, row.split] != expected:
+            raise ValueError(f"row.difficulty and row.split are {[row.difficulty, row.split]}, "
+                             f"where problem {row.problem_id!r} is {expected}")
+        tests = len(problem.tests)
         # judge records one result per test, or stops early only after a failure
         if ran > tests:
             raise ValueError(f"row.matched has {ran} results for a problem of {tests} tests")
@@ -620,12 +602,12 @@ def cmd_analyze(cfg: PipelineConfig, records_path: str | None = None) -> int:
 
 
 def cmd_stats(cfg: PipelineConfig) -> int:
-    if not cfg.corpus_paths:
+    if not cfg.corpus:
         raise ConfigError("no corpus paths configured")
     out = _outdir(cfg, "stats")
     summary: dict[str, dict] = {}
     csv_rows: list[list] = []
-    for split in sorted(cfg.corpus_paths):
+    for split in sorted(split.value for split in cfg.corpus):
         corpus = _corpus_for(cfg, split)
         stats = corpus_stats(corpus)
         summary[split] = {
@@ -655,17 +637,20 @@ def cmd_stats(cfg: PipelineConfig) -> int:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
+    """The flags every command takes; each is stored under the config key it sets,
+    and only when given, so that it wins over the file's value."""
     parser.add_argument("--config", required=True, help="pipeline config JSON")
     parser.add_argument("--outdir", help="output directory (overrides config)")
     parser.add_argument("--workers", type=int, help="worker count (overrides config)")
     parser.add_argument("--mock-provider", help="mock provider fixture directory")
     parser.add_argument("--runner", help='candidate runner command, e.g. "python3 {file}"')
     parser.add_argument("--keep-scratch", action="store_true", help="keep run scratch dirs")
-    parser.add_argument("--no-cache", action="store_true",
+    parser.add_argument("--no-cache", dest="cache_dir", action="store_const", const=None,
                         help="bypass the response, verdict and metrics caches")
-    parser.add_argument("--per-level-mean", action="store_true",
+    parser.add_argument("--per-level-mean", dest="all_mode", action="store_const",
+                        const="difficulty-means",
                         help='aggregate the "all" row as the mean of difficulty means')
-    parser.add_argument("--top-level-only", action="store_true",
+    parser.add_argument("--top-level-only", dest="top_level_functions_only", action="store_true",
                         help="count only top-level functions in the metrics")
 
 
@@ -676,12 +661,12 @@ def main(argv: list[str] | None = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("transform", "evaluate", "reflect", "analyze", "stats"):
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, argument_default=argparse.SUPPRESS)
         _add_common(p)
         if name == "evaluate":
             p.add_argument("--candidates", required=True, help="candidates JSONL file")
         if name == "analyze":
-            p.add_argument("--records", help="records JSONL (default: <outdir>/evaluate/records.jsonl)")
+            p.add_argument("--records", default=None, help="records JSONL (default: <outdir>/evaluate/records.jsonl)")
 
     args = parser.parse_args(argv)
     try:

@@ -693,9 +693,11 @@ def _verdict_from_json(obj: dict, problem: Problem, fail_fast: bool) -> JudgeVer
 
     Raises TypeError or ValueError unless it holds what ``judge`` records for
     ``problem``: well-typed results, one per test, or with ``fail_fast`` the
-    results up to the first failure.
+    results up to the first failure, and a match only where the run ended ok.
     """
     verdict = decode(JudgeVerdict, {"per_test": obj["per_test"]}, "verdict")
+    if any(matched and report.status is not ExecStatus.OK for report, matched in verdict.per_test):
+        raise ValueError("a test matched by a run that did not end ok")
     ran = len(problem.tests)
     if fail_fast and not verdict.passed:
         ran = min(ran, verdict.first_failure + 1)

@@ -14,6 +14,7 @@ from modeval import cli, promptgen
 from modeval.cli import main
 from modeval.codemetrics import CodeMetrics
 from modeval.llm_client import MockProvider
+from modeval.settings import ComparePolicy, ProviderConfig, ResourceLimits
 
 from conftest import FIXTURES, count_analyze_calls, loaded_modules
 
@@ -94,10 +95,14 @@ class TestConfig:
         ({"provider": {"model_name": 5}}, "model_name"),
         ({"provider": {"max_inflight": 2.5}}, "max_inflight"),
         ({"compare": {"float_tolerance": "x"}}, "float_tolerance"),
+        ({"fail_fsat": True}, "fail_fsat"),
+        ({"use_cache": False, "corpus_paths": {}, "raw": {}}, "['corpus_paths', 'raw', 'use_cache']"),
+        ({"limits": False}, "limits"),
     ], ids=["root_list", "corpus_list", "corpus_path_int", "solution_cap_string",
             "dedup_threshold_string", "workers_bool", "ks_string", "data_types_string",
             "compare_mode_unknown", "memory_float", "wall_time_bool", "model_name_int",
-            "max_inflight_float", "float_tolerance_string"])
+            "max_inflight_float", "float_tolerance_string", "unknown_key", "loader_owned_key",
+            "section_false"])
     def test_mistyped_value_is_config_error(self, tmp_path, capsys, config, named):
         if isinstance(config, dict):
             path = write_config(tmp_path, **config)
@@ -151,6 +156,12 @@ class TestConfig:
         assert main(["transform", "--config", str(config)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "rules.jsonl:3" in err
+
+    def test_null_section_means_its_defaults(self, tmp_path):
+        config = write_config(tmp_path, provider=None, limits=None, compare=None)
+        cfg = cli.load_pipeline_config(config, argparse.Namespace())
+        assert (cfg.provider, cfg.limits, cfg.compare) == \
+               (ProviderConfig(), ResourceLimits(), ComparePolicy())
 
     def test_relative_paths_resolved_against_config_dir(self, tmp_path):
         (tmp_path / "corpus.jsonl").write_text(
@@ -621,8 +632,12 @@ class TestRecordsLoader:
         dict(ECHO_ROW, passed="yes"),
         dict(ECHO_ROW, statuses=[1]),
         dict(ECHO_ROW, metrics=dict(ECHO_ROW["metrics"], function_count=1.5)),
+        dict(ECHO_ROW, difficulty="competition", split="train"),
+        dict(ECHO_ROW, difficulty="interview"),
+        dict(ECHO_ROW, split="train"),
     ], ids=["missing_field", "extra_field", "unknown_difficulty", "passed_string",
-            "statuses_ints", "function_count_float"])
+            "statuses_ints", "function_count_float", "other_difficulty_and_split",
+            "other_difficulty", "other_split"])
     def test_bad_row_names_its_file_line(self, tmp_path, capsys, command, row):
         config = write_config(tmp_path)
         self.write_records(tmp_path, [json.dumps(ECHO_ROW), "", json.dumps(row)])
@@ -653,12 +668,14 @@ class TestRecordsLoader:
         (True, None, [], []),
         (True, None, [True, True, True], ["ok", "ok", "ok"]),
         (True, None, [True], ["ok"]),
+        (True, None, [True, True], ["timeout", "runtime_error"]),
+        (False, 1, [True, False], ["output_overflow", "ok"]),
     ], ids=["statuses_shorter", "statuses_longer", "no_results", "more_results_than_tests",
-            "stopped_without_failure"])
+            "stopped_without_failure", "matched_runs_not_ok", "matched_run_overflowed"])
     def test_row_must_fit_its_problem(self, tmp_path, capsys, command,
                                       passed, first_failure, matched, statuses):
         # e2e-echo has two tests: judge records a result and a status for each,
-        # or stops after the first failure
+        # or stops after the first failure, and matches only the output of an ok run
         config = write_config(tmp_path)
         self.write_records(tmp_path, [json.dumps(ECHO_ROW), json.dumps(dict(
             ECHO_ROW, passed=passed, first_failure=first_failure, matched=matched,
@@ -723,6 +740,35 @@ class TestAnalyze:
 
 
 class TestFlagOverrides:
+    @pytest.mark.parametrize("flags, setting", [
+        (["--outdir", "/elsewhere"], {"outdir": "/elsewhere"}),
+        (["--workers", "3"], {"workers": 3}),
+        (["--mock-provider", str(FIXTURES)], {"mock_provider": str(FIXTURES)}),
+        (["--runner", "python3 -I {file}"], {"runner": "python3 -I {file}"}),
+        (["--keep-scratch"], {"keep_scratch": True}),
+        (["--no-cache"], {"cache_dir": None}),
+        (["--per-level-mean"], {"all_mode": "difficulty-means"}),
+        (["--top-level-only"], {"top_level_functions_only": True}),
+    ], ids=["outdir", "workers", "mock_provider", "runner", "keep_scratch", "no_cache",
+            "per_level_mean", "top_level_only"])
+    def test_flag_is_its_config_key(self, tmp_path, monkeypatch, flags, setting):
+        # each flag stores the value its config key would hold, through the same checks
+        loaded = []
+        monkeypatch.setattr(cli, "cmd_stats", loaded.append)
+        for argv, overrides in (([], {}), (flags, {}), ([], setting)):
+            main(["stats", "--config", str(write_config(tmp_path, **overrides)), *argv])
+        base, flagged, keyed = loaded
+        assert flagged == keyed != base
+
+    def test_relative_outdir_flag_is_relative_to_cwd(self, tmp_path, monkeypatch):
+        (tmp_path / "cwd").mkdir()
+        monkeypatch.chdir(tmp_path / "cwd")
+        loaded = []
+        monkeypatch.setattr(cli, "cmd_stats", loaded.append)
+        main(["stats", "--config", str(write_config(tmp_path)), "--outdir", "rel"])
+        main(["stats", "--config", str(write_config(tmp_path, outdir="rel"))])
+        assert [cfg.outdir for cfg in loaded] == ["rel", str(tmp_path / "rel")]
+
     def test_outdir_flag_wins(self, tmp_path):
         config = write_config(tmp_path)
         other = tmp_path / "elsewhere"
