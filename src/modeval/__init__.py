@@ -25,10 +25,11 @@ _EXPORTS = {
                   "build_clean_prompt", "build_direct_prompt", "build_mot_prompt",
                   "build_reflection_prompt", "parse_code_response", "parse_mot_response",
                   "render_modular_solution"],
-    "sandbox": ["ExecStatus", "ExecutionReport", "Judge", "JudgeVerdict", "VerdictCache",
-                "compare_output", "judge_batch", "run_once"],
+    "sandbox": ["ExecutionReport", "Judge", "JudgeVerdict", "VerdictCache", "compare_output",
+                "judge_batch", "run_once"],
     # re-exported by llm_client (ProviderConfig) and sandbox (the rest) as well
-    "settings": ["ComparePolicy", "InfrastructureError", "ProviderConfig", "ResourceLimits"],
+    "settings": ["ComparePolicy", "ExecStatus", "InfrastructureError", "ProviderConfig",
+                 "ResourceLimits"],
     "validator": ["AssessmentResult", "FilterRecord", "Marker", "assess_clean",
                   "assess_structure", "assess_verdict", "filter_pass_rate"],
 }

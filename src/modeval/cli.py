@@ -37,7 +37,7 @@ from .corpus import (
     sha256_hex,
 )
 from .llm_client import HttpProvider, MockProvider, ProviderError, ResponseCache, complete_batch
-from .settings import ComparePolicy, InfrastructureError, ProviderConfig, ResourceLimits
+from .settings import ComparePolicy, InfrastructureError, ProviderConfig, ResourceLimits, check_judged
 
 if TYPE_CHECKING:  # each command imports the layers it runs when it runs
     from .evaluate import CandidateRow
@@ -247,37 +247,25 @@ def cmd_transform(cfg: PipelineConfig) -> int:
 
     checks = complete_batch(items, cfg.provider, provider=provider, cache=rcache,
                             build=build, then=structural_pass)
-    # (item, assessment, final_code, outline, provider_error)
-    staged = [(item, *check) for item, check in zip(items, checks)]
 
-    # functional pass over structurally accepted, testable items
-    judge_idx = [
-        i for i, (item, assessment, final_code, _, err) in enumerate(staged)
-        if err is None and assessment.accepted and final_code is not None
-        and not item[0].untestable
-    ]
-    verdict_by_idx = {}
-    if judge_idx:  # an item with tests, so the corpus has some and there is a judge
+    # m4 judges, in item order, the final code m1-m3 accepted where the problem has tests
+    tasks = [(final_code, problem) for (problem, *_), (_, final_code, *_) in zip(items, checks)
+             if final_code is not None and not problem.untestable]
+    verdicts = iter(())
+    if tasks:  # so the corpus has tests and there is a judge
         from .sandbox import judge_batch
-        tasks = [(staged[i][2], staged[i][0][0]) for i in judge_idx]
-        verdict_by_idx = dict(zip(judge_idx, judge_batch(tasks, judge, workers=cfg.workers)))
+        verdicts = iter(judge_batch(tasks, judge, workers=cfg.workers))
 
     records: list[FilterRecord] = []
     accepted_rows: dict[str, list[dict]] = {"mot": [], "clean": []}
     rejected_rows: list[dict] = []
-    for i, ((problem, si, solution, data_type), assessment, final_code, outline, err) in enumerate(staged):
-        if err is not None:
-            rejected_rows.append({
-                "problem_id": problem.id, "data_type": data_type,
-                "solution_index": si, "marker": None, "detail": f"provider error: {err}",
-            })
-            continue
-        if assessment.accepted and i in verdict_by_idx:
-            assessment = validator.assess_verdict(verdict_by_idx[i])
-        elif assessment.accepted and problem.untestable:
-            assessment = AssessmentResult(detail="functional check skipped (untestable)")
-        records.append(FilterRecord(problem.id, problem.source, data_type, assessment))
-        if assessment.accepted:
+    for (problem, si, _, data_type), (assessment, final_code, outline, err) in zip(items, checks):
+        if final_code is not None:
+            assessment = (AssessmentResult(detail="functional check skipped (untestable)")
+                          if problem.untestable else validator.assess_verdict(next(verdicts)))
+        if err is None:
+            records.append(FilterRecord(problem.id, problem.source, data_type, assessment))
+        if err is None and assessment.accepted:
             row = {
                 "problem_id": problem.id,
                 "source": problem.source,
@@ -293,7 +281,8 @@ def cmd_transform(cfg: PipelineConfig) -> int:
         else:
             rejected_rows.append({
                 "problem_id": problem.id, "data_type": data_type, "solution_index": si,
-                "marker": assessment.marker.value, "detail": assessment.detail,
+                "marker": None if err is not None else assessment.marker.value,
+                "detail": f"provider error: {err}" if err is not None else assessment.detail,
             })
 
     for data_type in cfg.data_types:
@@ -445,6 +434,7 @@ def cmd_evaluate(cfg: PipelineConfig, candidates_path: str) -> int:
 
 def _load_rows(path: Path, corpus: Corpus) -> list[CandidateRow]:
     """The candidate rows of an evaluate ``records.jsonl``, checked against ``corpus``."""
+    from .codemetrics import _metrics_from_json
     from .evaluate import CandidateRow
 
     if not path.exists():
@@ -453,19 +443,12 @@ def _load_rows(path: Path, corpus: Corpus) -> list[CandidateRow]:
     def parse(lineno: int, obj) -> CandidateRow:
         written = decode(dict, obj, "row")
         stated = [written.pop("passed"), written.pop("first_failure")]  # KeyError when missing
+        written["metrics"] = _metrics_from_json(written["metrics"])  # only as analyze returns them
         row = decode(CandidateRow, written, "row")
         computed = [row.passed, row.first_failure]
         if [(type(v), v) for v in stated] != [(type(v), v) for v in computed]:  # 1 is not True
             raise ValueError(f"row.passed and row.first_failure are {stated}, "
                              f"where row.matched gives {computed}")
-        ran = len(row.matched)
-        if len(row.statuses) != ran:
-            raise ValueError(f"row.matched has {ran} results and row.statuses {len(row.statuses)}")
-        if not ran:
-            raise ValueError("row.matched is empty, where judge records at least one result")
-        for i, (matched, status) in enumerate(zip(row.matched, row.statuses)):
-            if matched and status != "ok":  # judge matches only the output of an ok run
-                raise ValueError(f"row.matched[{i}] is true where row.statuses[{i}] is {status!r}")
         problem = corpus.get(row.problem_id)
         if problem is None:  # reported below, with the other unknown ids
             return row
@@ -473,13 +456,8 @@ def _load_rows(path: Path, corpus: Corpus) -> list[CandidateRow]:
         if [row.difficulty, row.split] != expected:
             raise ValueError(f"row.difficulty and row.split are {[row.difficulty, row.split]}, "
                              f"where problem {row.problem_id!r} is {expected}")
-        tests = len(problem.tests)
-        # judge records one result per test, or stops early only after a failure
-        if ran > tests:
-            raise ValueError(f"row.matched has {ran} results for a problem of {tests} tests")
-        if ran < tests and row.first_failure != ran - 1:
-            raise ValueError(f"row.matched has {ran} of {tests} results and does not end "
-                             "at its first failure")
+        check_judged(row.matched, row.statuses, [row.avg_time, row.avg_peak_memory],
+                     len(problem.tests), fail_fast=None)  # a line does not record fail_fast
         return row
 
     rows = _read_or_fail(path, "records", parse)

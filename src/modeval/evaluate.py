@@ -22,6 +22,7 @@ from typing import TYPE_CHECKING
 
 from .codemetrics import CodeMetrics
 from .corpus import Difficulty, Problem
+from .settings import ExecStatus
 
 if TYPE_CHECKING:  # self_reflect imports the layers it drives when it runs
     from .llm_client import ResponseCache
@@ -59,10 +60,8 @@ def pass_at_k(n: int, c: int, k: int) -> float:
 class CandidateRow:
     """One judged candidate program: the schema of a ``records.jsonl`` line.
 
-    ``passed`` and ``first_failure`` are computed from ``matched`` and
-    written beside it; the records loader of ``cli`` rejects a line where
-    they disagree, or where ``matched`` and ``statuses`` do not hold one
-    result per test of the problem, or fewer that end at the first failure.
+    ``passed`` and ``first_failure`` are computed from ``matched`` and written
+    beside it; the records loader of ``cli`` rejects a line where they disagree.
     """
 
     problem_id: str
@@ -72,7 +71,7 @@ class CandidateRow:
     passed: bool = field(init=False)
     first_failure: int | None = field(init=False)
     matched: list[bool]
-    statuses: list[str]
+    statuses: list[ExecStatus]
     avg_time: float
     avg_peak_memory: float
     metrics: CodeMetrics
@@ -91,7 +90,7 @@ class CandidateRow:
             difficulty=problem.difficulty.value,
             split=problem.split.value,
             matched=[bool(ok) for _, ok in verdict.per_test],
-            statuses=[report.status.value for report, _ in verdict.per_test],
+            statuses=[report.status for report, _ in verdict.per_test],
             avg_time=verdict.avg_time,
             avg_peak_memory=verdict.avg_peak_memory,
             metrics=metrics,

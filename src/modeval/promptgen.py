@@ -30,6 +30,7 @@ from string import Template
 from typing import TYPE_CHECKING
 
 from .corpus import Problem
+from .settings import ExecStatus
 
 if TYPE_CHECKING:
     from .sandbox import JudgeVerdict
@@ -164,15 +165,13 @@ def _failure_evidence(verdict: JudgeVerdict, problem: Problem) -> str:
     report, _ = verdict.per_test[idx]
     test = problem.tests[idx]
     lines = [f"Test {idx} failed."]
-    # statuses by their ExecStatus values, so building prompts loads no sandbox
-    status = report.status.value
-    if status == "timeout":
+    if report.status is ExecStatus.TIMEOUT:
         lines.append("The program exceeded the wall-time limit and was stopped.")
-    elif status == "oom":
+    elif report.status is ExecStatus.OOM:
         lines.append("The program exceeded the memory limit.")
-    elif status == "output_overflow":
+    elif report.status is ExecStatus.OUTPUT_OVERFLOW:
         lines.append("The program printed far more output than the test allows.")
-    elif status == "runtime_error":
+    elif report.status is ExecStatus.RUNTIME_ERROR:
         lines.append(f"The program crashed (exit code {report.exit_code}).")
         if report.stderr.strip():
             tail = report.stderr.strip().splitlines()[-5:]
@@ -182,7 +181,7 @@ def _failure_evidence(verdict: JudgeVerdict, problem: Problem) -> str:
     lines.append(test.input.rstrip("\n"))
     lines.append("Expected output:")
     lines.append(test.expected_output.rstrip("\n"))
-    if status == "ok":
+    if report.status is ExecStatus.OK:
         lines.append("Got:")
         lines.append(report.stdout.rstrip("\n"))
     return "\n".join(lines)

@@ -56,13 +56,12 @@ import re
 import sys
 import threading
 from dataclasses import asdict, dataclass, field
-from enum import Enum
 from functools import lru_cache
 from pathlib import Path
 from typing import Sequence
 
 from .corpus import EntryLog, Problem, decode, map_in_threads, sha256_hex
-from .settings import MB, ComparePolicy, InfrastructureError, ResourceLimits
+from .settings import MB, ComparePolicy, ExecStatus, InfrastructureError, ResourceLimits, check_judged
 
 # Address space allowed beyond the resident-memory budget (interpreter
 # mappings, shared libs).  Enforcement only; accounting uses max RSS.
@@ -82,14 +81,6 @@ KILL_GRACE = 0.5
 SANDBOX_SEMANTICS = 3
 
 HASH_SEED = "0"  # every broker's PYTHONHASHSEED: changing it changes SANDBOX_SEMANTICS
-
-
-class ExecStatus(str, Enum):
-    OK = "ok"
-    TIMEOUT = "timeout"
-    OOM = "oom"
-    RUNTIME_ERROR = "runtime_error"
-    OUTPUT_OVERFLOW = "output_overflow"
 
 
 @dataclass
@@ -689,20 +680,12 @@ def judge_batch(
 
 
 def _verdict_from_json(obj: dict, problem: Problem, fail_fast: bool) -> JudgeVerdict:
-    """Rebuild a verdict from the ``per_test`` of its ``dataclasses.asdict`` JSON.
-
-    Raises TypeError or ValueError unless it holds what ``judge`` records for
-    ``problem``: well-typed results, one per test, or with ``fail_fast`` the
-    results up to the first failure, and a match only where the run ended ok.
-    """
+    """A verdict from its ``asdict`` JSON; TypeError or ValueError unless judge could record it."""
     verdict = decode(JudgeVerdict, {"per_test": obj["per_test"]}, "verdict")
-    if any(matched and report.status is not ExecStatus.OK for report, matched in verdict.per_test):
-        raise ValueError("a test matched by a run that did not end ok")
-    ran = len(problem.tests)
-    if fail_fast and not verdict.passed:
-        ran = min(ran, verdict.first_failure + 1)
-    if len(verdict.per_test) != ran:
-        raise ValueError(f"{len(verdict.per_test)} per-test results where judge records {ran}")
+    reports = [report for report, _ in verdict.per_test]
+    check_judged([matched for _, matched in verdict.per_test], [r.status for r in reports],
+                 [v for r in reports for v in (r.wall_time_used, r.peak_memory)],
+                 len(problem.tests), fail_fast)
     return verdict
 
 

@@ -1,18 +1,48 @@
-"""The sections of a pipeline config, and the error of a harness that cannot run.
+"""Pipeline config sections, the harness error, the statuses a run ends in, and
+``check_judged``, the one rule of what judging records.
 
-They live apart from the layers that use them (``sandbox`` and
-``llm_client`` re-export them) so that reading a config loads neither.
+They live apart from the layers that use them (``sandbox`` and ``llm_client``
+re-export them) so that reading a config or records loads neither.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from enum import Enum
 
 MB = 1024 * 1024
 
 
 class InfrastructureError(Exception):
     """The harness itself cannot run candidates (missing interpreter, etc.)."""
+
+
+class ExecStatus(str, Enum):
+    OK = "ok"
+    TIMEOUT = "timeout"
+    OOM = "oom"
+    RUNTIME_ERROR = "runtime_error"
+    OUTPUT_OVERFLOW = "output_overflow"
+
+
+def check_judged(matched: list[bool], statuses: list[ExecStatus], amounts: list[float],
+                 tests: int, fail_fast: bool | None) -> None:
+    """Raise ValueError unless judging a problem of ``tests`` tests could record
+    these results: one status per result, at least one result, a match only of
+    an ok run, each time and memory amount finite and not negative, and a result
+    per test or, under ``fail_fast``, per test up to and including the first
+    failure.  ``fail_fast=None`` (not recorded) allows either shape."""
+    if len(statuses) != len(matched) or not matched:
+        raise ValueError(f"{len(matched)} results and {len(statuses)} statuses, where judging "
+                         "records one status per result and at least one result")
+    if any(ok and status is not ExecStatus.OK for ok, status in zip(matched, statuses)):
+        raise ValueError("a result matched where its run did not end ok")
+    if not all(0 <= amount < math.inf for amount in amounts):
+        raise ValueError(f"a time or memory amount is negative or not finite: {amounts}")
+    stopped = min(tests, next((i + 1 for i, ok in enumerate(matched) if not ok), tests))
+    if len(matched) not in {False: {tests}, True: {stopped}, None: {tests, stopped}}[fail_fast]:
+        raise ValueError(f"{len(matched)} results for a problem of {tests} tests")
 
 
 @dataclass(frozen=True)

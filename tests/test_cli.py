@@ -635,9 +635,14 @@ class TestRecordsLoader:
         dict(ECHO_ROW, difficulty="competition", split="train"),
         dict(ECHO_ROW, difficulty="interview"),
         dict(ECHO_ROW, split="train"),
+        dict(ECHO_ROW, statuses=["bogus"]),
+        dict(ECHO_ROW, avg_time=-5.0, avg_peak_memory=-1.0),
+        dict(ECHO_ROW, metrics=dict(ECHO_ROW["metrics"], maintainability=-40.0)),
+        dict(ECHO_ROW, metrics=dict(ECHO_ROW["metrics"], halstead_volume=float("inf"))),
     ], ids=["missing_field", "extra_field", "unknown_difficulty", "passed_string",
             "statuses_ints", "function_count_float", "other_difficulty_and_split",
-            "other_difficulty", "other_split"])
+            "other_difficulty", "other_split", "unknown_status", "negative_averages",
+            "metrics_out_of_range", "metrics_not_finite"])
     def test_bad_row_names_its_file_line(self, tmp_path, capsys, command, row):
         config = write_config(tmp_path)
         self.write_records(tmp_path, [json.dumps(ECHO_ROW), "", json.dumps(row)])

@@ -577,9 +577,10 @@ class TestVerdictCache:
         (False, lambda results: [[r, m or "false"] for r, m in results], False),
         (False, lambda results: [[dict(r, wall_time_used="fast"), m] for r, m in results], False),
         (False, lambda results: [[dict(r, status="timeout"), m] for r, m in results], False),
+        (False, lambda results: [[dict(r, wall_time_used=-5.0), m] for r, m in results], False),
     ], ids=["all-tests", "matched-only", "extra-result",
             "fail-fast", "fail-fast-before-failure", "fail-fast-past-failure",
-            "matched-string", "wall-time-string", "matched-not-ok"])
+            "matched-string", "wall-time-string", "matched-not-ok", "negative-wall-time"])
     def test_entry_served_only_in_a_shape_judge_records(self, tmp_path, fail_fast, edit, served):
         problem = make_problem(tests=(("1\n", "1\n"), ("2\n", "x\n"), ("3\n", "3\n")))
         first = Judge(FAST, fail_fast=fail_fast, cache=VerdictCache(tmp_path))(
