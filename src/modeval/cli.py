@@ -18,7 +18,7 @@ import csv
 import gc
 import json
 import sys
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, NoReturn
 
@@ -26,6 +26,7 @@ from . import __version__
 from .corpus import (
     Corpus,
     CorpusError,
+    EntryLog,
     Problem,
     Split,
     corpus_stats,
@@ -34,10 +35,9 @@ from .corpus import (
     load_corpus,
     map_in_threads,
     read_jsonl,
-    sha256_hex,
 )
 from .llm_client import HttpProvider, MockProvider, ProviderError, ResponseCache, complete_batch
-from .settings import ComparePolicy, InfrastructureError, ProviderConfig, ResourceLimits, check_judged
+from .settings import InfrastructureError, PipelineConfig, check_judged
 
 if TYPE_CHECKING:  # each command imports the layers it runs when it runs
     from .evaluate import CandidateRow
@@ -46,54 +46,6 @@ if TYPE_CHECKING:  # each command imports the layers it runs when it runs
 
 class ConfigError(Exception):
     pass
-
-
-@dataclass
-class PipelineConfig:
-    """One pipeline config: the JSON file's keys, then the command-line flags given."""
-
-    corpus: dict[Split, str | None] = field(default_factory=dict)
-    provider: ProviderConfig = field(default_factory=ProviderConfig)
-    limits: ResourceLimits = field(default_factory=ResourceLimits)
-    compare: ComparePolicy = field(default_factory=ComparePolicy)
-    dedup_threshold: float = 0.9
-    dedup_holdout_split: str | None = None
-    solution_cap: int = 100
-    ks: list[int] = field(default_factory=lambda: [1])
-    max_reflection_rounds: int = 5
-    outdir: str = "out"
-    workers: int = 4
-    cache_dir: str | None = None
-    runner: str | None = None
-    keep_scratch: bool = False
-    data_types: list[str] = field(default_factory=lambda: ["mot", "clean"])
-    transform_split: str = "train"
-    eval_split: str = "test"
-    fail_fast: bool = False
-    all_mode: str = "problems"
-    mock_provider: str | None = None
-    top_level_functions_only: bool = False
-    raw: dict = field(default_factory=dict, init=False, compare=False)  # hashed into manifests
-
-    def __post_init__(self) -> None:
-        self.ks = sorted(set(self.ks))
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-        if self.solution_cap < 1:
-            raise ValueError(f"solution_cap must be >= 1, got {self.solution_cap}")
-        if not 0 < self.dedup_threshold <= 1:
-            raise ValueError(f"dedup_threshold must be in (0, 1], got {self.dedup_threshold}")
-        if self.max_reflection_rounds < 1:
-            raise ValueError(f"max_reflection_rounds must be >= 1, got {self.max_reflection_rounds}")
-        if self.ks and self.ks[0] < 1:
-            raise ValueError(f"ks must be >= 1, got {self.ks[0]}")
-        if self.all_mode not in ("problems", "difficulty-means"):
-            raise ValueError(f"unknown all_mode {self.all_mode!r}")
-        for i, dt in enumerate(self.data_types):
-            if dt not in ("mot", "clean"):
-                raise ValueError(f"unknown data type {dt!r}")
-            if dt in self.data_types[:i]:
-                raise ValueError(f"data_types names {dt!r} twice")
 
 
 def load_pipeline_config(config_path: str | Path, flags: argparse.Namespace) -> PipelineConfig:
@@ -166,7 +118,7 @@ def _outdir(cfg: PipelineConfig, command: str) -> Path:
 def _write_manifest(out: Path, command: str, cfg: PipelineConfig) -> None:
     manifest = {
         "command": command,
-        "config_hash": sha256_hex(json.dumps(cfg.raw, sort_keys=True)),
+        "config_hash": EntryLog.key(cfg.raw),
         "version": __version__,
         "python": ".".join(str(v) for v in sys.version_info[:3]),
     }

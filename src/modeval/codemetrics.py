@@ -27,18 +27,17 @@ comment-line ratio in [0, 1].
 
 from __future__ import annotations
 
-import json
 import keyword
 import math
 import re
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from pathlib import Path
 from typing import NamedTuple
 
-from .corpus import EntryLog, decode, sha256_hex
+from .corpus import EntryLog, decode
 
 
 class TokenKind(str, Enum):
@@ -340,16 +339,12 @@ class MetricsCache:
 
     def __init__(self, root: Path) -> None:
         self._log = EntryLog(Path(root))
-        self.hits = self.misses = 0
+
+    hits = property(lambda self: self._log.hits)
+    misses = property(lambda self: self._log.misses)
 
     def analyze(self, source: str, top_level_functions_only: bool = False) -> CodeMetrics:
         """``analyze`` of the same arguments, replayed from disk when recorded."""
-        key = sha256_hex(json.dumps([source, top_level_functions_only, METRICS_SEMANTICS]))
-        metrics = self._log.get(key, _metrics_from_json)
-        if metrics is not None:
-            self.hits += 1
-            return metrics
-        metrics = analyze(source, top_level_functions_only)
-        self.misses += 1
-        self._log.put(key, asdict(metrics))
-        return metrics
+        return self._log.replay([source, top_level_functions_only, METRICS_SEMANTICS],
+                                _metrics_from_json,
+                                lambda: analyze(source, top_level_functions_only))

@@ -1,8 +1,8 @@
 """Problem corpora: JSONL loading, normalization, dedup and summary stats;
 ``decode``, the typed reader of every JSON value the pipeline reads back;
-``EntryLog``, the append-only store under every disk cache, and ``sha256_hex``,
-the hash of its keys; and ``map_in_threads``, the worker map of every
-concurrent stage.
+``EntryLog``, the append-only store under every disk cache, which makes its
+keys and counts its hits and misses, and ``sha256_hex``, the hash of its keys;
+and ``map_in_threads``, the worker map of every concurrent stage.
 
 A corpus is an ordered list of competitive-programming problems in the
 de facto APPS/CodeContests JSONL layout, one problem per line:
@@ -28,7 +28,7 @@ import threading
 import types
 import typing
 import weakref
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from enum import Enum
 from functools import lru_cache
 from pathlib import Path
@@ -121,9 +121,10 @@ class EntryLog:
     """JSON entries in one append-only ``<root>/entries.jsonl``, a
     ``<64-hex key>\\t<json>\\n`` line each; the last complete line of a key wins.
 
-    The first lookup indexes the log, key to byte range, in one pass, and
-    ``get`` reads only its own entry.  ``put`` appends a whole line with one
-    ``os.write`` under ``flock``, after indexing what other processes appended.
+    ``key`` makes every cache key.  The first lookup indexes the log, key to
+    byte range, in one pass, and ``get`` reads only its own entry, counted as a
+    hit when served and as a miss otherwise.  ``put`` appends a whole line with
+    one ``os.write`` under ``flock``, after indexing what other processes appended.
     """
 
     def __init__(self, root: Path) -> None:
@@ -135,6 +136,13 @@ class EntryLog:
         self._index: dict[str, tuple[int, int]] = {}  # key -> (offset, length) of its JSON
         self._end = 0  # offset past the last complete line indexed
         self._looked = False
+        self.hits = self.misses = 0
+        self._counting = threading.Lock()  # not _lock: a lookup never waits out a put's write
+
+    @staticmethod
+    def key(parts) -> str:
+        """The key of an entry made from ``parts``: the hash of their sorted-key JSON."""
+        return sha256_hex(json.dumps(parts, sort_keys=True))
 
     def _scan(self) -> None:
         """Index the complete lines past ``_end``; the caller holds ``_lock``."""
@@ -157,15 +165,28 @@ class EntryLog:
                     self._scan()
                     self._looked = True
         where = self._index.get(key)  # unlocked: racing a put of the key, it misses or hits
-        if where is None:
-            return None
-        try:
-            return read(json.loads(os.pread(self._fd, where[1], where[0])))
-        except (ValueError, KeyError, TypeError):
-            with self._lock:
-                if self._index.get(key) == where:
-                    del self._index[key]
-            return None
+        value = None
+        if where is not None:
+            try:
+                value = read(json.loads(os.pread(self._fd, where[1], where[0])))
+            except (ValueError, KeyError, TypeError):
+                with self._lock:
+                    if self._index.get(key) == where:
+                        del self._index[key]
+        with self._counting:
+            self.hits += value is not None
+            self.misses += value is None
+        return value
+
+    def replay(self, parts, read, compute):
+        """``read`` of the entry made from ``parts``, or else ``compute()``, recorded
+        as its ``asdict``."""
+        key = self.key(parts)
+        value = self.get(key, read)
+        if value is None:
+            value = compute()
+            self.put(key, asdict(value))
+        return value
 
     def put(self, key: str, entry) -> None:
         """Append ``entry`` under ``key`` unless an entry of the key is indexed."""

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
-from .corpus import EntryLog, decode, map_in_threads, read_jsonl, sha256_hex
+from .corpus import EntryLog, decode, map_in_threads, read_jsonl
 from .settings import ProviderConfig
 
 if TYPE_CHECKING:
@@ -232,17 +232,15 @@ class ResponseCache:
     """Completion store: an ``EntryLog`` under ``root`` keyed by ``key``."""
 
     def __init__(self, root: str | Path) -> None:
-        self.root = Path(root)
-        self._log = EntryLog(self.root)
+        self._log = EntryLog(Path(root))
+
+    hits = property(lambda self: self._log.hits)
+    misses = property(lambda self: self._log.misses)
 
     @staticmethod
     def key(prompt: Prompt, cfg: ProviderConfig) -> str:
-        payload = json.dumps(
-            [prompt.system, prompt.user, cfg.model_name, cfg.temperature,
-             cfg.max_output_tokens],
-            sort_keys=True,
-        )
-        return sha256_hex(payload)
+        return EntryLog.key([prompt.system, prompt.user, cfg.model_name, cfg.temperature,
+                             cfg.max_output_tokens])
 
     def get(self, key: str) -> Completion | None:
         return self._log.get(key, lambda obj: decode(

@@ -55,12 +55,12 @@ import os
 import re
 import sys
 import threading
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import Sequence
 
-from .corpus import EntryLog, Problem, decode, map_in_threads, sha256_hex
+from .corpus import EntryLog, Problem, decode, map_in_threads
 from .settings import MB, ComparePolicy, ExecStatus, InfrastructureError, ResourceLimits, check_judged
 
 # Address space allowed beyond the resident-memory budget (interpreter
@@ -78,19 +78,27 @@ KILL_GRACE = 0.5
 # Part of every verdict-cache key.  Bump it when a change to how programs run
 # or how outputs compare can change a verdict, so verdicts recorded before
 # the change miss once instead of being replayed.
-SANDBOX_SEMANTICS = 3
+SANDBOX_SEMANTICS = 4
 
 HASH_SEED = "0"  # every broker's PYTHONHASHSEED: changing it changes SANDBOX_SEMANTICS
 
 
 @dataclass
 class ExecutionReport:
-    """What one run of a program did: status, output, time, peak memory and exit code."""
+    """What one run of a program did: status, output, times, peak memory and exit code.
+
+    ``wall_time_used`` runs from the fork of the run's process to its reaping;
+    ``compile_time`` is the broker's compile of ``main.py`` before the fork (0
+    with a custom runner), and ``limits.wall_time`` bounds the two together.
+    ``cpu_time`` is the user plus system CPU of the run's process.
+    """
 
     status: ExecStatus
     stdout: str
     stderr: str
     wall_time_used: float
+    compile_time: float
+    cpu_time: float
     peak_memory: int
     exit_code: int
 
@@ -336,8 +344,11 @@ def reap(pid, deadline):
 
 
 def run(req):
-    start = time.perf_counter()
-    code = None if req["argv"] else compiled(req["file"])
+    start = time.perf_counter()  # the deadline's, so that wall_time bounds compile and run
+    code, compile_time = None, 0.0
+    if not req["argv"]:
+        code = compiled(req["file"])
+        compile_time = time.perf_counter() - start
     err_r, err_w = os.pipe()
     sys.stdout.flush()
     sys.stderr.flush()
@@ -357,10 +368,11 @@ def run(req):
         os.waitpid(pid, 0)
         return {"spawn_error": error.decode("utf-8", "replace")}
     status, usage, timed_out = reap(pid, start + req["wall_time"])
-    wall = time.perf_counter() - start
+    wall = time.perf_counter() - start - compile_time
     kill_descendants()
     return {"exit_code": os.waitstatus_to_exitcode(status), "timed_out": timed_out,
-            "wall": wall, "maxrss_kb": usage.ru_maxrss}
+            "compile": compile_time, "wall": wall, "cpu": usage.ru_utime + usage.ru_stime,
+            "maxrss_kb": usage.ru_maxrss}
 
 
 become_subreaper()
@@ -563,6 +575,8 @@ def _run_in(scratch: _Scratch, stdin_text: str, limits: ResourceLimits) -> Execu
         stdout=stdout,
         stderr=stderr,
         wall_time_used=result["wall"],
+        compile_time=result["compile"],
+        cpu_time=result["cpu"],
         peak_memory=peak_memory,
         exit_code=exit_code,
     )
@@ -684,7 +698,8 @@ def _verdict_from_json(obj: dict, problem: Problem, fail_fast: bool) -> JudgeVer
     verdict = decode(JudgeVerdict, {"per_test": obj["per_test"]}, "verdict")
     reports = [report for report, _ in verdict.per_test]
     check_judged([matched for _, matched in verdict.per_test], [r.status for r in reports],
-                 [v for r in reports for v in (r.wall_time_used, r.peak_memory)],
+                 [v for r in reports
+                  for v in (r.wall_time_used, r.compile_time, r.cpu_time, r.peak_memory)],
                  len(problem.tests), fail_fast)
     return verdict
 
@@ -695,7 +710,6 @@ def _resolved(path: str) -> str:
     return os.path.realpath(path)
 
 
-@dataclass
 class VerdictCache:
     """Disk cache of judge verdicts keyed by program, tests, limits, policy, runner,
     ``fail_fast``, stdio buffering and ``SANDBOX_SEMANTICS``.
@@ -704,43 +718,25 @@ class VerdictCache:
     candidate reuses the recorded per-test results, including their timings.
     """
 
-    root: Path
-    hits: int = field(default=0, init=False)
-    misses: int = field(default=0, init=False)
+    def __init__(self, root: str | Path) -> None:
+        self._log = EntryLog(Path(root))
 
-    def __post_init__(self) -> None:
-        self.root = Path(self.root)
-        self._log = EntryLog(self.root)
+    hits = property(lambda self: self._log.hits)
+    misses = property(lambda self: self._log.misses)
 
-    def _key(self, program: str, problem: Problem, settings: Judge) -> str:
+    @staticmethod
+    def _parts(program: str, problem: Problem, settings: Judge) -> list:
         limits, policy, runner = settings.limits, settings.policy, settings.runner
         # the default runner is this interpreter, so its identity is part of the key
         interpreter = [_resolved(sys.executable), sys.version] if runner is None else None
-        payload = json.dumps(
-            [
-                program,
-                problem.id,
-                [[t.input, t.expected_output] for t in problem.tests],
+        return [program, problem.id, [[t.input, t.expected_output] for t in problem.tests],
                 [limits.wall_time, limits.memory, limits.output_cap],
-                [policy.mode, policy.float_tolerance],
-                runner,
-                settings.fail_fast,
-                interpreter,
+                [policy.mode, policy.float_tolerance], runner, settings.fail_fast, interpreter,
                 bool(os.environ.get("PYTHONUNBUFFERED")),  # brokers and exec'd runs read it
-                SANDBOX_SEMANTICS,
-            ],
-            sort_keys=True,
-        )
-        return sha256_hex(payload)
+                SANDBOX_SEMANTICS]
 
     def judge(self, program: str, problem: Problem, settings: Judge) -> JudgeVerdict:
         """``judge(program, problem, settings)``, replayed from disk when recorded."""
-        key = self._key(program, problem, settings)
-        verdict = self._log.get(key, lambda obj: _verdict_from_json(obj, problem, settings.fail_fast))
-        if verdict is not None:
-            self.hits += 1
-            return verdict
-        verdict = judge(program, problem, settings)
-        self.misses += 1
-        self._log.put(key, asdict(verdict))
-        return verdict
+        return self._log.replay(self._parts(program, problem, settings),
+                                lambda obj: _verdict_from_json(obj, problem, settings.fail_fast),
+                                lambda: judge(program, problem, settings))

@@ -1,15 +1,20 @@
-"""Pipeline config sections, the harness error, the statuses a run ends in, and
-``check_judged``, the one rule of what judging records.
+"""Every pipeline config type (``PipelineConfig`` and its sections), the harness
+error, the statuses a run ends in, and ``check_judged``, the one rule of what
+judging records.
 
 They live apart from the layers that use them (``sandbox`` and ``llm_client``
-re-export them) so that reading a config or records loads neither.
+re-export them) so that reading a config or records loads neither, and apart
+from ``cli``, so that ``decode`` resolves every config annotation here
+whichever module runs as ``__main__``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+
+from .corpus import Split
 
 MB = 1024 * 1024
 
@@ -95,3 +100,51 @@ class ProviderConfig:
             raise ValueError("retry_limit must be in [0, 10]")
         if self.timeout <= 0:
             raise ValueError("timeout must be > 0")
+
+
+@dataclass
+class PipelineConfig:
+    """One pipeline config: the JSON file's keys, then the command-line flags given."""
+
+    corpus: dict[Split, str | None] = field(default_factory=dict)
+    provider: ProviderConfig = field(default_factory=ProviderConfig)
+    limits: ResourceLimits = field(default_factory=ResourceLimits)
+    compare: ComparePolicy = field(default_factory=ComparePolicy)
+    dedup_threshold: float = 0.9
+    dedup_holdout_split: str | None = None
+    solution_cap: int = 100
+    ks: list[int] = field(default_factory=lambda: [1])
+    max_reflection_rounds: int = 5
+    outdir: str = "out"
+    workers: int = 4
+    cache_dir: str | None = None
+    runner: str | None = None
+    keep_scratch: bool = False
+    data_types: list[str] = field(default_factory=lambda: ["mot", "clean"])
+    transform_split: str = "train"
+    eval_split: str = "test"
+    fail_fast: bool = False
+    all_mode: str = "problems"
+    mock_provider: str | None = None
+    top_level_functions_only: bool = False
+    raw: dict = field(default_factory=dict, init=False, compare=False)  # hashed into manifests
+
+    def __post_init__(self) -> None:
+        self.ks = sorted(set(self.ks))
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
+        if self.solution_cap < 1:
+            raise ValueError(f"solution_cap must be >= 1, got {self.solution_cap}")
+        if not 0 < self.dedup_threshold <= 1:
+            raise ValueError(f"dedup_threshold must be in (0, 1], got {self.dedup_threshold}")
+        if self.max_reflection_rounds < 1:
+            raise ValueError(f"max_reflection_rounds must be >= 1, got {self.max_reflection_rounds}")
+        if self.ks and self.ks[0] < 1:
+            raise ValueError(f"ks must be >= 1, got {self.ks[0]}")
+        if self.all_mode not in ("problems", "difficulty-means"):
+            raise ValueError(f"unknown all_mode {self.all_mode!r}")
+        for i, dt in enumerate(self.data_types):
+            if dt not in ("mot", "clean"):
+                raise ValueError(f"unknown data type {dt!r}")
+            if dt in self.data_types[:i]:
+                raise ValueError(f"data_types names {dt!r} twice")

@@ -53,7 +53,8 @@ def make_verdict(passed=True, n_tests=1, avg_time=0.01, avg_peak_memory=10_000_0
         matched = passed or (first_failure is not None and i != first_failure)
         report = ExecutionReport(
             status=statuses[i], stdout="", stderr="",
-            wall_time_used=avg_time, peak_memory=avg_peak_memory, exit_code=0,
+            wall_time_used=avg_time, compile_time=0.0, cpu_time=avg_time,
+            peak_memory=avg_peak_memory, exit_code=0,
         )
         per_test.append((report, matched))
     return JudgeVerdict(per_test)

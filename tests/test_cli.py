@@ -16,7 +16,7 @@ from modeval.codemetrics import CodeMetrics
 from modeval.llm_client import MockProvider
 from modeval.settings import ComparePolicy, ProviderConfig, ResourceLimits
 
-from conftest import FIXTURES, count_analyze_calls, loaded_modules
+from conftest import FIXTURES, cache_entries, count_analyze_calls, loaded_modules, make_problem
 
 
 def write_config(tmp_path, **overrides):
@@ -597,6 +597,45 @@ class TestCacheLogs:
         assert records.read_bytes() == cold
         assert (tmp_path / "cache" / "metrics" / "entries.jsonl").read_bytes() == log
 
+    def test_every_key_is_the_hash_of_its_parts(self, tmp_path, monkeypatch):
+        # each key as it was made before EntryLog made them all, so every cache written
+        # before still hits and every manifest names the same config
+        import hashlib
+
+        from modeval import codemetrics, sandbox
+        from modeval.llm_client import ResponseCache, complete
+        from modeval.promptgen import Prompt, PromptTag
+
+        def recipe(parts):
+            return hashlib.sha256(json.dumps(parts, sort_keys=True).encode("utf-8")).hexdigest()
+
+        def keys(root):
+            return [key for key, _ in cache_entries(root)]
+
+        monkeypatch.setenv("PYTHONUNBUFFERED", "1")
+        prompt, provider_cfg = Prompt("sys", "q \u00e9", PromptTag.DIRECT), ProviderConfig(model_name="m")
+        complete(prompt, provider_cfg, provider=MockProvider(script=["a"]),
+                 cache=ResponseCache(tmp_path / "responses"))
+        assert keys(tmp_path / "responses") == [recipe(
+            [prompt.system, prompt.user, "m", provider_cfg.temperature, provider_cfg.max_output_tokens])]
+
+        problem = make_problem(tests=(("1\n", "1\n"),))
+        judge = sandbox.Judge(ResourceLimits(wall_time=5.0), fail_fast=True,
+                              cache=sandbox.VerdictCache(tmp_path / "verdicts"))
+        judge("print(input())", problem)
+        assert keys(tmp_path / "verdicts") == [recipe([
+            "print(input())", problem.id, [["1\n", "1\n"]], [5.0, judge.limits.memory,
+            judge.limits.output_cap], ["token", 1e-6], None, True,
+            [os.path.realpath(sys.executable), sys.version], True, sandbox.SANDBOX_SEMANTICS])]
+
+        codemetrics.MetricsCache(tmp_path / "metrics").analyze("print(1)\n", True)
+        assert keys(tmp_path / "metrics") == [recipe(["print(1)\n", True,
+                                                       codemetrics.METRICS_SEMANTICS])]
+
+        raw = {"workers": 2, "corpus": {"test": "c.jsonl"}}
+        cli._write_manifest(tmp_path, "stats", argparse.Namespace(raw=raw))
+        assert json.loads((tmp_path / "manifest.json").read_text())["config_hash"] == recipe(raw)
+
 
 ECHO_ROW = {
     "problem_id": "e2e-echo", "candidate_index": 0, "difficulty": "introductory",
@@ -918,3 +957,16 @@ def test_module_entry_exits_with_mains_status(tmp_path):
     assert done[0].stdout.startswith("test: 10 problems") and not done[0].stderr
     assert (tmp_path / "out" / "stats" / "manifest.json").is_file()
     assert done[1].stderr.startswith("error:") and "memory" in done[1].stderr
+
+
+def test_profiled_module_entry_runs(tmp_path):
+    # under cProfile the pipeline's modules run while cProfile's own module is __main__,
+    # so every config annotation must resolve in the module that defines it
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "cProfile", "-o", str(tmp_path / "stats.prof"), "-m", "modeval.cli",
+         "stats", "--config", str(write_config(tmp_path))],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "out" / "stats" / "stats.json").is_file()
+    assert (tmp_path / "stats.prof").is_file()

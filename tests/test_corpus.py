@@ -604,6 +604,7 @@ class TestEntryLog:
         assert not any(thread.is_alive() for thread in threads)
         entries = cache_entries(tmp_path)
         assert sorted(key for key, _ in entries) == keys  # each key once
+        assert log.hits + log.misses == 8 * len(keys)  # no count lost either
         assert all(log.get(key, lambda e: e) == entry for key, entry in entries)
 
     def test_threads_first_lookups_all_hit(self, tmp_path):
@@ -631,6 +632,7 @@ class TestEntryLog:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert misses == []
+        assert (log.hits, log.misses) == (8 * len(keys), 0)
 
     @pytest.mark.parametrize("cut", [1, 20], ids=["newline", "mid_entry"])
     def test_torn_last_line_is_a_miss_and_superseded(self, tmp_path, cut):

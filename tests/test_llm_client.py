@@ -135,6 +135,18 @@ class TestComplete:
                          cache=ResponseCache(tmp_path))
         assert (again.text, again.cached) == ("answer", True)
 
+    def test_cache_counts_hits_and_misses(self, tmp_path):
+        # a served entry is a hit; an absent or malformed one is a miss
+        provider = MockProvider(script=["first", "second"])
+        cache = ResponseCache(tmp_path)
+        complete(prompt_of("q"), CFG, provider=provider, cache=cache)
+        complete(prompt_of("q"), CFG, provider=provider, cache=cache)
+        assert (cache.hits, cache.misses) == (1, 1)
+        edit_cache_entry(tmp_path, lambda entry: dict(entry, response=5))
+        later = ResponseCache(tmp_path)  # a later run
+        assert complete(prompt_of("q"), CFG, provider=provider, cache=later).text == "second"
+        assert (later.hits, later.misses) == (0, 1)
+
     @pytest.mark.parametrize("edit", [
         lambda entry: [],
         lambda entry: dict(entry, response=5),

@@ -34,7 +34,8 @@ from oracles import (
 
 def failing_verdict(status=ExecStatus.OK, stdout="wrong\n", stderr="", exit_code=0):
     report = ExecutionReport(status=status, stdout=stdout, stderr=stderr,
-                             wall_time_used=0.01, peak_memory=1_000_000,
+                             wall_time_used=0.01, compile_time=0.0, cpu_time=0.01,
+                             peak_memory=1_000_000,
                              exit_code=exit_code)
     return JudgeVerdict(per_test=[(report, False)])
 
@@ -285,6 +286,9 @@ class TestParseOutline:
         entries, _ = parse_outline('def f(a, b):\n    """Line one\n    line two.\n    """\n')
         assert entries[0].docstring == "Line one\n    line two."
 
+    def test_blank_docstring_is_defect(self):
+        assert parse_outline('def f():\n    """   """\n') == ([], ["f: empty docstring"])
+
 
 class TestParseCodeResponse:
     def test_takes_first_fenced_block(self):
@@ -301,6 +305,22 @@ class TestSections:
 
     def test_extract_missing_section(self):
         assert promptgen.extract_section("no sections here", "PROBLEM") is None
+
+    def test_fenced_section_without_a_fence_is_its_text(self):
+        text = "[PROBLEM]\nx\n[ORIGINAL SOLUTION]\nprint(1)\n\n[NOTE]\ny\n"
+        assert promptgen.extract_fenced_section(text, "ORIGINAL SOLUTION") == "print(1)"
+
+    def test_echo_mot_outlines_each_def_line(self):
+        # the mock's MoT answer outlines every def line of the solution, nested or not,
+        # with its header as written, and ships the solution as the final code
+        solution = ("def read() -> int:\n    return int(input())\n\nclass Box:\n"
+                    "    def area(self, w):\n        return w * w\n\nprint(Box().area(read()))")
+        prompt = build_mot_prompt(make_problem(), solution)
+        parsed = parse_mot_response(promptgen.echo_response(prompt))
+        assert [(m.name, m.header) for m in parsed.outline] == [
+            ("read", "def read() -> int:"), ("area", "def area(self, w):")]
+        assert {m.docstring for m in parsed.outline} == {"Helper used by the final solution."}
+        assert parsed.final_code == solution
 
     def test_direct_prompt_has_statement(self):
         prompt = build_direct_prompt(make_problem(statement="THE-TASK"))

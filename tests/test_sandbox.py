@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from modeval import sandbox
+from modeval.corpus import EntryLog
 from modeval.evaluate import self_reflect
 from modeval.llm_client import MockProvider, ProviderConfig
 from modeval.sandbox import (
@@ -37,6 +38,11 @@ from conftest import cache_entries, edit_cache_entry, make_problem
 FAST = ResourceLimits(wall_time=5.0)
 EXEC = f"{sys.executable} {{file}}"  # the exec path: a fresh interpreter per run
 PROGRAMS = sorted((Path(__file__).parent / "fixtures" / "programs").glob("p*.py"))
+
+
+def verdict_key(program, problem, settings):
+    """The verdict-cache key of ``program`` on ``problem`` under ``settings``."""
+    return EntryLog.key(VerdictCache._parts(program, problem, settings))
 
 
 def _is_decimal(token: str) -> bool:
@@ -159,6 +165,30 @@ class TestRunOnce:
     def test_runner_template(self):
         report = run_once("print(40 + 2)", "", FAST, runner=EXEC)
         assert report.stdout == "42\n"
+
+    # 6,000 one-line functions, about 208 KB: compiling it takes far longer than running it
+    LONG_COMPILE = "".join(f"def f{i:04d}(a): return a * {i} - 10\n"
+                           for i in range(6000)) + "print(f0002(3))\n"
+
+    def test_compile_is_accounted_apart_from_the_run(self):
+        report = run_once(self.LONG_COMPILE, "", FAST)
+        assert (report.status, report.stdout) == (ExecStatus.OK, "-4\n")
+        assert 0 < report.wall_time_used < report.compile_time
+        assert report.compile_time + report.wall_time_used <= FAST.wall_time
+        assert 0 < report.cpu_time <= report.wall_time_used
+
+    def test_compile_counts_against_wall_time(self):
+        limits = ResourceLimits(wall_time=0.01)
+        report = run_once(self.LONG_COMPILE, "", limits)
+        assert report.status is ExecStatus.TIMEOUT
+        assert report.compile_time > limits.wall_time
+        assert report.wall_time_used <= KILL_GRACE  # the deadline had passed: killed at once
+
+    def test_custom_runner_compiles_nothing_and_reports_cpu(self):
+        report = run_once("sum(range(3_000_000))", "", FAST, runner=EXEC)
+        assert report.status is ExecStatus.OK
+        assert report.compile_time == 0
+        assert 0 < report.cpu_time <= report.wall_time_used
 
 
 PARITY_LIMITS = ResourceLimits(wall_time=1.0, memory=128 * MB, output_cap=64 * 1024)
@@ -490,55 +520,52 @@ class TestVerdictCache:
         assert cache.misses == 2
         assert not v.passed
 
-    def test_key_names_default_interpreter(self, tmp_path, monkeypatch):
-        cache = VerdictCache(tmp_path / "verdicts")
+    def test_key_names_default_interpreter(self, monkeypatch):
         args = ("print(input())", make_problem(tests=(("1\n", "1\n"),)), Judge(FAST))
-        here = cache._key(*args)
+        here = verdict_key(*args)
         monkeypatch.setattr(sys, "executable", "/usr/bin/python3.9")
         monkeypatch.setattr(sys, "version", "3.9.18 (main) [GCC 12.2.0]")
-        assert cache._key(*args) != here
+        assert verdict_key(*args) != here
 
-    def test_key_pinned(self, tmp_path, monkeypatch):
+    def test_key_pinned(self, monkeypatch):
         # computed with hashlib.sha256: existing caches hit only while this holds
         monkeypatch.setattr(sys, "executable", "/nonexistent/bin/python3")
         monkeypatch.setattr(sys, "version", "3.11.7 (fixed)")
         monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+        monkeypatch.setattr(sandbox, "SANDBOX_SEMANTICS", 3)  # the recipe, not the version
         problem = make_problem(tests=(("1\n", "1\n"), ("\u00fc\n", "\u00fc\n")))
         settings = Judge(ResourceLimits(wall_time=2.0), ComparePolicy(mode="exact"),
                          fail_fast=True)
-        assert (VerdictCache(tmp_path)._key("print(input())", problem, settings)
+        assert (verdict_key("print(input())", problem, settings)
                 == "4c3ebe6a7074c5e1e60a9d761310ba9ba89e314a4e8524252f5248cdf02ae406")
 
     def test_key_resolves_each_interpreter_path_once(self, tmp_path, monkeypatch):
         # realpath lstat's every path component, and a round makes a key per candidate
-        cache = VerdictCache(tmp_path / "verdicts")
         args = ("print(input())", make_problem(tests=(("1\n", "1\n"),)), Judge(FAST))
-        here = cache._key(*args)
+        here = verdict_key(*args)
         link = tmp_path / "python"
         link.symlink_to(sys.executable)
         realpath, resolved = os.path.realpath, []
         monkeypatch.setattr(os.path, "realpath", lambda path: resolved.append(path) or realpath(path))
         monkeypatch.setattr(sys, "executable", str(link))
-        assert {cache._key(*args) for _ in range(3)} == {here}
+        assert {verdict_key(*args) for _ in range(3)} == {here}
         assert resolved == [str(link)]
 
-    def test_key_names_sandbox_semantics(self, tmp_path, monkeypatch):
-        cache = VerdictCache(tmp_path / "verdicts")
+    def test_key_names_sandbox_semantics(self, monkeypatch):
         args = ("print(input())", make_problem(tests=(("1\n", "1\n"),)), Judge(FAST))
-        here = cache._key(*args)
+        here = verdict_key(*args)
         monkeypatch.setattr(sandbox, "SANDBOX_SEMANTICS", sandbox.SANDBOX_SEMANTICS + 1)
-        assert cache._key(*args) != here
+        assert verdict_key(*args) != here
 
-    def test_key_names_stdio_buffering(self, tmp_path, monkeypatch):
+    def test_key_names_stdio_buffering(self, monkeypatch):
         # PYTHONUNBUFFERED decides whether `print('x'); os.close(1)` is ok or exit 120
-        cache = VerdictCache(tmp_path / "verdicts")
         args = ("print(input())", make_problem(tests=(("1\n", "1\n"),)), Judge(FAST))
         monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
-        unset = cache._key(*args)
+        unset = verdict_key(*args)
         monkeypatch.setenv("PYTHONUNBUFFERED", "1")
-        assert cache._key(*args) != unset
+        assert verdict_key(*args) != unset
         monkeypatch.setenv("PYTHONUNBUFFERED", "")
-        assert cache._key(*args) == unset
+        assert verdict_key(*args) == unset
 
     def test_corrupt_entry_recomputed(self, tmp_path):
         cache = VerdictCache(tmp_path / "verdicts")
@@ -578,9 +605,12 @@ class TestVerdictCache:
         (False, lambda results: [[dict(r, wall_time_used="fast"), m] for r, m in results], False),
         (False, lambda results: [[dict(r, status="timeout"), m] for r, m in results], False),
         (False, lambda results: [[dict(r, wall_time_used=-5.0), m] for r, m in results], False),
+        (False, lambda results: [[dict(r, compile_time=-1.0), m] for r, m in results], False),
+        (False, lambda results: [[dict(r, cpu_time=math.inf), m] for r, m in results], False),
     ], ids=["all-tests", "matched-only", "extra-result",
             "fail-fast", "fail-fast-before-failure", "fail-fast-past-failure",
-            "matched-string", "wall-time-string", "matched-not-ok", "negative-wall-time"])
+            "matched-string", "wall-time-string", "matched-not-ok", "negative-wall-time",
+            "negative-compile-time", "infinite-cpu-time"])
     def test_entry_served_only_in_a_shape_judge_records(self, tmp_path, fail_fast, edit, served):
         problem = make_problem(tests=(("1\n", "1\n"), ("2\n", "x\n"), ("3\n", "3\n")))
         first = Judge(FAST, fail_fast=fail_fast, cache=VerdictCache(tmp_path))(
