@@ -30,9 +30,7 @@ if TYPE_CHECKING:  # self_reflect imports the layers it drives when it runs
     from .sandbox import Judge, JudgeVerdict
     from .settings import ProviderConfig
 
-DIFFICULTY_ORDER = [d.value for d in
-                    (Difficulty.INTRODUCTORY, Difficulty.INTERVIEW,
-                     Difficulty.COMPETITION, Difficulty.UNKNOWN)]
+DIFFICULTY_ORDER = [d.value for d in Difficulty]  # the enum's member order
 ALL_LABEL = "all"
 
 

@@ -98,7 +98,12 @@ class ModularSolution:
 class ParseError(Exception):
     """Response does not match the expected two-step grammar.
 
-    ``kind`` is one of ``missing_step``, ``no_final_code``, ``multiple_main``;
+    ``kind`` names the first rule broken, in the order they are checked:
+    ``missing_step`` (a delimiter absent or out of order),
+    ``code_before_outline`` (a code block before the STEP 1 line),
+    ``no_submodules`` (no sub-module outlined), ``outline_strays`` (the
+    outline holds more than headers and docstrings), ``no_final_code`` and
+    ``multiple_main`` (the final region holds no or several code blocks);
     ``byte_offset`` is the UTF-8 offset of the violation in the raw text.
     """
 
@@ -358,31 +363,35 @@ def extract_code_blocks(text: str) -> list[tuple[str, int]]:
     return blocks
 
 
+def _code_blocks(text: str) -> list[tuple[str, int]]:
+    """The fenced blocks of ``text`` that hold more than whitespace: a code block."""
+    return [(code, at) for code, at in extract_code_blocks(text) if code.strip()]
+
+
 def parse_mot_response(raw: str) -> ModularSolution:
     """Parse a two-step response into its outline and final program.
 
-    Raises :class:`ParseError` with kind ``missing_step`` when a delimiter is
-    absent, ``no_final_code`` when the second region has no fenced block, and
-    ``multiple_main`` when it has more than one.
+    Raises :class:`ParseError` of the kind of the first rule it breaks.
     """
     split = split_steps(raw)
-    outline, _ = parse_outline(split.step1)
-    blocks = extract_code_blocks(split.step2)
-    blocks = [(code, off) for code, off in blocks if code.strip()]
-    if not blocks:
-        raise ParseError(
-            "no_final_code",
-            _byte_offset(raw, split.step2_char),
-            "no fenced code block in the final-solution region",
-        )
-    if len(blocks) > 1:
-        raise ParseError(
-            "multiple_main",
-            _byte_offset(raw, split.step2_char + blocks[1][1]),
-            f"{len(blocks)} fenced code blocks in the final-solution region",
-        )
-    final_code = blocks[0][0]
-    return ModularSolution(outline=outline, final_code=final_code)
+    early = _code_blocks(raw[:split.step1_char])
+    if early:
+        raise ParseError("code_before_outline", _byte_offset(raw, early[0][1]),
+                         "code block appears before the outline region")
+    outline, strays = parse_outline(split.step1)
+    if not outline:
+        raise ParseError("no_submodules", _byte_offset(raw, split.step1_char),
+                         "no sub-modules outlined")
+    if strays:
+        raise ParseError("outline_strays", _byte_offset(raw, split.step1_char),
+                         f"outline contains more than headers and docstrings: {strays[0]!r}")
+    blocks = _code_blocks(split.step2)
+    if len(blocks) != 1:
+        kind, at = (("multiple_main", split.step2_char + blocks[1][1]) if blocks
+                    else ("no_final_code", split.step2_char))
+        raise ParseError(kind, _byte_offset(raw, at),
+                         f"{len(blocks)} code blocks in the final region")
+    return ModularSolution(outline=outline, final_code=blocks[0][0])
 
 
 def parse_code_response(raw: str) -> str:
@@ -391,10 +400,8 @@ def parse_code_response(raw: str) -> str:
     Takes the first fenced code block; falls back to the whole text when the
     model answered with bare code.
     """
-    blocks = [code for code, _ in extract_code_blocks(raw) if code.strip()]
-    if blocks:
-        return blocks[0]
-    return raw.strip()
+    blocks = _code_blocks(raw)
+    return blocks[0][0] if blocks else raw.strip()
 
 
 def render_modular_solution(sol: ModularSolution) -> str:

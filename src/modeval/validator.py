@@ -3,8 +3,8 @@
 A transformed response is rejected on the first of four markers that fires:
 
 * m1 strategy divergence: the response does not follow the outline-first
-  protocol (implementation code appears before the outline region, or the
-  step delimiters are missing or out of order);
+  protocol (a code block comes before the outline region, or the step
+  delimiters are missing or out of order);
 * m2 no sub-modules: the outline region is empty, or it contains statement
   bodies beyond headers and docstrings (a lone ``pass``/``...`` placeholder
   is allowed);
@@ -13,6 +13,8 @@ A transformed response is rejected on the first of four markers that fires:
 * m4 tests failed: the final program does not pass every test of its problem.
 
 Markers are checked in that fixed order so rejection reasons are stable.
+The grammar of m1-m3 is :func:`promptgen.parse_mot_response`'s alone: this
+module only names the marker of the :class:`ParseError` kind it raises.
 """
 
 from __future__ import annotations
@@ -57,46 +59,37 @@ class FilterRecord:
     result: AssessmentResult
 
 
-def _single_block(text: str, where: str) -> tuple[AssessmentResult, str | None]:
-    """Marker m3: ``text`` must hold exactly one non-empty fenced code block."""
-    blocks = [b for b, _ in promptgen.extract_code_blocks(text) if b.strip()]
-    if len(blocks) != 1:
-        return AssessmentResult(Marker.M3_MAIN_CODE_COUNT,
-                                f"{len(blocks)} code blocks in {where}"), None
-    return AssessmentResult(), blocks[0]
+# each ParseError kind of parse_mot_response, and the marker it fires
+_MARKERS = {
+    "missing_step": Marker.M1_STRATEGY_DIVERGENCE,
+    "code_before_outline": Marker.M1_STRATEGY_DIVERGENCE,
+    "no_submodules": Marker.M2_NO_SUBMODULES,
+    "outline_strays": Marker.M2_NO_SUBMODULES,
+    "no_final_code": Marker.M3_MAIN_CODE_COUNT,
+    "multiple_main": Marker.M3_MAIN_CODE_COUNT,
+}
 
 
 def assess_structure(raw: str) -> tuple[AssessmentResult, ModularSolution | None]:
     """Structural markers m1-m3 over a raw two-step response, parsed once.
 
-    The checks run in the fixed m1 -> m2 -> m3 order, so the first firing
-    marker is always the one reported.  An accepted response comes back
-    parsed, equal to what :func:`promptgen.parse_mot_response` returns.
+    The marker is that of the first rule :func:`promptgen.parse_mot_response`
+    finds broken, and the detail its message; an accepted response comes back
+    parsed.
     """
     try:
-        split = promptgen.split_steps(raw)
+        return AssessmentResult(), promptgen.parse_mot_response(raw)
     except ParseError as exc:
-        return AssessmentResult(Marker.M1_STRATEGY_DIVERGENCE, exc.message), None
-    if "```" in raw[: split.step1_char]:
-        return AssessmentResult(Marker.M1_STRATEGY_DIVERGENCE,
-                                "code block appears before the outline region"), None
-
-    outline, strays = promptgen.parse_outline(split.step1)
-    if not outline:
-        return AssessmentResult(Marker.M2_NO_SUBMODULES, "no sub-modules outlined"), None
-    if strays:
-        detail = f"outline contains more than headers and docstrings: {strays[0]!r}"
-        return AssessmentResult(Marker.M2_NO_SUBMODULES, detail), None
-
-    result, final_code = _single_block(split.step2, "the final region")
-    if final_code is None:
-        return result, None
-    return result, ModularSolution(outline=outline, final_code=final_code)
+        return AssessmentResult(_MARKERS[exc.kind], exc.message), None
 
 
 def assess_clean(text: str) -> tuple[AssessmentResult, str | None]:
     """Marker m3 over a readability rewrite; the program when accepted."""
-    return _single_block(text, "rewrite response")
+    blocks = promptgen._code_blocks(text)
+    if len(blocks) != 1:
+        return AssessmentResult(Marker.M3_MAIN_CODE_COUNT,
+                                f"{len(blocks)} code blocks in rewrite response"), None
+    return AssessmentResult(), blocks[0][0]
 
 
 def assess_verdict(verdict: JudgeVerdict) -> AssessmentResult:

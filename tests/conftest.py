@@ -10,7 +10,9 @@ from modeval import codemetrics
 from modeval.codemetrics import CodeMetrics, analyze
 from modeval.corpus import Corpus, Difficulty, Problem, Split, TestCase
 from modeval.evaluate import CandidateRow
+from modeval.promptgen import ParseError, parse_mot_response
 from modeval.sandbox import ExecStatus, ExecutionReport, JudgeVerdict
+from modeval.validator import AssessmentResult, Marker, assess_structure
 
 TestCase.__test__ = False  # domain type, not a pytest class
 
@@ -40,6 +42,33 @@ def make_problem(
         source=source,
         split=split,
     )
+
+
+# each ParseError kind of parse_mot_response, and the marker it fires
+KIND_MARKERS = {
+    "missing_step": Marker.M1_STRATEGY_DIVERGENCE,
+    "code_before_outline": Marker.M1_STRATEGY_DIVERGENCE,
+    "no_submodules": Marker.M2_NO_SUBMODULES,
+    "outline_strays": Marker.M2_NO_SUBMODULES,
+    "no_final_code": Marker.M3_MAIN_CODE_COUNT,
+    "multiple_main": Marker.M3_MAIN_CODE_COUNT,
+}
+
+
+def parse_and_assess(raw: str) -> tuple[str | None, AssessmentResult]:
+    """The kind ``parse_mot_response`` raises over ``raw`` (None if it parses)
+    and ``assess_structure``'s result, checked to agree: the parser raises
+    exactly when a marker fires, that marker is its kind's, and the detail is
+    its message."""
+    result, solution = assess_structure(raw)
+    try:
+        parsed = parse_mot_response(raw)
+    except ParseError as exc:
+        assert (result.marker, result.detail, solution) == (
+            KIND_MARKERS[exc.kind], exc.message, None), raw
+        return exc.kind, result
+    assert result.accepted and solution == parsed, raw
+    return None, result
 
 
 def make_verdict(passed=True, n_tests=1, avg_time=0.01, avg_peak_memory=10_000_000,

@@ -23,7 +23,7 @@ from modeval.promptgen import (
 )
 from modeval.sandbox import ExecStatus, ExecutionReport, JudgeVerdict
 
-from conftest import make_problem
+from conftest import make_problem, parse_and_assess
 from oracles import (
     extract_code_blocks_splitlines,
     extract_section_finditer,
@@ -427,6 +427,7 @@ class TestDifferentialOracle:
             assert extract_code_blocks(text) == extract_code_blocks_splitlines(text), text
             assert outcome(split_steps, text) == outcome(split_steps_splitlines, text), text
             assert parse_outline(text) == parse_outline_splitlines(text), text
+            parse_and_assess(text)
             for name in SECTIONS:
                 assert extract_section(text, name) == extract_section_finditer(text, name), text
 

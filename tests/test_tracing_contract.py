@@ -1,9 +1,12 @@
-"""The benchmark's tracing wrappers see the judging seam as they expect.
+"""The benchmark's tracing wrappers see the judging and parsing seams as they expect.
 
 ``benchmark/tracing.py`` patches ``sandbox.judge`` and
 ``sandbox.VerdictCache.judge`` by name and counts a verdict-cache miss as a
 ``sandbox.verdict_cache`` span that encloses a ``sandbox.judge`` span, so
-``Judge`` must look both up when it is called.
+``Judge`` must look both up when it is called.  ``benchmark/README.md``'s
+layer table puts ``parse_mot_response`` under ``promptgen.parse`` on
+transform's path, so ``validator.assess_structure`` must look the parser up
+on ``promptgen``.
 """
 
 import importlib.util
@@ -58,3 +61,18 @@ def test_cache_miss_encloses_judge_and_restore_undoes_every_patch(tmp_path):
         now = vars(owner)
         assert all(now.get(attr) is value for attr, value in saved.items()), owner
         assert set(now) == set(saved), owner
+
+
+def test_assess_structure_encloses_a_parse_span():
+    tracing = load_tracing()
+    rec = tracing.Recorder()
+    restore = tracing.install(rec)
+    try:
+        result, _ = validator.assess_structure(
+            '### STEP 1\ndef f():\n    """Doc."""\n### STEP 2\n```python\nprint(1)\n```\n')
+    finally:
+        restore()
+
+    assert result.accepted
+    assert [(s.name, s.parent) for s in rec.spans] == [
+        ("validator.assess_structure", None), ("promptgen.parse", 0)]

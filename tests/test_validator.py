@@ -11,7 +11,7 @@ from modeval.validator import (
     filter_pass_rate,
 )
 
-from conftest import make_problem
+from conftest import KIND_MARKERS, make_problem, parse_and_assess
 
 
 def assess(raw: str) -> AssessmentResult:
@@ -89,12 +89,34 @@ M3_FIXTURES = {
 }
 
 
+# the kind each rejection fixture raises, and the detail filter_records.jsonl writes for it
+REJECTIONS = {
+    "code_fence_before_outline": (
+        "code_before_outline", "code block appears before the outline region"),
+    "no_step1_delimiter": ("missing_step", "no '### STEP 1' delimiter"),
+    "steps_out_of_order": ("missing_step", "no '### STEP 2' delimiter"),
+    "empty_outline": ("no_submodules", "no sub-modules outlined"),
+    "full_body_in_outline": (
+        "outline_strays",
+        "outline contains more than headers and docstrings: 'value = int(input())'"),
+    "overarching_code_instead": (
+        "outline_strays",
+        "outline contains more than headers and docstrings: 'result = int(input()) * 2'"),
+    "no_final_block": ("no_final_code", "0 code blocks in the final region"),
+    "two_final_blocks": ("multiple_main", "2 code blocks in the final region"),
+    "three_final_blocks": ("multiple_main", "3 code blocks in the final region"),
+}
+MARKED = {name: (marker, raw)
+          for marker, fixtures in ((Marker.M1_STRATEGY_DIVERGENCE, M1_FIXTURES),
+                                   (Marker.M2_NO_SUBMODULES, M2_FIXTURES),
+                                   (Marker.M3_MAIN_CODE_COUNT, M3_FIXTURES))
+          for name, raw in fixtures.items()}
+
+
 class TestStructuralMarkers:
     @pytest.mark.parametrize("name", sorted(WELL_FORMED))
     def test_well_formed_accepted(self, name):
-        result = assess(WELL_FORMED[name])
-        assert result.accepted
-        assert result.marker is None
+        assert parse_and_assess(WELL_FORMED[name]) == (None, AssessmentResult())
 
     @pytest.mark.parametrize("name", sorted(M1_FIXTURES))
     def test_m1_strategy_divergence(self, name):
@@ -120,6 +142,23 @@ class TestStructuralMarkers:
             "```python\na = 1\n```\n```python\nb = 2\n```\n"
         )
         assert assess(raw).marker is Marker.M1_STRATEGY_DIVERGENCE
+
+    def test_fence_mentioned_in_prose_is_no_code_block(self):
+        # "```" inside a prose line opens no fence, so no code comes before the outline
+        raw = ('Answer uses ``` fences below.\n### STEP 1\ndef f():\n    """Do it."""\n'
+               "### STEP 2\n```python\nprint(1)\n```\n")
+        assert parse_and_assess(raw) == (None, AssessmentResult())
+
+    @pytest.mark.parametrize("name", sorted(MARKED))
+    def test_parser_kind_names_the_marker_and_detail(self, name):
+        marker, raw = MARKED[name]
+        kind, result = parse_and_assess(raw)
+        assert (kind, result.detail) == REJECTIONS[name]
+        assert result.marker is marker
+
+    def test_every_kind_is_pinned(self):
+        assert {kind for kind, _ in REJECTIONS.values()} == set(KIND_MARKERS)
+        assert set(REJECTIONS) == set(MARKED)
 
     def test_accept_implies_reparseable(self):
         for raw in WELL_FORMED.values():
