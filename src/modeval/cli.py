@@ -428,11 +428,7 @@ def cmd_reflect(cfg: PipelineConfig) -> int:
     )
     out = _outdir(cfg, "reflect")
 
-    failed = [
-        pid for pid, prows in problems.items()
-        if not any(r.passed for r in prows)
-        and not corpus.get(pid).untestable
-    ]
+    failed = [pid for pid, prows in problems.items() if not any(r.passed for r in prows)]
 
     provider = _make_provider(cfg)
     rcache, judge = _cache(cfg, ResponseCache, "responses"), _judge(cfg)

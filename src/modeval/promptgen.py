@@ -103,8 +103,12 @@ class ParseError(Exception):
     ``code_before_outline`` (a code block before the STEP 1 line),
     ``no_submodules`` (no sub-module outlined), ``outline_strays`` (the
     outline holds more than headers and docstrings), ``no_final_code`` and
-    ``multiple_main`` (the final region holds no or several code blocks);
-    ``byte_offset`` is the UTF-8 offset of the violation in the raw text.
+    ``multiple_main`` (the final region holds no or several code blocks).
+
+    ``byte_offset`` is a UTF-8 offset in the raw response: its end for
+    ``missing_step``, the first early fence for ``code_before_outline``, the
+    STEP 1 line for ``no_submodules`` and ``outline_strays``, the STEP 2 line
+    for ``no_final_code`` and the second fence for ``multiple_main``.
     """
 
     def __init__(self, kind: str, byte_offset: int, message: str) -> None:
@@ -221,47 +225,22 @@ _FENCE_CLOSE = re.compile(r"^\s*```\s*$")
 _DEF_RE = re.compile(r"^\s*(?:async\s+)?def\s+([A-Za-z_]\w*)\s*\(")
 
 
-@dataclass
-class StepSplit:
-    """The two step bodies of a MoT response and where their delimiter lines start."""
-
-    step1: str
-    step2: str
-    step1_char: int  # char offset of the STEP 1 delimiter line start
-    step2_char: int
-
-
-def _line(text: str, at: int) -> tuple[int, int]:
-    """Start and end of the line that holds ``text[at]``; the end is its ``"\\n"``
-    or the end of ``text``."""
-    end = text.find("\n", at)
-    return text.rfind("\n", 0, at) + 1, len(text) if end < 0 else end
+def _line(text: str, at: int, start: int, end: int) -> tuple[int, int]:
+    """Start and end of the line that holds ``text[at]`` within ``text[start:end]``;
+    the end is its ``"\\n"`` or the end of the window."""
+    nl = text.find("\n", at, end)
+    return max(text.rfind("\n", start, at) + 1, start), end if nl < 0 else nl
 
 
 def _delimiter_line(raw: str, delimiter: str, pos: int) -> tuple[int, int] | None:
     """The first line from ``pos``, a line start, that begins with ``delimiter``
     after blanks, as ``_line`` gives it; None if there is none."""
     while (at := raw.find(delimiter, pos)) >= 0:
-        start, end = _line(raw, at)
+        start, end = _line(raw, at, 0, len(raw))
         if not raw[start:at].strip():
             return start, end
         pos = end + 1
     return None
-
-
-def split_steps(raw: str) -> StepSplit:
-    """Locate the two step delimiters; raise ParseError(missing_step) otherwise."""
-    step1 = _delimiter_line(raw, STEP1_DELIMITER, 0)
-    step2 = step1 and _delimiter_line(raw, STEP2_DELIMITER, step1[1] + 1)
-    if step2 is None:
-        missing = STEP2_DELIMITER if step1 else STEP1_DELIMITER
-        raise ParseError("missing_step", _byte_offset(raw, len(raw)), f"no {missing!r} delimiter")
-    return StepSplit(
-        step1=raw[step1[1] + 1:step2[0]],
-        step2=raw[step2[1] + 1:],
-        step1_char=step1[0],
-        step2_char=step2[0],
-    )
 
 
 _DOCSTRING_OPEN = re.compile(r'^\s*[rRbBuUfF]{0,2}("""|\'\'\')')
@@ -340,32 +319,34 @@ def parse_outline(step1_text: str) -> tuple[list[SubModule], list[str]]:
     return entries, strays
 
 
-def extract_code_blocks(text: str) -> list[tuple[str, int]]:
-    """Fenced code blocks in ``text`` as (content, char offset of the fence).
+def extract_code_blocks(text: str, start: int = 0, end: int | None = None) -> list[tuple[str, int]]:
+    """Fenced code blocks in ``text[start:end]`` as (content, char offset of the
+    fence in ``text``).
 
     Content is the slice of ``text`` between the fence lines, without the
     ``"\\n"`` that ends its last line."""
+    end = len(text) if end is None else end
     blocks: list[tuple[str, int]] = []
     open_at: int | None = None
-    body = pos = 0  # body: where the open block's content starts
-    while (at := text.find("```", pos)) >= 0:
-        start, end = _line(text, at)
+    body = pos = start  # body: where the open block's content starts
+    while (at := text.find("```", pos, end)) >= 0:
+        line_start, line_end = _line(text, at, start, end)
         if open_at is None:
-            if _FENCE_OPEN.match(text[start:end]):
-                open_at, body = start, end + 1
-        elif _FENCE_CLOSE.match(text[start:end]):
-            blocks.append((text[body:start - 1], open_at))
+            if _FENCE_OPEN.match(text[line_start:line_end]):
+                open_at, body = line_start, line_end + 1
+        elif _FENCE_CLOSE.match(text[line_start:line_end]):
+            blocks.append((text[body:line_start - 1], open_at))
             open_at = None
-        pos = end + 1
+        pos = line_end + 1
     if open_at is not None:
         # unterminated fence: take it to the end, tolerant of sloppy output
-        blocks.append((text[body:len(text) - text.endswith("\n")], open_at))
+        blocks.append((text[body:end - text.endswith("\n", start, end)], open_at))
     return blocks
 
 
-def _code_blocks(text: str) -> list[tuple[str, int]]:
-    """The fenced blocks of ``text`` that hold more than whitespace: a code block."""
-    return [(code, at) for code, at in extract_code_blocks(text) if code.strip()]
+def _code_blocks(text: str, start: int = 0, end: int | None = None) -> list[tuple[str, int]]:
+    """The fenced blocks of ``text[start:end]`` that hold more than whitespace: a code block."""
+    return [(code, at) for code, at in extract_code_blocks(text, start, end) if code.strip()]
 
 
 def parse_mot_response(raw: str) -> ModularSolution:
@@ -373,22 +354,25 @@ def parse_mot_response(raw: str) -> ModularSolution:
 
     Raises :class:`ParseError` of the kind of the first rule it breaks.
     """
-    split = split_steps(raw)
-    early = _code_blocks(raw[:split.step1_char])
+    step1 = _delimiter_line(raw, STEP1_DELIMITER, 0)
+    step2 = step1 and _delimiter_line(raw, STEP2_DELIMITER, step1[1] + 1)
+    if step2 is None:
+        missing = STEP2_DELIMITER if step1 else STEP1_DELIMITER
+        raise ParseError("missing_step", _byte_offset(raw, len(raw)), f"no {missing!r} delimiter")
+    early = _code_blocks(raw, 0, step1[0])
     if early:
         raise ParseError("code_before_outline", _byte_offset(raw, early[0][1]),
                          "code block appears before the outline region")
-    outline, strays = parse_outline(split.step1)
+    outline, strays = parse_outline(raw[step1[1] + 1:step2[0]])
     if not outline:
-        raise ParseError("no_submodules", _byte_offset(raw, split.step1_char),
+        raise ParseError("no_submodules", _byte_offset(raw, step1[0]),
                          "no sub-modules outlined")
     if strays:
-        raise ParseError("outline_strays", _byte_offset(raw, split.step1_char),
+        raise ParseError("outline_strays", _byte_offset(raw, step1[0]),
                          f"outline contains more than headers and docstrings: {strays[0]!r}")
-    blocks = _code_blocks(split.step2)
+    blocks = _code_blocks(raw, step2[1] + 1)
     if len(blocks) != 1:
-        kind, at = (("multiple_main", split.step2_char + blocks[1][1]) if blocks
-                    else ("no_final_code", split.step2_char))
+        kind, at = ("multiple_main", blocks[1][1]) if blocks else ("no_final_code", step2[0])
         raise ParseError(kind, _byte_offset(raw, at),
                          f"{len(blocks)} code blocks in the final region")
     return ModularSolution(outline=outline, final_code=blocks[0][0])

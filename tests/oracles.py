@@ -9,7 +9,9 @@ one-regex lexer and its single counting pass.  ``normalize_statement_regex``
 is likewise the earlier regex form of ``corpus.normalize_statement``.  The
 scanners at the very end are the earlier forms of the ``promptgen`` response
 scanners: the ``*_splitlines`` ones broke lines wherever ``str.splitlines``
-does, and ``extract_section_finditer`` ran its header regex over all the text.
+does, ``parse_mot_response_splitlines`` cut the response into its two step
+bodies before scanning them, and ``extract_section_finditer`` ran its header
+regex over all the text.
 """
 
 import ast
@@ -19,6 +21,7 @@ import math
 import re
 import string
 import tokenize as stdtok
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
@@ -38,8 +41,8 @@ from modeval.promptgen import (
     _SECTION_RE,
     STEP1_DELIMITER,
     STEP2_DELIMITER,
+    ModularSolution,
     ParseError,
-    StepSplit,
     SubModule,
 )
 
@@ -350,6 +353,16 @@ def analyze_reference(source: str, top_level_functions_only: bool = False) -> Co
     )
 
 
+@dataclass
+class StepSplit:
+    """The two step bodies of a MoT response and where their delimiter lines start."""
+
+    step1: str
+    step2: str
+    step1_char: int  # char offset of the STEP 1 delimiter line start
+    step2_char: int
+
+
 def split_steps_splitlines(raw: str) -> StepSplit:
     lines = raw.splitlines(keepends=True)
     offsets: list[int] = []
@@ -470,6 +483,38 @@ def extract_code_blocks_splitlines(text: str) -> list[tuple[str, int]]:
     if open_at is not None:
         blocks.append(("\n".join(content), open_at))
     return blocks
+
+
+def parse_mot_response_splitlines(raw: str) -> ModularSolution:
+    """The two-step grammar over the step bodies that ``split_steps_splitlines``
+    cuts: a block's offset in the final body is shifted by where that body starts."""
+    split = split_steps_splitlines(raw)
+
+    def code_blocks(text: str, shift: int) -> list[tuple[str, int]]:
+        return [(code, shift + at) for code, at in extract_code_blocks_splitlines(text)
+                if code.strip()]
+
+    def byte_offset(char_index: int) -> int:
+        return len(raw[:char_index].encode("utf-8"))
+
+    early = code_blocks(raw[:split.step1_char], 0)
+    if early:
+        raise ParseError("code_before_outline", byte_offset(early[0][1]),
+                         "code block appears before the outline region")
+    outline, strays = parse_outline_splitlines(split.step1)
+    if not outline:
+        raise ParseError("no_submodules", byte_offset(split.step1_char), "no sub-modules outlined")
+    if strays:
+        raise ParseError("outline_strays", byte_offset(split.step1_char),
+                         f"outline contains more than headers and docstrings: {strays[0]!r}")
+    blocks = code_blocks(split.step2, len(raw) - len(split.step2))
+    if not blocks:
+        raise ParseError("no_final_code", byte_offset(split.step2_char),
+                         "0 code blocks in the final region")
+    if len(blocks) > 1:
+        raise ParseError("multiple_main", byte_offset(blocks[1][1]),
+                         f"{len(blocks)} code blocks in the final region")
+    return ModularSolution(outline=outline, final_code=blocks[0][0])
 
 
 def extract_section_finditer(user_text: str, name: str) -> str | None:

@@ -282,7 +282,7 @@ class TestTransform:
         assert len(clean) == 9
 
     def test_one_parse_per_mot_response(self, tmp_path, monkeypatch):
-        calls = {"build": 0, "split": 0}
+        calls = {"build": 0, "parse": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -292,11 +292,12 @@ class TestTransform:
 
         monkeypatch.setattr(promptgen, "build_mot_prompt",
                             counted("build", promptgen.build_mot_prompt))
-        monkeypatch.setattr(promptgen, "split_steps", counted("split", promptgen.split_steps))
+        monkeypatch.setattr(promptgen, "parse_mot_response",
+                            counted("parse", promptgen.parse_mot_response))
         config = write_config(tmp_path, data_types=["mot"])
         assert main(["transform", "--config", str(config)]) == 0
         assert calls["build"] == 10
-        assert calls["split"] == calls["build"]
+        assert calls["parse"] == calls["build"]
 
     def test_unicode_line_separators_survive_transform_evaluate_analyze(self, tmp_path):
         # the program, its problem id and every JSONL line between the
@@ -453,6 +454,15 @@ class TestEvaluate:
         assert wide[0][0] == "k"
         assert set(wide[0][1:]) == {"introductory", "interview", "competition", "all"}
         assert wide[1][0] == "1"
+
+    def test_untestable_problem_is_skipped(self, tmp_path, capsys):
+        candidates = tmp_path / "cands.jsonl"
+        candidates.write_text(json.dumps({"problem_id": "e2e-untestable",
+                                          "candidates": ["print('interactive')"]}) + "\n")
+        config = write_config(tmp_path)
+        assert main(["evaluate", "--config", str(config), "--candidates", str(candidates)]) == 0
+        assert "skipping untestable problem e2e-untestable" in capsys.readouterr().out
+        assert (tmp_path / "out" / "evaluate" / "records.jsonl").read_text() == ""
 
     def test_missing_candidates_file(self, tmp_path):
         config = write_config(tmp_path)
@@ -727,6 +737,19 @@ class TestRecordsLoader:
         assert main([command, "--config", str(config)]) == 1
         records = tmp_path / "out" / "evaluate" / "records.jsonl"
         assert capsys.readouterr().err.startswith(f"error: {records}: malformed records line 2: ")
+        assert not (tmp_path / "out" / command).exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "reflect"])
+    def test_row_of_an_untestable_problem_is_rejected(self, tmp_path, capsys, command):
+        # judging records at least one result, and a problem of no tests is never
+        # judged, so no line can hold one: reflect never sees an untestable problem
+        config = write_config(tmp_path)
+        self.write_records(tmp_path, [json.dumps(dict(
+            ECHO_ROW, problem_id="e2e-untestable", difficulty="unknown"))])
+        assert main([command, "--config", str(config)]) == 1
+        records = tmp_path / "out" / "evaluate" / "records.jsonl"
+        assert capsys.readouterr().err.startswith(
+            f"error: {records}: malformed records line 1: 1 results for a problem of 0 tests")
         assert not (tmp_path / "out" / command).exists()
 
     @pytest.mark.parametrize("command", ["analyze", "reflect"])

@@ -1,5 +1,6 @@
 import pkgutil
 import random
+from collections import Counter
 
 import pytest
 
@@ -19,16 +20,15 @@ from modeval.promptgen import (
     parse_mot_response,
     parse_outline,
     render_modular_solution,
-    split_steps,
 )
 from modeval.sandbox import ExecStatus, ExecutionReport, JudgeVerdict
 
-from conftest import make_problem, parse_and_assess
+from conftest import KIND_MARKERS, make_problem, parse_and_assess
 from oracles import (
     extract_code_blocks_splitlines,
     extract_section_finditer,
+    parse_mot_response_splitlines,
     parse_outline_splitlines,
-    split_steps_splitlines,
 )
 
 
@@ -333,10 +333,18 @@ class TestSections:
 
 
 class TestSplitSteps:
+    """Where the response splits into its two steps, as ``ParseError`` offsets report it."""
+
     def test_char_offsets_point_at_delimiters(self):
-        split = split_steps(WELL_FORMED)
-        assert WELL_FORMED[split.step1_char:].startswith("### STEP 1")
-        assert WELL_FORMED[split.step2_char:].startswith("### STEP 2")
+        # "à" is two bytes in UTF-8, so a char offset would fall one byte short
+        no_outline = "Voilà\n### STEP 1\n\n### STEP 2\n```\nx\n```\n"
+        no_code = "Voilà\n" + WELL_FORMED.split("```")[0]
+        for raw, kind, delimiter in ((no_outline, "no_submodules", "### STEP 1"),
+                                     (no_code, "no_final_code", "### STEP 2")):
+            with pytest.raises(ParseError) as exc:
+                parse_mot_response(raw)
+            assert exc.value.kind == kind
+            assert raw.encode("utf-8")[exc.value.byte_offset:].startswith(delimiter.encode())
 
 
 # characters at which ``str.splitlines`` breaks a line and the scanners do not
@@ -368,13 +376,12 @@ class TestLineModel:
     def test_separators_do_not_end_a_fence_or_delimiter_line(self):
         # "x\u2028```" is one line, which neither opens nor closes a fence
         assert extract_code_blocks("x\u2028```\ny\n") == []
-        with pytest.raises(ParseError):
-            split_steps("### STEP 1\nx\u2028### STEP 2\n")
+        with pytest.raises(ParseError) as exc:
+            parse_mot_response("### STEP 1\nx\u2028### STEP 2\n")
+        assert exc.value.kind == "missing_step"
 
     def test_crlf_two_step_response(self):
         raw = WELL_FORMED.replace("\n", "\r\n")
-        split = split_steps(raw)
-        assert (split.step1_char, split.step2_char) == (0, 159)
         sol = parse_mot_response(raw)
         assert [(s.name, s.header, s.docstring) for s in sol.outline] == [
             ("read_input", "def read_input():", "Read n and the list of ints from stdin."),
@@ -384,10 +391,19 @@ class TestLineModel:
             "def read_input():\r\n    return list(map(int, input().split()))\r\n\r\n"
             "def solve(values):\r\n    return sum(values)\r\n\r\nprint(solve(read_input()))\r"
         )
-        assert extract_code_blocks(split.step2) == [(sol.final_code, 2)]
+        raw += "\r\n```python\r\nprint(2)\r\n```\r\n"
         with pytest.raises(ParseError) as exc:
-            parse_mot_response(raw + "\r\n```python\r\nprint(2)\r\n```\r\n")
-        assert (exc.value.kind, exc.value.byte_offset) == ("multiple_main", 318)
+            parse_mot_response(raw)
+        assert (exc.value.kind, exc.value.byte_offset) == ("multiple_main", 330)
+        assert raw[330:].startswith("```python\r\nprint(2)")
+
+    def test_multiple_main_points_at_the_second_fence(self):
+        raw = ('### STEP 1\ndef f():\n    """Doc."""\n### STEP 2\n'
+               "```python\nprint(1)\n```\n```python\nprint(2)\n```\n")
+        with pytest.raises(ParseError) as exc:
+            parse_mot_response(raw)
+        assert (exc.value.kind, exc.value.byte_offset) == ("multiple_main", 69)
+        assert raw[69:].startswith("```python\nprint(2)")
 
 
 PIECES = (
@@ -410,6 +426,33 @@ def random_text(rng, separators):
     return "".join(parts)
 
 
+# the grammar's skeleton: lines before STEP 1, STEP 1, outline pieces, STEP 2,
+# then 0-3 fenced blocks among other final-region pieces
+BEFORE_PIECES = (("Intro.",), ("Answer uses ``` fences below.",), ("```python", "x = 0", "```"))
+OUTLINE_PIECES = (
+    ("def f(a):", '    """Doc."""'), ("async def g(", "b):", '    """Doc', '    more."""'),
+    ("def h():", "    pass"), ("    pass",), ("# note",), ("",), ("x = 1",),
+    ("```python",), ("```",),
+)
+FINAL_PIECES = (("Done.",), ("```", ""), ("```python", "   ", "```"), ("```python", "print(2)"))
+BLOCK = ("```python", "print(1)", "```")
+
+
+def skeleton_text(rng, separator):
+    lines = [*rng.choice(BEFORE_PIECES)] if rng.random() < 0.1 else []
+    if rng.random() < 0.95:
+        lines.append("### STEP 1")
+    for _ in range(rng.randrange(4)):
+        lines += rng.choice(OUTLINE_PIECES)
+    if rng.random() < 0.95:
+        lines.append("### STEP 2")
+    final = [BLOCK] * rng.randrange(4) + [rng.choice(FINAL_PIECES) for _ in range(rng.randrange(2))]
+    rng.shuffle(final)
+    for piece in final:
+        lines += piece
+    return separator.join(lines) + rng.choice(("", separator))
+
+
 def outcome(fn, text):
     try:
         return fn(text)
@@ -425,11 +468,33 @@ class TestDifferentialOracle:
         for _ in range(20_000):
             text = random_text(rng, ("\n", "\r\n", "\n\n"))
             assert extract_code_blocks(text) == extract_code_blocks_splitlines(text), text
-            assert outcome(split_steps, text) == outcome(split_steps_splitlines, text), text
+            assert outcome(parse_mot_response, text) == outcome(
+                parse_mot_response_splitlines, text), text
             assert parse_outline(text) == parse_outline_splitlines(text), text
             parse_and_assess(text)
             for name in SECTIONS:
                 assert extract_section(text, name) == extract_section_finditer(text, name), text
+
+    def test_equal_on_the_grammar_skeleton_and_every_rule_is_reached(self):
+        rng = random.Random(22)
+        kinds = Counter()
+        for separator in ("\n", "\r\n", "\n\n"):
+            for _ in range(1_000):
+                text = skeleton_text(rng, separator)
+                assert outcome(parse_mot_response, text) == outcome(
+                    parse_mot_response_splitlines, text), text
+                kind, _ = parse_and_assess(text)
+                kinds[kind] += 1
+        assert set(kinds) == {*KIND_MARKERS, None}, kinds
+
+    def test_window_scans_like_the_slice(self):
+        rng = random.Random(23)
+        for _ in range(5_000):
+            text = random_text(rng, ("\n", "\r\n") + SPLITLINES_ONLY)
+            start = rng.randrange(len(text) + 1)
+            end = rng.choice((None, rng.randrange(start, len(text) + 1)))
+            shifted = [(code, start + at) for code, at in extract_code_blocks(text[start:end])]
+            assert extract_code_blocks(text, start, end) == shifted, (text, start, end)
 
     def test_blocks_are_verbatim_slices_under_any_separator(self):
         rng = random.Random(21)

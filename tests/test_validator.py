@@ -6,6 +6,7 @@ from modeval.validator import (
     AssessmentResult,
     FilterRecord,
     Marker,
+    assess_clean,
     assess_structure,
     assess_verdict,
     filter_pass_rate,
@@ -159,6 +160,16 @@ class TestStructuralMarkers:
     def test_every_kind_is_pinned(self):
         assert {kind for kind, _ in REJECTIONS.values()} == set(KIND_MARKERS)
         assert set(REJECTIONS) == set(MARKED)
+
+    @pytest.mark.parametrize("text, count", [
+        ("Renamed the variables; the code is unchanged.\n", 0),
+        ("```python\n   \n```\n", 0),
+        ("```python\nx = 1\n```\n```python\nprint(x)\n```\n", 2),
+    ], ids=["no_block", "blank_block", "two_blocks"])
+    def test_rewrite_without_one_code_block_is_m3(self, text, count):
+        result, code = assess_clean(text)
+        assert (result.marker, result.detail, code) == (
+            Marker.M3_MAIN_CODE_COUNT, f"{count} code blocks in rewrite response", None)
 
     def test_accept_implies_reparseable(self):
         for raw in WELL_FORMED.values():
