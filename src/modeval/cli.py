@@ -271,8 +271,12 @@ def cmd_transform(cfg: PipelineConfig) -> int:
 
 
 def _read_or_fail(path: Path, what: str, parse) -> list:
-    """``read_jsonl(path, parse)``'s values; its first diagnostic is a ConfigError."""
-    values, diagnostics = read_jsonl(path, parse)
+    """``read_jsonl(path, parse)``'s values; its first diagnostic, or a file it
+    cannot read, is a ConfigError."""
+    try:
+        values, diagnostics = read_jsonl(path, parse)
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read {what}: {exc.strerror or exc}") from exc
     if diagnostics:
         bad = diagnostics[0]
         raise ConfigError(f"{path}: malformed {what} line {bad.line_number}: {bad.reason}")

@@ -136,8 +136,9 @@ class MockProvider:
     in the prompt user text), optional ``tag``, and either ``response`` or
     ``response_file``, and no other key.  A malformed rule, an unknown tag or
     an unreadable response file raises ValueError naming the file and line
-    when the provider is built.  ``calls`` counts the requests; the mock keeps
-    no prompt.
+    when the provider is built, and so does a ``rules.jsonl`` or
+    ``default.txt`` that cannot be read (a directory, say).  ``calls`` counts
+    the requests; the mock keeps no prompt.
     """
 
     def __init__(
@@ -162,14 +163,17 @@ class MockProvider:
         self._echo = echo_response
         if self.fixture_dir is not None:
             rules_path = self.fixture_dir / "rules.jsonl"
-            if rules_path.exists():
-                self._rules, bad = read_jsonl(rules_path, lambda _, obj: self._load_rule(obj))
-                if bad:
-                    where = f"{rules_path}:{bad[0].line_number}"
-                    raise ValueError(f"{where}: bad mock rule: {bad[0].reason}")
             default_path = self.fixture_dir / "default.txt"
-            if default_path.exists():
-                self._default = default_path.read_text(encoding="utf-8")
+            try:
+                if rules_path.exists():
+                    self._rules, bad = read_jsonl(rules_path, lambda _, obj: self._load_rule(obj))
+                    if bad:
+                        where = f"{rules_path}:{bad[0].line_number}"
+                        raise ValueError(f"{where}: bad mock rule: {bad[0].reason}")
+                if default_path.exists():
+                    self._default = default_path.read_text(encoding="utf-8")
+            except OSError as exc:  # a directory or an unreadable file
+                raise ValueError(str(exc)) from exc
 
     def _load_rule(self, obj) -> tuple:
         """A rules.jsonl object decoded as a ``_MockRule``, as ``(tag, needles, response)``."""

@@ -7,8 +7,8 @@ one run at a time as a fork server: it forks a child, and the child
 * starts its own session (``setsid``);
 * sets its address-space and file-size rlimits with ``resource.setrlimit``;
   a limit that cannot be set is an ``InfrastructureError``, never ignored;
-* puts the run's stdin, stdout and stderr files on fds 0-2 and closes every
-  other descriptor;
+* puts the run's stdin, stdout and stderr files, which the broker opened
+  before the fork, on fds 0-2 and closes every other descriptor;
 * with the default runner, runs ``main.py`` as a fresh ``__main__`` module
   with new ``sys.std*`` streams, ``sys.argv`` and ``sys.path[0]``, and exits
   as the interpreter does: the same exit code for ``SystemExit`` and uncaught
@@ -29,6 +29,15 @@ polls.  On Linux (3.4 or later) the broker is a child subreaper: processes a
 run leaves behind, even in a new session, are re-parented to the broker, which
 kills and reaps every one of them before it replies.  Other platforms have no
 subreaper, so there a detached descendant can outlive its run.
+
+Each run has a scratch directory of its own, made by ``run_once``: it holds
+``main.py`` and the working directory ``run/``, which holds ``stdin.txt``,
+``stdout.txt`` and ``stderr.txt``.  The broker reads stdout and stderr back
+through the descriptors it opened, after the run and every descendant are
+gone, and sends them in its reply; after that the harness only removes the
+directory.  So nothing a program does to its files (removing or renaming
+them, its working directory or ``main.py``) can raise in the harness or reach
+a later run.
 
 Peak memory is the child's max resident set as reported by the kernel at
 reap time (``wait4``).  Candidates are not forked from this (potentially
@@ -78,7 +87,7 @@ KILL_GRACE = 0.5
 # Part of every verdict-cache key.  Bump it when a change to how programs run
 # or how outputs compare can change a verdict, so verdicts recorded before
 # the change miss once instead of being replayed.
-SANDBOX_SEMANTICS = 4
+SANDBOX_SEMANTICS = 5
 
 HASH_SEED = "0"  # every broker's PYTHONHASHSEED: changing it changes SANDBOX_SEMANTICS
 
@@ -132,7 +141,11 @@ def _runner_argv(runner: str, src: Path) -> list[str]:
     import shlex
     import shutil
 
-    command = runner.format(file=shlex.quote(str(src)))
+    try:
+        command = runner.format(file=shlex.quote(str(src)))
+    except (KeyError, IndexError, ValueError) as exc:  # a field other than {file}, or a stray brace
+        raise InfrastructureError(
+            f"bad runner template {runner!r}: {type(exc).__name__}: {exc}") from exc
     try:
         argv = shlex.split(command)
     except ValueError as exc:
@@ -140,13 +153,6 @@ def _runner_argv(runner: str, src: Path) -> list[str]:
     if not argv or shutil.which(argv[0]) is None:
         raise InfrastructureError(f"interpreter {argv[0] if argv else ''!r} not found on this host")
     return argv
-
-
-def _read_capped(path: Path, cap: int) -> tuple[str, int]:
-    size = path.stat().st_size
-    with path.open("rb") as fh:
-        data = fh.read(cap)
-    return data.decode("utf-8", errors="replace"), size
 
 
 # The fork server.  It runs in its own interpreter so candidates fork from a
@@ -162,6 +168,10 @@ CHILDREN = f"/proc/self/task/{os.getpid()}/children"
 POLL = 0.004  # only where there is no pidfd
 ENCODING, ERRORS = sys.stdout.encoding, sys.stdout.errors
 UNBUFFERED = sys.stdout.write_through  # -u or PYTHONUNBUFFERED
+# the run's fds 0-2, in its working directory; stdout and stderr are read back through them
+STDIO = (("stdin.txt", os.O_RDONLY),
+         ("stdout.txt", os.O_RDWR | os.O_CREAT | os.O_TRUNC),
+         ("stderr.txt", os.O_RDWR | os.O_CREAT | os.O_TRUNC))
 
 
 def become_subreaper():
@@ -285,7 +295,7 @@ def run_program(path, code):
     return status
 
 
-def child(req, err_w, code):
+def child(req, stdio_fds, err_w, code):
     # never returns: a failure before the program runs goes to err_w
     status = 127
     try:
@@ -295,10 +305,8 @@ def child(req, err_w, code):
                                  (resource.RLIMIT_FSIZE, req["fsize_bytes"])):
                 resource.setrlimit(limit, (value, value))
             os.chdir(req["cwd"])
-            for fd, (name, flags) in enumerate((("stdin", os.O_RDONLY),
-                                                ("stdout", os.O_WRONLY | os.O_CREAT | os.O_TRUNC),
-                                                ("stderr", os.O_WRONLY | os.O_CREAT | os.O_TRUNC))):
-                os.dup2(os.open(req[name], flags, 0o644), fd)
+            for fd, opened in enumerate(stdio_fds):
+                os.dup2(opened, fd)
             os.closerange(3, err_w)
             os.closerange(err_w + 1, MAXFD)
             if req["argv"]:
@@ -344,6 +352,20 @@ def reap(pid, deadline):
 
 
 def run(req):
+    fds = []
+    try:
+        try:
+            for name, flags in STDIO:
+                fds.append(os.open(os.path.join(req["cwd"], name), flags, 0o644))
+        except OSError as exc:
+            return {"spawn_error": f"{type(exc).__name__}: {exc}"}
+        return run_on(req, fds)
+    finally:
+        for fd in fds:
+            os.close(fd)
+
+
+def run_on(req, stdio_fds):
     start = time.perf_counter()  # the deadline's, so that wall_time bounds compile and run
     code, compile_time = None, 0.0
     if not req["argv"]:
@@ -360,7 +382,7 @@ def run(req):
         return {"spawn_error": f"fork: {exc}"}
     if pid == 0:
         os.close(err_r)
-        child(req, err_w, code)
+        child(req, stdio_fds, err_w, code)
     os.close(err_w)
     with open(err_r, "rb") as fh:
         error = fh.read()  # EOF once the program starts
@@ -369,10 +391,14 @@ def run(req):
         return {"spawn_error": error.decode("utf-8", "replace")}
     status, usage, timed_out = reap(pid, start + req["wall_time"])
     wall = time.perf_counter() - start - compile_time
-    kill_descendants()
+    kill_descendants()  # so nothing writes to stdout or stderr while they are read
+    out_fd, err_fd = stdio_fds[1:]
     return {"exit_code": os.waitstatus_to_exitcode(status), "timed_out": timed_out,
             "compile": compile_time, "wall": wall, "cpu": usage.ru_utime + usage.ru_stime,
-            "maxrss_kb": usage.ru_maxrss}
+            "maxrss_kb": usage.ru_maxrss,
+            "stdout": os.pread(out_fd, req["cap"], 0).decode("utf-8", "replace"),
+            "stderr": os.pread(err_fd, req["cap"], 0).decode("utf-8", "replace"),
+            "stdout_size": os.fstat(out_fd).st_size}
 
 
 become_subreaper()
@@ -455,111 +481,60 @@ def _shutdown_brokers() -> None:
         _broker_pool.clear()
 
 
-class _Scratch:
-    """A scratch directory holding one program as ``main.py``.
-
-    Each run gets a fresh subdirectory as its working directory, holding its
-    stdin, stdout and stderr files, so nothing a run leaves there is seen by
-    the next.  ``main.py`` is written once and rewritten before a run only if
-    an earlier run changed or removed it.
-    """
-
-    def __init__(self, program: str, runner: str | None, keep: bool) -> None:
-        import tempfile
-
-        self.dir = Path(tempfile.mkdtemp(prefix="modeval-run-"))
-        self.keep = keep
-        self.src = self.dir / "main.py"
-        self.source = program.encode("utf-8")
-        self.runs = 0
-        try:
-            self.src.write_bytes(self.source)
-            # None: the broker runs main.py itself
-            self.argv = None if runner is None else _runner_argv(runner, self.src)
-        except BaseException:
-            self.close()
-            raise
-
-    def __enter__(self) -> _Scratch:
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    def close(self) -> None:
-        if not self.keep:
-            import shutil
-
-            shutil.rmtree(self.dir, ignore_errors=True)
-
-    def next_workdir(self) -> Path:
-        try:
-            intact = self.src.read_bytes() == self.source
-        except OSError:
-            intact = False
-        if not intact:
-            self.src.write_bytes(self.source)
-        workdir = self.dir / str(self.runs)
-        self.runs += 1
-        workdir.mkdir()
-        return workdir
-
-
 def run_once(
     program: str,
     stdin_text: str,
     limits: ResourceLimits = ResourceLimits(),
     *,
     runner: str | None = None,
-    _scratch: _Scratch | None = None,
+    keep_scratch: bool = False,
 ) -> ExecutionReport:
-    """Execute ``program`` once with ``stdin_text`` on stdin, under ``limits``."""
-    # ``_scratch`` is judge's: an open scratch directory that already holds
-    # ``program`` and was made with judge's runner and keep flag.
-    if _scratch is not None:
-        return _run_in(_scratch, stdin_text, limits)
-    with _Scratch(program, runner, False) as scratch:
-        return _run_in(scratch, stdin_text, limits)
+    """Execute ``program`` once with ``stdin_text`` on stdin, under ``limits``.
 
-
-def _run_in(scratch: _Scratch, stdin_text: str, limits: ResourceLimits) -> ExecutionReport:
+    The run has a fresh scratch directory of its own under the default
+    temporary directory, removed afterwards unless ``keep_scratch``.
+    """
+    import shutil
     import signal
+    import tempfile
 
-    workdir = scratch.next_workdir()
-    stdin_path = workdir / "stdin.txt"
-    stdin_path.write_text(stdin_text, encoding="utf-8")
-    out_path = workdir / "stdout.txt"
-    err_path = workdir / "stderr.txt"
-
-    broker = _checkout_broker()
+    scratch = Path(tempfile.mkdtemp(prefix="modeval-run-"))
     try:
-        result = broker.request(
-            {
-                "file": str(scratch.src),
-                "argv": scratch.argv,
-                "stdin": str(stdin_path),
-                "stdout": str(out_path),
-                "stderr": str(err_path),
-                "cwd": str(workdir),
-                "wall_time": limits.wall_time,
-                "as_bytes": limits.memory + ADDRESS_SPACE_SLACK,
-                # room past the cap, so an overflow shows as a larger file
-                "fsize_bytes": limits.output_cap + 1024,
-            }
-        )
+        src = scratch / "main.py"
+        src.write_bytes(program.encode("utf-8"))
+        workdir = scratch / "run"
+        workdir.mkdir()
+        (workdir / "stdin.txt").write_text(stdin_text, encoding="utf-8")
+        # None: the broker runs main.py itself
+        argv = None if runner is None else _runner_argv(runner, src)
+        broker = _checkout_broker()
+        try:
+            result = broker.request(
+                {
+                    "file": str(src),
+                    "argv": argv,
+                    "cwd": str(workdir),
+                    "wall_time": limits.wall_time,
+                    "as_bytes": limits.memory + ADDRESS_SPACE_SLACK,
+                    # room past the cap, so an overflow shows as a larger file
+                    "fsize_bytes": limits.output_cap + 1024,
+                    "cap": limits.output_cap,
+                }
+            )
+        finally:
+            _checkin_broker(broker)
     finally:
-        _checkin_broker(broker)
+        if not keep_scratch:
+            shutil.rmtree(scratch, ignore_errors=True)
     if "spawn_error" in result:
         raise InfrastructureError(f"cannot start candidate process: {result['spawn_error']}")
     exit_code = result["exit_code"]
     peak_memory = result["maxrss_kb"] * 1024  # kernel reports KiB
-
-    stdout, stdout_size = _read_capped(out_path, limits.output_cap)
-    stderr, _ = _read_capped(err_path, limits.output_cap)
+    stderr = result["stderr"]
 
     if result["timed_out"]:
         status = ExecStatus.TIMEOUT
-    elif stdout_size > limits.output_cap or exit_code == -signal.SIGXFSZ:
+    elif result["stdout_size"] > limits.output_cap or exit_code == -signal.SIGXFSZ:
         status = ExecStatus.OUTPUT_OVERFLOW
     elif exit_code != 0:
         last_line = stderr.rstrip().rpartition("\n")[2]
@@ -572,7 +547,7 @@ def _run_in(scratch: _Scratch, stdin_text: str, limits: ResourceLimits) -> Execu
 
     return ExecutionReport(
         status=status,
-        stdout=stdout,
+        stdout=result["stdout"],
         stderr=stderr,
         wall_time_used=result["wall"],
         compile_time=result["compile"],
@@ -626,23 +601,22 @@ def judge(program: str, problem: Problem, settings: Judge) -> JudgeVerdict:
     past its cache, and aggregate.
 
     Averages are over executed tests; with ``settings.fail_fast`` the
-    remaining tests after the first failure are not executed.  The program is
-    written to one scratch directory for all its tests; each test runs in a
-    fresh subdirectory of it.
+    remaining tests after the first failure are not executed.  Each test is
+    one ``run_once``, in a scratch directory of its own.
     """
     if problem.untestable:
         raise ValueError(f"problem {problem.id!r} has no tests (untestable)")
 
     per_test: list[tuple[ExecutionReport, bool]] = []
-    with _Scratch(program, settings.runner, settings.keep_scratch) as scratch:
-        for test in problem.tests:
-            report = run_once(program, test.input, settings.limits, _scratch=scratch)
-            matched = report.status is ExecStatus.OK and compare_output(
-                test.expected_output, report.stdout, settings.policy
-            )
-            per_test.append((report, matched))
-            if settings.fail_fast and not matched:
-                break
+    for test in problem.tests:
+        report = run_once(program, test.input, settings.limits,
+                          runner=settings.runner, keep_scratch=settings.keep_scratch)
+        matched = report.status is ExecStatus.OK and compare_output(
+            test.expected_output, report.stdout, settings.policy
+        )
+        per_test.append((report, matched))
+        if settings.fail_fast and not matched:
+            break
     return JudgeVerdict(per_test)
 
 

@@ -856,6 +856,31 @@ class TestFlagOverrides:
         assert rc == 1
         assert "missing-interpreter-zzz" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("runner", ["python3 {file} {x}", "python3 {} {file}", "python3 {file"],
+                             ids=["unknown_field", "positional_field", "unclosed_brace"])
+    def test_bad_runner_template_exits_nonzero(self, tmp_path, capsys, runner):
+        candidates = tmp_path / "cands.jsonl"
+        candidates.write_text(json.dumps({"problem_id": "e2e-echo",
+                                          "candidates": ["print(input())"]}) + "\n")
+        config = write_config(tmp_path)
+        rc = main(["evaluate", "--config", str(config), "--candidates", str(candidates),
+                   "--runner", runner, "--no-cache"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: bad runner template {runner!r}")
+
+    @pytest.mark.parametrize("unreadable", ["candidates", "records", "rules.jsonl", "default.txt"])
+    def test_unreadable_input_file_exits_nonzero(self, tmp_path, capsys, unreadable):
+        mock = tmp_path / "mock"
+        mock.mkdir()
+        directory = (mock if "." in unreadable else tmp_path) / unreadable
+        directory.mkdir()  # a directory where a file is read
+        config = write_config(tmp_path, mock_provider=str(mock))
+        args = {"candidates": ["evaluate", "--candidates", str(directory)],
+                "records": ["analyze", "--records", str(directory)]}.get(unreadable, ["transform"])
+        assert main([*args, "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(directory) in err
+
     def test_top_level_only_changes_function_counts(self, tmp_path):
         nested = "def outer():\n    def inner():\n        return input()\n    return inner()\nprint(outer())"
         candidates = tmp_path / "cands.jsonl"

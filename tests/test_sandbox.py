@@ -403,14 +403,20 @@ class TestJudge:
         problem = make_problem(tests=(("1\n", "1\n"), ("2\n", "2\n"), ("3\n", "3\n")))
         verdict = Judge(FAST)("print(input())", problem)
         assert verdict.passed
-        assert (len(made), len(runs)) == (1, 3)
+        assert (len(made), len(runs)) == (3, 3)
 
     @pytest.mark.parametrize("keep", [False, True], ids=["cleaned", "kept"])
     def test_keep_scratch(self, monkeypatch, tmp_path, keep):
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-        problem = make_problem(tests=(("1\n", "1\n"),))
+        problem = make_problem(tests=(("1\n", "1\n"), ("2\n", "2\n")))
         assert Judge(FAST, keep_scratch=keep)("print(input())", problem).passed
-        assert [(d / "main.py").exists() for d in tmp_path.iterdir()] == ([True] if keep else [])
+        layout = ["main.py", "run", "run/stderr.txt", "run/stdin.txt", "run/stdout.txt"]
+        kept = [sorted(f.relative_to(d).as_posix() for f in d.rglob("*"))
+                for d in tmp_path.iterdir()]
+        assert kept == ([layout, layout] if keep else [])
+        if keep:
+            inputs = sorted((d / "run" / "stdin.txt").read_text() for d in tmp_path.iterdir())
+            assert inputs == ["1\n", "2\n"]
 
     @pytest.mark.parametrize("runner", [None, EXEC], ids=["fork", "exec"])
     def test_tests_do_not_see_each_others_files(self, runner):
@@ -430,14 +436,35 @@ class TestJudge:
         verdict = Judge(FAST, runner=runner)(program, problem)
         assert [r.stdout for r, _ in verdict.per_test] == ["1\n", "2\n", "3\n"]
 
-    @pytest.mark.parametrize("runner, lookups", [(None, 0), (EXEC, 1)], ids=["fork", "exec"])
-    def test_runner_checked_once_per_judge(self, monkeypatch, runner, lookups):
+    @pytest.mark.parametrize("runner, lookups", [(None, 0), (EXEC, 3)], ids=["fork", "exec"])
+    def test_runner_checked_once_per_run(self, monkeypatch, runner, lookups):
         calls = []
         which = shutil.which
         monkeypatch.setattr(shutil, "which", lambda *a, **kw: calls.append(a) or which(*a, **kw))
         problem = make_problem(tests=(("1\n", "1\n"), ("2\n", "2\n"), ("3\n", "3\n")))
         assert Judge(FAST, runner=runner)("print(input())", problem).passed
         assert len(calls) == lookups
+
+    @pytest.mark.parametrize("change", ["os.remove('stdout.txt')",
+                                        "os.rename(os.getcwd(), os.getcwd() + '.moved')",
+                                        "os.remove(__file__)\nos.mkdir(__file__)",
+                                        "os.mkdir('../1')"],
+                             ids=["stdout_removed", "cwd_renamed", "file_made_a_directory",
+                                  "sibling_made"])
+    @pytest.mark.parametrize("runner", [None, EXEC], ids=["fork", "exec"])
+    def test_no_program_can_break_judge_through_its_files(self, monkeypatch, tmp_path,
+                                                          runner, change):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        brokers = []
+        monkeypatch.setattr(sandbox, "_Broker", lambda: brokers.append(1) or _Broker())
+        sandbox._shutdown_brokers()  # so this judge starts its one broker
+        program = f"import os\nprint(input())\n{change}\n"
+        problem = make_problem(tests=(("1\n", "1\n"), ("2\n", "2\n")))
+        verdict = Judge(FAST, runner=runner)(program, problem)
+        assert [(r.status, matched) for r, matched in verdict.per_test] == [
+            (ExecStatus.OK, True), (ExecStatus.OK, True)]
+        assert len(brokers) == 1
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestJudgeBatch:
@@ -645,3 +672,27 @@ class TestBroker:
         broker.close()
         assert broker.proc.stdout.closed
         assert broker.proc.returncode is not None
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/<pid>/fd to count")
+    def test_every_reply_closes_the_runs_descriptors(self, tmp_path):
+        (tmp_path / "main.py").write_text("print(input())\n")
+        (tmp_path / "run").mkdir()
+        (tmp_path / "run" / "stdin.txt").write_text("7\n")
+        ok = {"file": str(tmp_path / "main.py"), "argv": None, "cwd": str(tmp_path / "run"),
+              "wall_time": 5.0, "as_bytes": 512 * MB, "fsize_bytes": MB, "cap": MB}
+        child_fails = {**ok, "as_bytes": 2**70}  # beyond any rlimit value
+        open_fails = {**ok, "cwd": str(tmp_path / "missing")}
+        broker = _Broker()
+        try:
+            def open_fds():
+                return len(os.listdir(f"/proc/{broker.proc.pid}/fd"))
+
+            assert broker.request(ok)["stdout"] == "7\n"
+            before = open_fds()
+            for req in (ok, child_fails, open_fails) * 2:
+                broker.request(req)
+            assert "spawn_error" in broker.request(child_fails)
+            assert broker.request(open_fails)["spawn_error"].startswith("FileNotFoundError")
+            assert open_fds() == before
+        finally:
+            broker.close()
