@@ -1,8 +1,9 @@
 """Run candidate programs against I/O tests in isolated processes.
 
 Runs go through a pool of broker processes.  A broker is an interpreter of
-this host started with ``site`` (so ``exit`` and ``quit`` exist) that serves
-one run at a time as a fork server: it forks a child, and the child
+this host running ``_broker.py`` with ``site`` (so ``exit`` and ``quit``
+exist) that serves one run at a time as a fork server: it forks a child, and
+the child
 
 * starts its own session (``setsid``);
 * sets its address-space and file-size rlimits with ``resource.setrlimit``;
@@ -18,10 +19,11 @@ one run at a time as a fork server: it forks a child, and the child
   with ``shlex``; no shell).
 
 Forking the warm broker skips interpreter start-up, which is most of the cost
-of a typical test run.  Every broker starts with ``PYTHONHASHSEED`` set to
-``HASH_SEED``, and forked children and exec'd runners keep it, so string
-hashes (and so the order of a set of strings) are the same in every run of
-every process, where a default interpreter draws a seed at random.
+of a typical test run.  Every broker starts in the environment ``FIXED_ENV``
+plus each ``PASSED_ENV`` variable the harness has, and forked children and
+exec'd runners keep it.  So a run sees no other variable of the shell (no
+provider key), string hashes (and so the order of a set of strings) are the
+same in every run of every process, and local time is UTC.
 
 The broker waits on a pidfd with ``select`` until the wall-time deadline, then
 kills the child and its process group; where ``os.pidfd_open`` is missing it
@@ -70,7 +72,8 @@ from pathlib import Path
 from typing import Sequence
 
 from .corpus import EntryLog, Problem, decode, map_in_threads
-from .settings import MB, ComparePolicy, ExecStatus, InfrastructureError, ResourceLimits, check_judged
+from .settings import (MB, ComparePolicy, ExecStatus, InfrastructureError, ResourceLimits, check_judged,
+                       runner_argv)
 
 # Address space allowed beyond the resident-memory budget (interpreter
 # mappings, shared libs).  Enforcement only; accounting uses max RSS.
@@ -87,9 +90,12 @@ KILL_GRACE = 0.5
 # Part of every verdict-cache key.  Bump it when a change to how programs run
 # or how outputs compare can change a verdict, so verdicts recorded before
 # the change miss once instead of being replayed.
-SANDBOX_SEMANTICS = 5
+SANDBOX_SEMANTICS = 6
 
-HASH_SEED = "0"  # every broker's PYTHONHASHSEED: changing it changes SANDBOX_SEMANTICS
+# Every run's environment: FIXED_ENV, plus each PASSED_ENV variable that the
+# harness has, which the verdict key names.  Changing either changes SANDBOX_SEMANTICS.
+FIXED_ENV = {"PYTHONHASHSEED": "0", "TZ": "UTC", "PYTHONUTF8": "1", "PYTHONDONTWRITEBYTECODE": "1"}
+PASSED_ENV = ("PATH", "PYTHONPATH", "PYTHONUNBUFFERED")
 
 
 @dataclass
@@ -138,285 +144,28 @@ class JudgeVerdict:
 
 def _runner_argv(runner: str, src: Path) -> list[str]:
     """The argv of a custom ``runner`` template for ``src``; its interpreter must exist."""
-    import shlex
     import shutil
 
     try:
-        command = runner.format(file=shlex.quote(str(src)))
-    except (KeyError, IndexError, ValueError) as exc:  # a field other than {file}, or a stray brace
-        raise InfrastructureError(
-            f"bad runner template {runner!r}: {type(exc).__name__}: {exc}") from exc
-    try:
-        argv = shlex.split(command)
+        argv = runner_argv(runner, str(src))
     except ValueError as exc:
-        raise InfrastructureError(f"unparseable runner command {command!r}: {exc}") from exc
-    if not argv or shutil.which(argv[0]) is None:
-        raise InfrastructureError(f"interpreter {argv[0] if argv else ''!r} not found on this host")
+        raise InfrastructureError(str(exc)) from exc
+    if shutil.which(argv[0]) is None:
+        raise InfrastructureError(f"interpreter {argv[0]!r} not found on this host")
     return argv
 
 
-# The fork server.  It runs in its own interpreter so candidates fork from a
-# small image; forking the main process would bequeath its resident set to
-# every child's reported max RSS (and it has threads).
-_BROKER_SOURCE = r"""
-import sys
-del sys.path[0]  # the caller's cwd: the broker's own imports come from the interpreter
-import atexit, builtins, gc, io, json, os, resource, select, signal, time, warnings
-
-MAXFD = os.sysconf("SC_OPEN_MAX")
-CHILDREN = f"/proc/self/task/{os.getpid()}/children"
-POLL = 0.004  # only where there is no pidfd
-ENCODING, ERRORS = sys.stdout.encoding, sys.stdout.errors
-UNBUFFERED = sys.stdout.write_through  # -u or PYTHONUNBUFFERED
-# the run's fds 0-2, in its working directory; stdout and stderr are read back through them
-STDIO = (("stdin.txt", os.O_RDONLY),
-         ("stdout.txt", os.O_RDWR | os.O_CREAT | os.O_TRUNC),
-         ("stderr.txt", os.O_RDWR | os.O_CREAT | os.O_TRUNC))
-
-
-def become_subreaper():
-    # orphaned descendants of a run re-parent to this process, which kills them
-    if sys.platform.startswith("linux"):
-        import ctypes
-        libc = ctypes.CDLL(None, use_errno=True)
-        libc.prctl.argtypes = [ctypes.c_int] + [ctypes.c_ulong] * 4
-        libc.prctl.restype = ctypes.c_int
-        libc.prctl(36, 1, 0, 0, 0)  # PR_SET_CHILD_SUBREAPER
-
-
-def kill_descendants():
-    while True:
-        try:
-            with open(CHILDREN) as fh:
-                pids = [int(p) for p in fh.read().split()]
-        except OSError:  # no /proc children list: not Linux
-            return
-        if not pids:
-            return
-        for pid in pids:
-            try:
-                os.kill(pid, signal.SIGKILL)
-            except ProcessLookupError:
-                pass
-        for pid in pids:  # their own children re-parent here: list again
-            try:
-                os.waitpid(pid, 0)
-            except ChildProcessError:
-                pass
-
-
-def stdio(fd, mode, errors):
-    # built as the interpreter builds sys.stdin, sys.stdout and sys.stderr
-    unbuffered = mode == "w" and UNBUFFERED
-    buf = open(fd, mode + "b", 0 if unbuffered else -1, closefd=False)
-    (buf if unbuffered else buf.raw).name = ("<stdin>", "<stdout>", "<stderr>")[fd]
-    stream = io.TextIOWrapper(buf, ENCODING, errors, "\n",
-                              line_buffering=fd == 2 and not unbuffered, write_through=unbuffered)
-    stream.mode = mode
-    return stream
-
-
-def exit_status(code):
-    if code is None:
-        return 0
-    if isinstance(code, int):
-        return code & 0xFF
-    sys.stderr.write(f"{code}\n")
-    return 1
-
-
-def compiled(path):
-    # Compiled here, warm: compiling in the fresh child costs several times
-    # more.  On an error or a warning the child compiles again and reports it
-    # on its own stderr.
-    with open(path, "rb") as fh:
-        source = fh.read()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        try:
-            return compile(source, path, "exec", dont_inherit=True)
-        except Exception:
-            return None
-
-
-def run_program(path, code):
-    sys.stdin = sys.__stdin__ = stdio(0, "r", ERRORS)
-    sys.stdout = sys.__stdout__ = stdio(1, "w", ERRORS)
-    sys.stderr = sys.__stderr__ = stdio(2, "w", "backslashreplace")
-    sys.argv = [path]
-    sys.path.insert(0, os.path.dirname(path))
-    main = type(sys)("__main__")
-    main.__file__, main.__cached__, main.__builtins__ = path, None, builtins
-    sys.modules["__main__"] = main
-    try:
-        if code is None:
-            with open(path, "rb") as fh:
-                code = compile(fh.read(), path, "exec", dont_inherit=True)
-        exec(code, vars(main))
-        status = 0
-    except SystemExit as exc:
-        status = exit_status(exc.code)
-    except BaseException as exc:
-        tb = exc.__traceback__.tb_next  # from the program's frame on
-        sys.excepthook(type(exc), exc.with_traceback(tb), tb)
-        # the interpreter re-raises an uncaught Ctrl-C as SIGINT
-        status = -signal.SIGINT if isinstance(exc, KeyboardInterrupt) else 1
-    # Not via interpreter finalization: tearing down the inherited broker heap adds ~8 ms a run.
-    threading = sys.modules.get("threading")
-    if threading is not None:
-        threading._shutdown()  # wait for non-daemon threads
-    atexit._run_exitfuncs()
-    for stream in (sys.stdout, sys.stderr):
-        if stream is None or getattr(stream, "closed", False):
-            continue
-        try:
-            stream.flush()
-        except Exception as exc:
-            if stream is sys.stdout:
-                sys.stderr.write(f"Exception ignored in: {stream!r}\n")
-                sys.__excepthook__(type(exc), exc.with_traceback(None), None)
-            status = 120
-    # Then, as the interpreter's shutdown does: collect garbage, put the
-    # original streams back, free the program's globals (an unclosed file
-    # flushes as it closes), collect again and flush once more, ignoring
-    # failures this time.
-    gc.collect()
-    sys.stdin, sys.stdout, sys.stderr = sys.__stdin__, sys.__stdout__, sys.__stderr__
-    names = vars(main)
-    for name in list(names):
-        if name != "__builtins__":
-            names[name] = None
-    gc.collect()
-    for stream in (sys.stdout, sys.stderr):
-        try:
-            stream.flush()
-        except Exception:
-            pass
-    return status
-
-
-def child(req, stdio_fds, err_w, code):
-    # never returns: a failure before the program runs goes to err_w
-    status = 127
-    try:
-        try:
-            os.setsid()
-            for limit, value in ((resource.RLIMIT_AS, req["as_bytes"]),
-                                 (resource.RLIMIT_FSIZE, req["fsize_bytes"])):
-                resource.setrlimit(limit, (value, value))
-            os.chdir(req["cwd"])
-            for fd, opened in enumerate(stdio_fds):
-                os.dup2(opened, fd)
-            os.closerange(3, err_w)
-            os.closerange(err_w + 1, MAXFD)
-            if req["argv"]:
-                for sig in (signal.SIGPIPE, signal.SIGXFSZ):  # as subprocess restores them
-                    signal.signal(sig, signal.SIG_DFL)
-                os.execvp(req["argv"][0], req["argv"])
-        except BaseException as exc:
-            os.write(err_w, f"{type(exc).__name__}: {exc}".encode())
-            return
-        os.close(err_w)
-        status = run_program(req["file"], code)
-        if status < 0:
-            signal.signal(-status, signal.SIG_DFL)
-            os.kill(os.getpid(), -status)
-    finally:
-        os._exit(status)
-
-
-def reap(pid, deadline):
-    # (wait status, rusage, timed out); past the deadline the child's group is killed
-    try:
-        pidfd = os.pidfd_open(pid)
-    except (AttributeError, OSError):  # no pidfd here: poll
-        while time.perf_counter() < deadline:
-            done, status, usage = os.wait4(pid, os.WNOHANG)
-            if done:
-                return status, usage, False
-            time.sleep(POLL)
-    else:
-        try:
-            exited = select.select([pidfd], [], [], max(0.0, deadline - time.perf_counter()))[0]
-        finally:
-            os.close(pidfd)
-        if exited:
-            _, status, usage = os.wait4(pid, 0)
-            return status, usage, False
-    try:
-        os.killpg(pid, signal.SIGKILL)  # the child leads its own group
-    except ProcessLookupError:
-        pass
-    _, status, usage = os.wait4(pid, 0)
-    return status, usage, True
-
-
-def run(req):
-    fds = []
-    try:
-        try:
-            for name, flags in STDIO:
-                fds.append(os.open(os.path.join(req["cwd"], name), flags, 0o644))
-        except OSError as exc:
-            return {"spawn_error": f"{type(exc).__name__}: {exc}"}
-        return run_on(req, fds)
-    finally:
-        for fd in fds:
-            os.close(fd)
-
-
-def run_on(req, stdio_fds):
-    start = time.perf_counter()  # the deadline's, so that wall_time bounds compile and run
-    code, compile_time = None, 0.0
-    if not req["argv"]:
-        code = compiled(req["file"])
-        compile_time = time.perf_counter() - start
-    err_r, err_w = os.pipe()
-    sys.stdout.flush()
-    sys.stderr.flush()
-    try:
-        pid = os.fork()
-    except OSError as exc:
-        os.close(err_r)
-        os.close(err_w)
-        return {"spawn_error": f"fork: {exc}"}
-    if pid == 0:
-        os.close(err_r)
-        child(req, stdio_fds, err_w, code)
-    os.close(err_w)
-    with open(err_r, "rb") as fh:
-        error = fh.read()  # EOF once the program starts
-    if error:
-        os.waitpid(pid, 0)
-        return {"spawn_error": error.decode("utf-8", "replace")}
-    status, usage, timed_out = reap(pid, start + req["wall_time"])
-    wall = time.perf_counter() - start - compile_time
-    kill_descendants()  # so nothing writes to stdout or stderr while they are read
-    out_fd, err_fd = stdio_fds[1:]
-    return {"exit_code": os.waitstatus_to_exitcode(status), "timed_out": timed_out,
-            "compile": compile_time, "wall": wall, "cpu": usage.ru_utime + usage.ru_stime,
-            "maxrss_kb": usage.ru_maxrss,
-            "stdout": os.pread(out_fd, req["cap"], 0).decode("utf-8", "replace"),
-            "stderr": os.pread(err_fd, req["cap"], 0).decode("utf-8", "replace"),
-            "stdout_size": os.fstat(out_fd).st_size}
-
-
-become_subreaper()
-gc.freeze()  # the broker's objects stay out of every child's collections
-for line in sys.stdin:
-    sys.stdout.write(json.dumps(run(json.loads(line))) + "\n")
-    sys.stdout.flush()
-"""
-
-
+# The fork server, ``_broker.py``.  It runs in its own interpreter so candidates
+# fork from a small image; forking the main process would bequeath its resident
+# set to every child's reported max RSS (and it has threads).
 class _Broker:
     def __init__(self) -> None:
         import subprocess
 
         try:
             self.proc = subprocess.Popen(
-                [sys.executable, "-c", _BROKER_SOURCE],
-                env={**os.environ, "PYTHONHASHSEED": HASH_SEED},
+                [sys.executable, str(Path(__file__).with_name("_broker.py"))],
+                env={name: os.environ[name] for name in PASSED_ENV if name in os.environ} | FIXED_ENV,
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
                 text=True,
@@ -558,11 +307,15 @@ def run_once(
 
 
 _NUMBER = re.compile(r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?", re.ASCII)
+_INTEGER = re.compile(r"([+-]?)0*(\d+)", re.ASCII)  # sign, digits without leading zeros
 
 
 def _tokens_match(expected: str, actual: str, tolerance: float) -> bool:
     if expected == actual:
         return True
+    ie, ia = _INTEGER.fullmatch(expected), _INTEGER.fullmatch(actual)
+    if ie and ia:  # as digit strings: int() refuses more than 4,300 digits
+        return ie[2] == ia[2] and (ie[2] == "0" or (ie[1] == "-") == (ia[1] == "-"))
     if not (_NUMBER.fullmatch(expected) and _NUMBER.fullmatch(actual)):
         return False
     fe = float(expected)
@@ -574,9 +327,12 @@ def compare_output(expected: str, actual: str, policy: ComparePolicy = ComparePo
     """Compare judge outputs.
 
     The default ``token`` policy splits both texts on whitespace and compares
-    token sequences.  Two tokens that are both finite ASCII decimal numbers
-    (``_NUMBER``) are equal within an absolute tolerance; any other tokens
-    must be identical strings.  The ``exact`` policy splits both texts at
+    token sequences.  Two tokens that are both ASCII integers (``_INTEGER``)
+    are equal exactly: same digits after leading zeros, same sign, with ``+``
+    the same as none and ``-0`` the same as ``0``.  Any other two tokens that
+    are both finite ASCII decimal numbers (``_NUMBER``) are equal within an
+    absolute tolerance, so ``7`` equals ``7.0``; any other tokens must be
+    identical strings.  The ``exact`` policy splits both texts at
     ``"\n"`` alone and compares the lines after stripping each one's trailing
     whitespace (a CRLF's ``"\r"`` among it) and dropping trailing blank lines.
     """
@@ -686,7 +442,7 @@ def _resolved(path: str) -> str:
 
 class VerdictCache:
     """Disk cache of judge verdicts keyed by program, tests, limits, policy, runner,
-    ``fail_fast``, stdio buffering and ``SANDBOX_SEMANTICS``.
+    ``fail_fast``, the environment a run sees of ``PASSED_ENV`` and ``SANDBOX_SEMANTICS``.
 
     Makes pipeline reruns cheap and byte-stable: a rerun with an unchanged
     candidate reuses the recorded per-test results, including their timings.
@@ -703,11 +459,12 @@ class VerdictCache:
         limits, policy, runner = settings.limits, settings.policy, settings.runner
         # the default runner is this interpreter, so its identity is part of the key
         interpreter = [_resolved(sys.executable), sys.version] if runner is None else None
+        path = os.environ.get("PYTHONPATH")  # each entry made absolute, as the broker's interpreter does
         return [program, problem.id, [[t.input, t.expected_output] for t in problem.tests],
                 [limits.wall_time, limits.memory, limits.output_cap],
                 [policy.mode, policy.float_tolerance], runner, settings.fail_fast, interpreter,
-                bool(os.environ.get("PYTHONUNBUFFERED")),  # brokers and exec'd runs read it
-                SANDBOX_SEMANTICS]
+                os.environ.get("PATH"), [os.path.abspath(p) for p in path.split(os.pathsep)] if path else [],
+                bool(os.environ.get("PYTHONUNBUFFERED")), SANDBOX_SEMANTICS]
 
     def judge(self, program: str, problem: Problem, settings: Judge) -> JudgeVerdict:
         """``judge(program, problem, settings)``, replayed from disk when recorded."""

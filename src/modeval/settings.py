@@ -50,6 +50,21 @@ def check_judged(matched: list[bool], statuses: list[ExecStatus], amounts: list[
         raise ValueError(f"{len(matched)} results for a problem of {tests} tests")
 
 
+def runner_argv(template: str, file: str) -> list[str]:
+    """The argv of the ``runner`` command ``template`` for the program ``file``:
+    formatted with ``file`` quoted, then split as a shell would, with no shell.
+    ValueError, naming the template, where either step fails."""
+    import shlex
+
+    try:
+        argv = shlex.split(template.format(file=shlex.quote(file)))
+    except (KeyError, IndexError, ValueError) as exc:  # a field other than {file}, a stray brace or quote
+        raise ValueError(f"bad runner template {template!r}: {type(exc).__name__}: {exc}") from exc
+    if not argv:
+        raise ValueError(f"bad runner template {template!r}: it names no command")
+    return argv
+
+
 @dataclass(frozen=True)
 class ResourceLimits:
     """The wall time, resident memory and output size each run may use."""
@@ -148,3 +163,5 @@ class PipelineConfig:
                 raise ValueError(f"unknown data type {dt!r}")
             if dt in self.data_types[:i]:
                 raise ValueError(f"data_types names {dt!r} twice")
+        if self.runner is not None:
+            runner_argv(self.runner, "main.py")  # the interpreter is looked up at the first run

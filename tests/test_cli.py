@@ -623,6 +623,7 @@ class TestCacheLogs:
             return [key for key, _ in cache_entries(root)]
 
         monkeypatch.setenv("PYTHONUNBUFFERED", "1")
+        monkeypatch.setenv("PYTHONPATH", "src")
         prompt, provider_cfg = Prompt("sys", "q \u00e9", PromptTag.DIRECT), ProviderConfig(model_name="m")
         complete(prompt, provider_cfg, provider=MockProvider(script=["a"]),
                  cache=ResponseCache(tmp_path / "responses"))
@@ -636,7 +637,8 @@ class TestCacheLogs:
         assert keys(tmp_path / "verdicts") == [recipe([
             "print(input())", problem.id, [["1\n", "1\n"]], [5.0, judge.limits.memory,
             judge.limits.output_cap], ["token", 1e-6], None, True,
-            [os.path.realpath(sys.executable), sys.version], True, sandbox.SANDBOX_SEMANTICS])]
+            [os.path.realpath(sys.executable), sys.version], os.environ.get("PATH"),
+            [os.path.abspath("src")], True, sandbox.SANDBOX_SEMANTICS])]
 
         codemetrics.MetricsCache(tmp_path / "metrics").analyze("print(1)\n", True)
         assert keys(tmp_path / "metrics") == [recipe(["print(1)\n", True,
@@ -867,6 +869,14 @@ class TestFlagOverrides:
                    "--runner", runner, "--no-cache"])
         assert rc == 1
         assert capsys.readouterr().err.startswith(f"error: bad runner template {runner!r}")
+
+    @pytest.mark.parametrize("runner", ["python3 {file} {x}", "python3 {} {file}", "python3 {file", " "],
+                             ids=["unknown_field", "positional_field", "unclosed_brace", "no_command"])
+    def test_bad_runner_template_stops_transform_before_any_completion(self, tmp_path, capsys, runner):
+        config = write_config(tmp_path)
+        assert main(["transform", "--config", str(config), "--runner", runner]) == 1
+        assert capsys.readouterr().err.startswith(f"error: bad runner template {runner!r}")
+        assert not (tmp_path / "cache" / "responses" / "entries.jsonl").exists()
 
     @pytest.mark.parametrize("unreadable", ["candidates", "records", "rules.jsonl", "default.txt"])
     def test_unreadable_input_file_exits_nonzero(self, tmp_path, capsys, unreadable):

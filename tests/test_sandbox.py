@@ -1,4 +1,6 @@
 import inspect
+import io
+import json
 import math
 import os
 import random
@@ -12,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from modeval import sandbox
+from modeval import _broker, sandbox
 from modeval.corpus import EntryLog
 from modeval.evaluate import self_reflect
 from modeval.llm_client import MockProvider, ProviderConfig
@@ -33,7 +35,7 @@ from modeval.sandbox import (
     run_once,
 )
 
-from conftest import cache_entries, edit_cache_entry, make_problem
+from conftest import cache_entries, edit_cache_entry, loaded_modules, make_problem
 
 FAST = ResourceLimits(wall_time=5.0)
 EXEC = f"{sys.executable} {{file}}"  # the exec path: a fresh interpreter per run
@@ -305,6 +307,28 @@ class TestCompareOutput:
         assert compare_output(expected, actual) is equal
         assert compare_output(actual, expected) is equal
 
+    @pytest.mark.parametrize("expected, actual, equal", [
+        ("10000000000000001", "10000000000000000", False),  # one double apart
+        (str(2**63 - 1), str(2**63), False),
+        ("123456789012345678", "123456789012345679", False),
+        ("007", "7", True),
+        ("+5", "5", True),
+        ("-0", "0", True),
+        ("-00", "+0", True),
+        ("-5", "5", False),
+    ])
+    def test_integers_compare_exactly(self, expected, actual, equal):
+        assert compare_output(expected, actual) is equal
+        assert compare_output(actual, expected) is equal
+
+    def test_long_integers_compare_without_int(self):
+        digits = "7" * 5000  # int() of more than 4,300 digits raises
+        assert compare_output(digits, "+" + digits) is True
+        assert compare_output(digits, digits[:-1] + "8") is False
+        exact = ComparePolicy(mode="exact")  # unchanged: lines compare as strings
+        assert compare_output(digits, "+" + digits, exact) is False
+        assert compare_output("10000000000000001", "10000000000000000", exact) is False
+
     def test_numbers_match_written_grammar(self):
         rng = random.Random(20231)
         noise = ["0", "1", ".", "+", "-", "e", "E", "_", "x", "\u0661", "\uff15", "\u00b2"]
@@ -356,6 +380,33 @@ def test_set_order_is_the_same_in_every_harness_process():
     outputs = [subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                               text=True, timeout=60, check=True).stdout for _ in range(3)]
     assert outputs[0].startswith("['w") and len(set(outputs)) == 1, outputs
+
+
+@pytest.fixture
+def hostile_shell(monkeypatch):
+    """A shell holding a probe, the provider's key and a time zone, seen by brokers started here."""
+    for name, value in {"MODEVAL_PROBE": "b", "MODEVAL_API_KEY": "sk-x", "TZ": "Asia/Tokyo"}.items():
+        monkeypatch.setenv(name, value)
+    sandbox._shutdown_brokers()
+    yield
+    sandbox._shutdown_brokers()
+
+
+@pytest.mark.usefixtures("hostile_shell")
+class TestCandidateEnvironment:
+    @pytest.mark.parametrize("runner", [None, EXEC], ids=["fork", "exec"])
+    @pytest.mark.parametrize("program, expected", [
+        ("import os\nprint(os.environ.get('MODEVAL_PROBE', 'a'))", "a"),
+        ("import os\nprint('key' if os.environ.get('MODEVAL_API_KEY') else 'none')", "none"),
+        ("import time\nprint(time.localtime(0).tm_hour == 0)", "True"),
+    ], ids=["probe", "provider_key", "time_zone"])
+    def test_the_shell_does_not_reach_the_run(self, program, expected, runner):
+        assert run_once(program, "", FAST, runner=runner).stdout == expected + "\n"
+
+    def test_run_sees_only_the_fixed_and_passed_variables(self):
+        names = set(run_once("import os\nprint(*os.environ)", "", FAST).stdout.split())
+        # LC_CTYPE: the interpreter coerces a C locale to C.UTF-8 (PEP 538)
+        assert set(sandbox.FIXED_ENV) <= names <= {*sandbox.FIXED_ENV, *sandbox.PASSED_ENV, "LC_CTYPE"}
 
 
 class TestJudge:
@@ -558,13 +609,15 @@ class TestVerdictCache:
         # computed with hashlib.sha256: existing caches hit only while this holds
         monkeypatch.setattr(sys, "executable", "/nonexistent/bin/python3")
         monkeypatch.setattr(sys, "version", "3.11.7 (fixed)")
+        monkeypatch.setenv("PATH", "/usr/bin:/bin")
+        monkeypatch.setenv("PYTHONPATH", "/nonexistent/lib")
         monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
         monkeypatch.setattr(sandbox, "SANDBOX_SEMANTICS", 3)  # the recipe, not the version
         problem = make_problem(tests=(("1\n", "1\n"), ("\u00fc\n", "\u00fc\n")))
         settings = Judge(ResourceLimits(wall_time=2.0), ComparePolicy(mode="exact"),
                          fail_fast=True)
         assert (verdict_key("print(input())", problem, settings)
-                == "4c3ebe6a7074c5e1e60a9d761310ba9ba89e314a4e8524252f5248cdf02ae406")
+                == "6c1b66abbc038a9508beb8c7645ee154dcddcb7e63cf14ab4b3a16c78dad3f5c")
 
     def test_key_resolves_each_interpreter_path_once(self, tmp_path, monkeypatch):
         # realpath lstat's every path component, and a round makes a key per candidate
@@ -593,6 +646,36 @@ class TestVerdictCache:
         assert verdict_key(*args) != unset
         monkeypatch.setenv("PYTHONUNBUFFERED", "")
         assert verdict_key(*args) == unset
+
+    def test_key_names_path_and_each_pythonpath_entry_made_absolute(self, tmp_path, monkeypatch):
+        args = ("print(input())", make_problem(tests=(("1\n", "1\n"),)), Judge(FAST))
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("PYTHONPATH", "src")
+        here = verdict_key(*args)
+        monkeypatch.setenv("PYTHONPATH", str(tmp_path / "src"))
+        assert verdict_key(*args) == here  # one directory, one key
+        monkeypatch.setenv("PYTHONPATH", str(tmp_path / "lib"))
+        assert verdict_key(*args) != here
+        monkeypatch.setenv("PYTHONPATH", "src")
+        monkeypatch.setenv("PATH", os.pathsep.join([str(tmp_path), os.environ.get("PATH", "")]))
+        assert verdict_key(*args) != here
+
+    def test_verdict_is_not_served_under_another_pythonpath(self, tmp_path, monkeypatch):
+        for name, value in (("a", 1), ("b", 2)):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "helper.py").write_text(f"VALUE = {value}\n")
+        problem = make_problem(tests=(("", "1\n"),))
+        passed = []
+        try:
+            for name in ("a", "b"):
+                sandbox._shutdown_brokers()  # the next broker starts with this PYTHONPATH
+                monkeypatch.setenv("PYTHONPATH", str(tmp_path / name))
+                cache = VerdictCache(tmp_path / "verdicts")
+                passed.append(Judge(FAST, cache=cache)("import helper\nprint(helper.VALUE)", problem).passed)
+        finally:
+            sandbox._shutdown_brokers()
+        assert passed == [True, False]
+        assert (cache.hits, cache.misses) == (0, 1)
 
     def test_corrupt_entry_recomputed(self, tmp_path):
         cache = VerdictCache(tmp_path / "verdicts")
@@ -696,3 +779,63 @@ class TestBroker:
             assert open_fds() == before
         finally:
             broker.close()
+
+    def test_eof_ends_the_broker_with_status_zero(self, tmp_path):
+        (tmp_path / "run").mkdir()
+        (tmp_path / "run" / "stdin.txt").write_text("")
+        (tmp_path / "main.py").write_text("print(1)\n")
+        broker = _Broker()
+        reply = broker.request({"file": str(tmp_path / "main.py"), "argv": None,
+                                "cwd": str(tmp_path / "run"), "wall_time": 5.0,
+                                "as_bytes": 512 * MB, "fsize_bytes": MB, "cap": MB})
+        broker.close()
+        assert reply["stdout"] == "1\n"
+        assert broker.proc.returncode == 0
+
+
+class TestBrokerModule:
+    """``_broker``'s functions, called directly, and what importing it does."""
+
+    def test_exit_status(self, capsys):
+        assert [_broker.exit_status(code) for code in (None, 0, 3, 256 + 7, -1, True)] == [0, 0, 3, 7, 255, 1]
+        assert _broker.exit_status("bye") == 1
+        assert capsys.readouterr().err == "bye\n"
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_stdio(self, monkeypatch, unbuffered):
+        monkeypatch.setattr(_broker, "UNBUFFERED", unbuffered)
+        streams = [_broker.stdio(0, "r", "strict"), _broker.stdio(1, "w", "strict"),
+                   _broker.stdio(2, "w", "backslashreplace")]
+        try:
+            assert [s.name for s in streams] == ["<stdin>", "<stdout>", "<stderr>"]
+            assert [s.mode for s in streams] == ["r", "w", "w"]
+            assert [s.errors for s in streams] == ["strict", "strict", "backslashreplace"]
+            assert {s.encoding for s in streams} == {_broker.ENCODING}
+            assert [s.line_buffering for s in streams] == [False, False, not unbuffered]
+            assert [s.write_through for s in streams] == [False, unbuffered, unbuffered]
+            assert [isinstance(s.buffer, io.FileIO) for s in streams] == [False, unbuffered, unbuffered]
+        finally:
+            for stream in streams:
+                stream.close()  # not its fd: the stream was opened with closefd=False
+
+    def test_candidate_path_holds_neither_the_package_nor_the_cwd(self):
+        path = json.loads(run_once("import json, sys\nprint(json.dumps(sys.path))", "", FAST).stdout)
+        assert Path(path[0]).name.startswith("modeval-run-")  # main.py's directory
+        resolved = {os.path.realpath(entry) for entry in path[1:]}
+        assert "" not in path and os.path.realpath(Path(_broker.__file__).parent) not in resolved
+
+    def test_import_starts_nothing_and_loads_no_modeval_module(self):
+        probe = ("import ctypes, os\n"
+                 "import modeval._broker\n"
+                 "children = f'/proc/self/task/{os.getpid()}/children'\n"
+                 "if os.path.exists(children):\n"
+                 "    with open(children) as fh:\n"
+                 "        assert fh.read() == ''\n"
+                 "if sys.platform.startswith('linux'):  # PR_GET_CHILD_SUBREAPER\n"
+                 "    prctl = ctypes.CDLL(None, use_errno=True).prctl\n"
+                 "    prctl.argtypes = [ctypes.c_int, ctypes.POINTER(ctypes.c_int)] + [ctypes.c_ulong] * 3\n"
+                 "    prctl.restype = ctypes.c_int\n"
+                 "    flag = ctypes.c_int(-1)\n"
+                 "    assert prctl(37, ctypes.byref(flag), 0, 0, 0) == 0 and flag.value == 0, flag.value\n")
+        loaded = loaded_modules(probe)
+        assert {name for name in loaded if name.startswith("modeval")} == {"modeval", "modeval._broker"}
