@@ -11,7 +11,6 @@ MAXFD = os.sysconf("SC_OPEN_MAX")
 CHILDREN = f"/proc/self/task/{os.getpid()}/children"
 POLL = 0.004  # only where there is no pidfd
 ENCODING, ERRORS = sys.stdout.encoding, sys.stdout.errors
-UNBUFFERED = sys.stdout.write_through  # -u or PYTHONUNBUFFERED
 # the run's fds 0-2, in its working directory; stdout and stderr are read back through them
 STDIO = (("stdin.txt", os.O_RDONLY),
          ("stdout.txt", os.O_RDWR | os.O_CREAT | os.O_TRUNC),
@@ -50,12 +49,11 @@ def kill_descendants():
 
 
 def stdio(fd, mode, errors):
-    # built as the interpreter builds sys.stdin, sys.stdout and sys.stderr
-    unbuffered = mode == "w" and UNBUFFERED
-    buf = open(fd, mode + "b", 0 if unbuffered else -1, closefd=False)
-    (buf if unbuffered else buf.raw).name = ("<stdin>", "<stdout>", "<stderr>")[fd]
-    stream = io.TextIOWrapper(buf, ENCODING, errors, "\n",
-                              line_buffering=fd == 2 and not unbuffered, write_through=unbuffered)
+    # built as the interpreter builds sys.stdin, sys.stdout and sys.stderr for files:
+    # stdout block-buffered, stderr line-buffered
+    buf = open(fd, mode + "b", closefd=False)
+    buf.raw.name = ("<stdin>", "<stdout>", "<stderr>")[fd]
+    stream = io.TextIOWrapper(buf, ENCODING, errors, "\n", line_buffering=fd == 2)
     stream.mode = mode
     return stream
 

@@ -18,7 +18,7 @@ import csv
 import gc
 import json
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import TYPE_CHECKING, NoReturn
 
@@ -49,8 +49,9 @@ class ConfigError(Exception):
 
 
 def load_pipeline_config(config_path: str | Path, flags: argparse.Namespace) -> PipelineConfig:
-    """The config file's object, each relative path resolved against its directory,
-    then each flag of ``flags`` stored under the config key it sets."""
+    """The config file's object with each flag of ``flags`` stored under the config key
+    it sets, checked once; a relative path from the file is resolved against its
+    directory, and one from a flag against the cwd."""
     config_path = Path(config_path)
     try:
         raw = json.loads(config_path.read_text(encoding="utf-8"))
@@ -60,22 +61,19 @@ def load_pipeline_config(config_path: str | Path, flags: argparse.Namespace) -> 
         raise ConfigError(f"config {config_path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config {config_path} must be a JSON object")
-    base = config_path.parent
-
+    given = {f.name: getattr(flags, f.name) for f in fields(PipelineConfig) if hasattr(flags, f.name)}
     try:  # a null section means its defaults
         cfg = decode(PipelineConfig, {key: value for key, value in raw.items() if value is not None
-                                      or key not in ("corpus", "provider", "limits", "compare")},
+                                      or key not in ("corpus", "provider", "limits", "compare")} | given,
                      "config")
-        # a path joined to the config's directory stays as it is when absolute
-        cfg = replace(cfg, **{
-            "corpus": {split: str(base / path) for split, path in cfg.corpus.items() if path},
-            "outdir": str(base / cfg.outdir),
-            "cache_dir": cfg.cache_dir and str(base / cfg.cache_dir),
-            "mock_provider": cfg.mock_provider and str(base / cfg.mock_provider),
-            **{f.name: getattr(flags, f.name) for f in fields(cfg) if hasattr(flags, f.name)},
-        })
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
+    # a path from the file joins the config's directory (an absolute one stays as it is)
+    base = config_path.parent
+    cfg.corpus = {split: str(base / path) for split, path in cfg.corpus.items() if path}
+    for key in ("outdir", "cache_dir", "mock_provider"):
+        if key not in given and (getattr(cfg, key) or key == "outdir"):
+            setattr(cfg, key, str(base / getattr(cfg, key)))
     cfg.raw = raw
     for split, path in cfg.corpus.items():
         if not Path(path).exists():

@@ -251,18 +251,10 @@ class ResponseCache:
             Completion, {"text": obj["response"], "provider_meta": obj.get("meta", {}),
                          "cached": True}, "entry"))
 
-    def put(self, key: str, cfg: ProviderConfig, completion: Completion) -> None:
-        """Record ``completion`` under ``key``, which already commits to the prompt."""
-        self._log.put(key, {
-            "key": {
-                "model_name": cfg.model_name,
-                "temperature": cfg.temperature,
-                "max_output_tokens": cfg.max_output_tokens,
-            },
-            "response": completion.text,
-            "meta": completion.provider_meta,
-            "timestamp": time.time(),
-        })
+    def put(self, key: str, completion: Completion) -> None:
+        """Record ``completion`` under ``key``, which already commits to the prompt and
+        the settings that shape the answer."""
+        self._log.put(key, {"response": completion.text, "meta": completion.provider_meta})
 
 
 def complete(
@@ -295,7 +287,7 @@ def complete(
 
     completion = Completion(text=text, provider_meta=meta, cached=False)
     if cache is not None:
-        cache.put(key, cfg, completion)
+        cache.put(key, completion)
     return completion
 
 

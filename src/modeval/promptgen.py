@@ -172,7 +172,6 @@ def _failure_evidence(verdict: JudgeVerdict, problem: Problem) -> str:
     if idx is None:
         raise ValueError("verdict has no failing test")
     report, _ = verdict.per_test[idx]
-    test = problem.tests[idx]
     lines = [f"Test {idx} failed."]
     if report.status is ExecStatus.TIMEOUT:
         lines.append("The program exceeded the wall-time limit and was stopped.")
@@ -186,10 +185,9 @@ def _failure_evidence(verdict: JudgeVerdict, problem: Problem) -> str:
             tail = report.stderr.strip().splitlines()[-5:]
             lines.append("Error output:")
             lines.extend(tail)
+    # never the test's expected output: the next attempt is scored on this test
     lines.append("Input:")
-    lines.append(test.input.rstrip("\n"))
-    lines.append("Expected output:")
-    lines.append(test.expected_output.rstrip("\n"))
+    lines.append(problem.tests[idx].input.rstrip("\n"))
     if report.status is ExecStatus.OK:
         lines.append("Got:")
         lines.append(report.stdout.rstrip("\n"))

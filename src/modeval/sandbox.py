@@ -22,8 +22,11 @@ Forking the warm broker skips interpreter start-up, which is most of the cost
 of a typical test run.  Every broker starts in the environment ``FIXED_ENV``
 plus each ``PASSED_ENV`` variable the harness has, and forked children and
 exec'd runners keep it.  So a run sees no other variable of the shell (no
-provider key), string hashes (and so the order of a set of strings) are the
-same in every run of every process, and local time is UTC.
+provider key, none of the shell's interpreter settings), string hashes (and
+so the order of a set of strings) are the same in every run of every
+process, local time is UTC, and stdio is Python's default for files: stdout
+block-buffered, stderr line-buffered (a runner such as ``python3 -u {file}``
+asks for unbuffered).
 
 The broker waits on a pidfd with ``select`` until the wall-time deadline, then
 kills the child and its process group; where ``os.pidfd_open`` is missing it
@@ -90,12 +93,12 @@ KILL_GRACE = 0.5
 # Part of every verdict-cache key.  Bump it when a change to how programs run
 # or how outputs compare can change a verdict, so verdicts recorded before
 # the change miss once instead of being replayed.
-SANDBOX_SEMANTICS = 6
+SANDBOX_SEMANTICS = 7
 
 # Every run's environment: FIXED_ENV, plus each PASSED_ENV variable that the
 # harness has, which the verdict key names.  Changing either changes SANDBOX_SEMANTICS.
 FIXED_ENV = {"PYTHONHASHSEED": "0", "TZ": "UTC", "PYTHONUTF8": "1", "PYTHONDONTWRITEBYTECODE": "1"}
-PASSED_ENV = ("PATH", "PYTHONPATH", "PYTHONUNBUFFERED")
+PASSED_ENV = ("PATH", "PYTHONPATH")
 
 
 @dataclass
@@ -464,7 +467,7 @@ class VerdictCache:
                 [limits.wall_time, limits.memory, limits.output_cap],
                 [policy.mode, policy.float_tolerance], runner, settings.fail_fast, interpreter,
                 os.environ.get("PATH"), [os.path.abspath(p) for p in path.split(os.pathsep)] if path else [],
-                bool(os.environ.get("PYTHONUNBUFFERED")), SANDBOX_SEMANTICS]
+                SANDBOX_SEMANTICS]
 
     def judge(self, program: str, problem: Problem, settings: Judge) -> JudgeVerdict:
         """``judge(program, problem, settings)``, replayed from disk when recorded."""

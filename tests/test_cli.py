@@ -607,6 +607,17 @@ class TestCacheLogs:
         assert records.read_bytes() == cold
         assert (tmp_path / "cache" / "metrics" / "entries.jsonl").read_bytes() == log
 
+    def test_two_cold_runs_write_identical_response_logs(self, tmp_path):
+        # an entry holds the completion alone, not when it was written
+        logs = []
+        for run in ("a", "b"):
+            (tmp_path / run).mkdir()
+            config = write_config(tmp_path / run, workers=1,
+                                  provider={"model_name": "mock-model", "max_inflight": 1})
+            assert main(["transform", "--config", str(config)]) == 0
+            logs.append((tmp_path / run / "cache" / "responses" / "entries.jsonl").read_bytes())
+        assert logs[0] and logs[0] == logs[1]
+
     def test_every_key_is_the_hash_of_its_parts(self, tmp_path, monkeypatch):
         # each key as it was made before EntryLog made them all, so every cache written
         # before still hits and every manifest names the same config
@@ -622,7 +633,6 @@ class TestCacheLogs:
         def keys(root):
             return [key for key, _ in cache_entries(root)]
 
-        monkeypatch.setenv("PYTHONUNBUFFERED", "1")
         monkeypatch.setenv("PYTHONPATH", "src")
         prompt, provider_cfg = Prompt("sys", "q \u00e9", PromptTag.DIRECT), ProviderConfig(model_name="m")
         complete(prompt, provider_cfg, provider=MockProvider(script=["a"]),
@@ -638,7 +648,7 @@ class TestCacheLogs:
             "print(input())", problem.id, [["1\n", "1\n"]], [5.0, judge.limits.memory,
             judge.limits.output_cap], ["token", 1e-6], None, True,
             [os.path.realpath(sys.executable), sys.version], os.environ.get("PATH"),
-            [os.path.abspath("src")], True, sandbox.SANDBOX_SEMANTICS])]
+            [os.path.abspath("src")], sandbox.SANDBOX_SEMANTICS])]
 
         codemetrics.MetricsCache(tmp_path / "metrics").analyze("print(1)\n", True)
         assert keys(tmp_path / "metrics") == [recipe(["print(1)\n", True,
@@ -828,6 +838,18 @@ class TestFlagOverrides:
             main(["stats", "--config", str(write_config(tmp_path, **overrides)), *argv])
         base, flagged, keyed = loaded
         assert flagged == keyed != base
+
+    @pytest.mark.parametrize("bad, flags", [
+        ({"workers": 0}, ["--workers", "2"]),
+        ({"runner": "python3 {x}"}, ["--runner", "python3 {file}"]),
+    ], ids=["workers", "runner"])
+    def test_flag_replaces_a_bad_file_value_before_any_check(self, tmp_path, capsys, bad, flags):
+        assert main(["stats", "--config", str(write_config(tmp_path, **bad)), *flags]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_bad_flag_over_a_good_file_names_its_key(self, tmp_path, capsys):
+        assert main(["stats", "--config", str(write_config(tmp_path)), "--workers", "0"]) == 1
+        assert capsys.readouterr().err == "error: workers must be >= 1\n"
 
     def test_relative_outdir_flag_is_relative_to_cwd(self, tmp_path, monkeypatch):
         (tmp_path / "cwd").mkdir()

@@ -1,5 +1,6 @@
 import operator
 import random
+import re
 from dataclasses import asdict
 from fractions import Fraction
 from functools import reduce
@@ -334,6 +335,21 @@ class TestSelfReflect:
         assert reflection_prompt.tag.value == "reflect"
         assert "round 1 of 3" in reflection_prompt.user
         assert WRONG in reflection_prompt.user
+
+    def test_lookup_table_of_shown_outputs_never_solves(self):
+        # a provider that answers every input it was shown with the output shown beside it
+        problem = make_problem("mod", statement="Print (x*7919) % 1013 for the integer x.",
+                               tests=tuple((f"{x}\n", f"{x * 7919 % 1013}\n") for x in (5, 12, 99)))
+        table = {}
+
+        def lookup(prompt):
+            table.update(re.findall(r"^Input:\n(.*)\nExpected output:\n(.*)$", prompt.user, re.M))
+            return fenced(f"print({table!r}.get(input(), 0))")
+
+        trace = self_reflect(problem, CFG, Judge(FAST), max_rounds=5,
+                             provider=MockProvider(script=[lookup] * 5))
+        assert [r.verdict.passed for r in trace.rounds] == [False] * 5
+        assert table == {}
 
     def test_provider_error_recorded_and_stops(self):
         provider = MockProvider(script=[fenced(WRONG), ProviderError("auth", "denied")])

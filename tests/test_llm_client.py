@@ -112,10 +112,8 @@ class TestComplete:
         complete(prompt_of("q"), CFG, provider=provider, cache=cache)
         [(key, entry)] = cache_entries(tmp_path / "cache")
         assert key == ResponseCache.key(prompt_of("q"), CFG)
-        assert entry["response"] == "answer"
-        assert entry["key"] == {"model_name": "test-model", "temperature": CFG.temperature,
-                                "max_output_tokens": CFG.max_output_tokens}
-        assert "timestamp" in entry
+        # the key commits to the prompt and to the settings that shape the answer
+        assert entry == {"response": "answer", "meta": {"finish_reason": "stop", "truncated": False}}
 
     def test_key_pinned(self):
         # computed with hashlib.sha256: existing caches hit only while this holds
@@ -126,11 +124,14 @@ class TestComplete:
                 == "4a261b4cd1cb69dc97f87fbbcb9b673c2c15fe31ca1d0488368e66d2fd808c0b")
 
     def test_entry_with_prompt_digest_still_reads(self, tmp_path):
-        # entries once also held the prompt's own SHA-256, which nothing reads
+        # entries once also held the key's settings, the prompt's own SHA-256 and a
+        # timestamp, which nothing reads
         complete(prompt_of("q"), CFG, provider=MockProvider(script=["answer"]),
                  cache=ResponseCache(tmp_path))
         edit_cache_entry(tmp_path, lambda entry: dict(
-            entry, key=dict(entry["key"], prompt_sha256=64 * "0")))
+            entry, key={"model_name": CFG.model_name, "temperature": CFG.temperature,
+                        "max_output_tokens": CFG.max_output_tokens, "prompt_sha256": 64 * "0"},
+            timestamp=1700000000.25))
         again = complete(prompt_of("q"), CFG, provider=MockProvider(synthesize=False),
                          cache=ResponseCache(tmp_path))
         assert (again.text, again.cached) == ("answer", True)

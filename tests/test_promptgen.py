@@ -114,13 +114,14 @@ class TestBuildCleanPrompt:
 
 class TestBuildReflectionPrompt:
     def test_wrong_answer_embeds_diff_triple(self):
+        # the test's input and the program's output; never the expected output, which
+        # the next attempt is scored on
         problem = make_problem(tests=(("1 2\n", "3\n"),))
         prompt = build_reflection_prompt(problem, "print(4)", failing_verdict(stdout="4\n"),
                                          round=1)
-        assert "Input:" in prompt.user
-        assert "Expected output:" in prompt.user
-        assert "Got:" in prompt.user
-        assert "3" in prompt.user and "4" in prompt.user
+        evidence = prompt.user.partition("[FAILURE]\n")[2].partition("\n\n")[0]
+        assert evidence == "Test 0 failed.\nInput:\n1 2\nGot:\n4"
+        assert "Expected output" not in prompt.user
 
     def test_timeout_has_notice_and_no_got(self):
         verdict = failing_verdict(status=ExecStatus.TIMEOUT, stdout="")

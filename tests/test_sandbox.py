@@ -231,7 +231,8 @@ PARITY_CASES = {
 
 @pytest.fixture(scope="class", params=["buffered", "unbuffered"])
 def stdio_buffering(request):
-    """Brokers, and the interpreters they exec, with block-buffered or unbuffered std streams."""
+    """A harness whose own std streams are block-buffered, or unbuffered by
+    ``PYTHONUNBUFFERED=1``; its brokers and their runs get the same stdio either way."""
     with pytest.MonkeyPatch.context() as mp:
         if request.param == "unbuffered":
             mp.setenv("PYTHONUNBUFFERED", "1")
@@ -402,6 +403,24 @@ class TestCandidateEnvironment:
     ], ids=["probe", "provider_key", "time_zone"])
     def test_the_shell_does_not_reach_the_run(self, program, expected, runner):
         assert run_once(program, "", FAST, runner=runner).stdout == expected + "\n"
+
+    def test_the_shells_pythonunbuffered_changes_no_report(self, monkeypatch):
+        # output still buffered when the program ends without flushing it is lost, as
+        # it is from a judge's `python3 main.py < in > out`
+        expected = {"import os\nprint(input())\nos._exit(0)": (ExecStatus.OK, "", 0),
+                    "import os\nprint(input())\nos.close(1)": (ExecStatus.RUNTIME_ERROR, "", 120)}
+        reports = {program: set() for program in expected}
+        for value in ("1", None):
+            sandbox._shutdown_brokers()  # the next broker starts in this shell
+            if value is None:
+                monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+            else:
+                monkeypatch.setenv("PYTHONUNBUFFERED", value)
+            for program in expected:
+                for runner in (None, EXEC):
+                    report = run_once(program, "7\n", FAST, runner=runner)
+                    reports[program].add((report.status, report.stdout, report.exit_code))
+        assert reports == {program: {report} for program, report in expected.items()}
 
     def test_run_sees_only_the_fixed_and_passed_variables(self):
         names = set(run_once("import os\nprint(*os.environ)", "", FAST).stdout.split())
@@ -611,13 +630,12 @@ class TestVerdictCache:
         monkeypatch.setattr(sys, "version", "3.11.7 (fixed)")
         monkeypatch.setenv("PATH", "/usr/bin:/bin")
         monkeypatch.setenv("PYTHONPATH", "/nonexistent/lib")
-        monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
         monkeypatch.setattr(sandbox, "SANDBOX_SEMANTICS", 3)  # the recipe, not the version
         problem = make_problem(tests=(("1\n", "1\n"), ("\u00fc\n", "\u00fc\n")))
         settings = Judge(ResourceLimits(wall_time=2.0), ComparePolicy(mode="exact"),
                          fail_fast=True)
         assert (verdict_key("print(input())", problem, settings)
-                == "6c1b66abbc038a9508beb8c7645ee154dcddcb7e63cf14ab4b3a16c78dad3f5c")
+                == "ba84de1e9c3f41d5cd22fd76b38181d16824021d8282664f210a769a7c3bfdae")
 
     def test_key_resolves_each_interpreter_path_once(self, tmp_path, monkeypatch):
         # realpath lstat's every path component, and a round makes a key per candidate
@@ -636,16 +654,6 @@ class TestVerdictCache:
         here = verdict_key(*args)
         monkeypatch.setattr(sandbox, "SANDBOX_SEMANTICS", sandbox.SANDBOX_SEMANTICS + 1)
         assert verdict_key(*args) != here
-
-    def test_key_names_stdio_buffering(self, monkeypatch):
-        # PYTHONUNBUFFERED decides whether `print('x'); os.close(1)` is ok or exit 120
-        args = ("print(input())", make_problem(tests=(("1\n", "1\n"),)), Judge(FAST))
-        monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
-        unset = verdict_key(*args)
-        monkeypatch.setenv("PYTHONUNBUFFERED", "1")
-        assert verdict_key(*args) != unset
-        monkeypatch.setenv("PYTHONUNBUFFERED", "")
-        assert verdict_key(*args) == unset
 
     def test_key_names_path_and_each_pythonpath_entry_made_absolute(self, tmp_path, monkeypatch):
         args = ("print(input())", make_problem(tests=(("1\n", "1\n"),)), Judge(FAST))
@@ -801,9 +809,7 @@ class TestBrokerModule:
         assert _broker.exit_status("bye") == 1
         assert capsys.readouterr().err == "bye\n"
 
-    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-    def test_stdio(self, monkeypatch, unbuffered):
-        monkeypatch.setattr(_broker, "UNBUFFERED", unbuffered)
+    def test_stdio(self):
         streams = [_broker.stdio(0, "r", "strict"), _broker.stdio(1, "w", "strict"),
                    _broker.stdio(2, "w", "backslashreplace")]
         try:
@@ -811,9 +817,11 @@ class TestBrokerModule:
             assert [s.mode for s in streams] == ["r", "w", "w"]
             assert [s.errors for s in streams] == ["strict", "strict", "backslashreplace"]
             assert {s.encoding for s in streams} == {_broker.ENCODING}
-            assert [s.line_buffering for s in streams] == [False, False, not unbuffered]
-            assert [s.write_through for s in streams] == [False, unbuffered, unbuffered]
-            assert [isinstance(s.buffer, io.FileIO) for s in streams] == [False, unbuffered, unbuffered]
+            # Python's default for files: stdout block-buffered, stderr line-buffered
+            assert [s.line_buffering for s in streams] == [False, False, True]
+            assert [s.write_through for s in streams] == [False, False, False]
+            assert [type(s.buffer) for s in streams] == [io.BufferedReader, io.BufferedWriter,
+                                                         io.BufferedWriter]
         finally:
             for stream in streams:
                 stream.close()  # not its fd: the stream was opened with closefd=False
