@@ -3,8 +3,8 @@
 The HTTP provider speaks the common hosted chat-completions JSON shape, so
 any compatible endpoint works.  A deterministic mock provider serves tests
 and offline pipeline runs: it replays scripted items, matches rules from a
-fixture directory, and otherwise synthesizes a structurally valid response
-from the content embedded in the prompt itself.
+fixture directory, and otherwise echoes the program the prompt was built
+from in a structurally valid response.
 
 Responses are cached on disk, content-addressed by (prompt text, model,
 temperature, max_output_tokens), so pipeline reruns cost nothing.
@@ -130,15 +130,16 @@ class MockProvider:
     """Deterministic provider for tests and offline runs.
 
     Resolution order per request: scripted items (tests), then rules from the
-    fixture directory, then ``default.txt``, then tag-aware synthesis from the
-    prompt content.  Rules live in ``rules.jsonl``: one JSON object per line
-    with ``contains`` (substring, or list of substrings that must all appear,
-    in the prompt user text), optional ``tag``, and either ``response`` or
+    fixture directory, then the echo of ``Prompt.program``.  Rules live in
+    ``rules.jsonl``: one JSON object per line with ``contains`` (substring, or
+    list of substrings that must all appear, in the prompt user text; none
+    matches every prompt), optional ``tag``, and either ``response`` or
     ``response_file``, and no other key.  A malformed rule, an unknown tag or
     an unreadable response file raises ValueError naming the file and line
-    when the provider is built, and so does a ``rules.jsonl`` or
-    ``default.txt`` that cannot be read (a directory, say).  ``calls`` counts
-    the requests; the mock keeps no prompt.
+    when the provider is built, and so does a ``rules.jsonl`` that cannot be
+    read (a directory, say), or a ``default.txt`` that no rule reads, so that
+    a fallback file is never ignored silently.
+    ``calls`` counts the requests; the mock keeps no prompt.
     """
 
     def __init__(
@@ -157,23 +158,25 @@ class MockProvider:
         self._inflight = 0
         self.peak_inflight = 0
         self._rules: list[tuple] = []  # (tag or None, needles, response)
-        self._default: str | None = None
+        self._response_files: set[Path] = set()
         from .promptgen import echo_response  # here, so importing llm_client loads no promptgen
 
         self._echo = echo_response
         if self.fixture_dir is not None:
             rules_path = self.fixture_dir / "rules.jsonl"
-            default_path = self.fixture_dir / "default.txt"
             try:
                 if rules_path.exists():
                     self._rules, bad = read_jsonl(rules_path, lambda _, obj: self._load_rule(obj))
                     if bad:
                         where = f"{rules_path}:{bad[0].line_number}"
                         raise ValueError(f"{where}: bad mock rule: {bad[0].reason}")
-                if default_path.exists():
-                    self._default = default_path.read_text(encoding="utf-8")
             except OSError as exc:  # a directory or an unreadable file
                 raise ValueError(str(exc)) from exc
+            default_path = self.fixture_dir / "default.txt"
+            if default_path.exists() and Path("default.txt") not in self._response_files:
+                raise ValueError(f"{default_path}: the mock reads default.txt only through a rule; "
+                                 f'add {{"response_file": "default.txt"}} as the last line '
+                                 f"of {rules_path}")
 
     def _load_rule(self, obj) -> tuple:
         """A rules.jsonl object decoded as a ``_MockRule``, as ``(tag, needles, response)``."""
@@ -185,6 +188,7 @@ class MockProvider:
         rule = decode(_MockRule, obj, "rule")
         tag, response = decode(PromptTag | None, rule.tag, "rule.tag"), rule.response
         if rule.response_file is not None:
+            self._response_files.add(Path(rule.response_file))
             try:
                 response = (self.fixture_dir / rule.response_file).read_text(encoding="utf-8")
             except OSError as exc:
@@ -220,8 +224,6 @@ class MockProvider:
                     scripted = scripted(prompt)
                 return str(scripted), {"finish_reason": "stop", "truncated": False}
             text = self._rule_response(prompt)
-            if text is None:
-                text = self._default
             if text is None:
                 if not self.synthesize:
                     raise ProviderError("protocol", "mock has no response for this prompt")

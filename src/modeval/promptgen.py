@@ -61,11 +61,17 @@ class PromptTag(str, Enum):
 
 @dataclass(frozen=True)
 class Prompt:
-    """A system and user message pair, tagged with the kind of prompt it is."""
+    """A system and user message pair, tagged with the kind of prompt it is.
+
+    ``program`` is the program ``user`` embeds, which the mock echoes: the reference
+    solution of a MoT or clean prompt, the prior attempt of a reflect prompt, empty
+    for a direct prompt.  It is in no response-cache key, since ``user`` holds it, and
+    is not called ``source``, which names a problem's dataset origin."""
 
     system: str
     user: str
     tag: PromptTag
+    program: str = ""
 
     def __post_init__(self) -> None:
         if not self.user:
@@ -147,7 +153,7 @@ def build_mot_prompt(problem: Problem, solution: str) -> Prompt:
         statement=problem.statement,
         solution=solution.rstrip("\n"),
     )
-    return Prompt(system=SYSTEM_MOT, user=user, tag=PromptTag.MOT)
+    return Prompt(system=SYSTEM_MOT, user=user, tag=PromptTag.MOT, program=solution)
 
 
 def build_clean_prompt(problem: Problem, solution: str) -> Prompt:
@@ -158,7 +164,7 @@ def build_clean_prompt(problem: Problem, solution: str) -> Prompt:
         statement=problem.statement,
         solution=solution.rstrip("\n"),
     )
-    return Prompt(system=SYSTEM_CLEAN, user=user, tag=PromptTag.CLEAN)
+    return Prompt(system=SYSTEM_CLEAN, user=user, tag=PromptTag.CLEAN, program=solution)
 
 
 def build_direct_prompt(problem: Problem) -> Prompt:
@@ -213,7 +219,7 @@ def build_reflection_prompt(
         attempt=attempt.rstrip("\n"),
         failure_evidence=_failure_evidence(verdict, problem),
     )
-    return Prompt(system=SYSTEM_SOLVE, user=user, tag=PromptTag.REFLECT)
+    return Prompt(system=SYSTEM_SOLVE, user=user, tag=PromptTag.REFLECT, program=attempt)
 
 
 # --- response parsing -------------------------------------------------------
@@ -398,47 +404,8 @@ def render_modular_solution(sol: ModularSolution) -> str:
     return "\n".join(parts) + "\n"
 
 
-_SECTION_RE = re.compile(r"^\[([A-Z ]+)\]\s*$", re.MULTILINE)
-
-
-def extract_section(user_text: str, name: str) -> str | None:
-    """Text of the last ``[NAME]`` section in a built prompt, or None.
-
-    Sections run to the next ``[HEADER]`` line or end of text.  The last
-    occurrence wins because the one-shot example embeds sections of its own
-    and the real problem always comes after it.  Used by the deterministic
-    mock provider to recover the statement or original solution embedded in
-    a prompt.
-    """
-    header = f"[{name}]"
-    at = user_text.rfind(header)
-    while at >= 0:
-        m = _SECTION_RE.match(user_text, at)  # only where a line starts, by ``^``
-        if m and m.group(1) == name:
-            end = user_text.find("\n[", m.end())
-            while end >= 0 and not _SECTION_RE.match(user_text, end + 1):
-                end = user_text.find("\n[", end + 1)
-            return user_text[m.end():len(user_text) if end < 0 else end + 1].strip("\n")
-        at = user_text.rfind(header, 0, at + len(header) - 1)
-    return None
-
-
-def extract_fenced_section(user_text: str, name: str) -> str | None:
-    """The code inside the fenced block of a ``[NAME]`` section, if any."""
-    section = extract_section(user_text, name)
-    if section is None:
-        return None
-    blocks = extract_code_blocks(section)
-    if blocks:
-        return blocks[0][0]
-    return section
-
-
-def _echo_mot(user_text: str) -> str:
-    """Echo-style modular response built from the solution inside the prompt."""
-    solution = extract_fenced_section(user_text, "ORIGINAL SOLUTION")
-    if solution is None:
-        solution = "print()"
+def _echo_mot(solution: str) -> str:
+    """Echo-style modular response that outlines each ``def`` line of ``solution``."""
     outline = []
     for line in solution.split("\n"):
         stripped = line.strip()
@@ -454,14 +421,9 @@ def _echo_mot(user_text: str) -> str:
 
 
 def echo_response(prompt: Prompt) -> str:
-    """A well-formed response to ``prompt`` built from the code embedded in it:
-    what the mock provider answers when no script, rule or default does."""
+    """A well-formed response that hands ``prompt.program`` back unchanged (``print()``
+    when it is empty): what the mock provider answers when no script or rule does."""
+    program = prompt.program.rstrip("\n") or "print()"
     if prompt.tag is PromptTag.MOT:
-        return _echo_mot(prompt.user)
-    if prompt.tag is PromptTag.CLEAN:
-        solution = extract_fenced_section(prompt.user, "ORIGINAL SOLUTION") or "print()"
-        return f"```python\n{solution}\n```\n"
-    if prompt.tag is PromptTag.REFLECT:
-        attempt = extract_fenced_section(prompt.user, "PRIOR ATTEMPT") or "print()"
-        return f"```python\n{attempt}\n```\n"
-    return "```python\nprint()\n```\n"
+        return _echo_mot(program)
+    return f"```python\n{program}\n```\n"

@@ -9,9 +9,8 @@ one-regex lexer and its single counting pass.  ``normalize_statement_regex``
 is likewise the earlier regex form of ``corpus.normalize_statement``.  The
 scanners at the very end are the earlier forms of the ``promptgen`` response
 scanners: the ``*_splitlines`` ones broke lines wherever ``str.splitlines``
-does, ``parse_mot_response_splitlines`` cut the response into its two step
-bodies before scanning them, and ``extract_section_finditer`` ran its header
-regex over all the text.
+does, and ``parse_mot_response_splitlines`` cut the response into its two step
+bodies before scanning them.
 """
 
 import ast
@@ -38,7 +37,6 @@ from modeval.promptgen import (
     _DOCSTRING_OPEN,
     _FENCE_CLOSE,
     _FENCE_OPEN,
-    _SECTION_RE,
     STEP1_DELIMITER,
     STEP2_DELIMITER,
     ModularSolution,
@@ -515,15 +513,3 @@ def parse_mot_response_splitlines(raw: str) -> ModularSolution:
         raise ParseError("multiple_main", byte_offset(blocks[1][1]),
                          f"{len(blocks)} code blocks in the final region")
     return ModularSolution(outline=outline, final_code=blocks[0][0])
-
-
-def extract_section_finditer(user_text: str, name: str) -> str | None:
-    """The earlier ``extract_section``: every header by one ``finditer``."""
-    matches = list(_SECTION_RE.finditer(user_text))
-    for i in range(len(matches) - 1, -1, -1):
-        m = matches[i]
-        if m.group(1) == name:
-            start = m.end()
-            end = matches[i + 1].start() if i + 1 < len(matches) else len(user_text)
-            return user_text[start:end].strip("\n")
-    return None

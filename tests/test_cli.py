@@ -913,6 +913,19 @@ class TestFlagOverrides:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(directory) in err
 
+    def test_mock_default_txt_that_no_rule_reads_is_refused(self, tmp_path, capsys):
+        # the mock has no fallback file, so one that no rule reads stops the command
+        # before any completion, rather than being ignored
+        mock = tmp_path / "mock"
+        mock.mkdir()
+        (mock / "default.txt").write_text("```python\nprint()\n```\n")
+        config = write_config(tmp_path, mock_provider=str(mock))
+        assert main(["transform", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {mock / 'default.txt'}: ")
+        assert '{"response_file": "default.txt"} as the last line' in err
+        assert not (tmp_path / "cache" / "responses" / "entries.jsonl").exists()
+
     def test_top_level_only_changes_function_counts(self, tmp_path):
         nested = "def outer():\n    def inner():\n        return input()\n    return inner()\nprint(outer())"
         candidates = tmp_path / "cands.jsonl"
@@ -997,6 +1010,21 @@ def test_transform_without_tests_loads_no_sandbox(tmp_path):
     assert not (tmp_path / "cache" / "verdicts").exists()
     records = read_jsonl(tmp_path / "out" / "transform" / "filter_records.jsonl")
     assert [r["detail"] for r in records] == 2 * ["functional check skipped (untestable)"]
+
+
+def test_transform_keeps_a_solution_whose_line_looks_like_a_prompt_section(tmp_path):
+    # a column-0 "[N]" line reads like a prompt's section header; the mock echoes the
+    # program each prompt was built from, so both rewrites keep all of it
+    solution = "N = 2\n[N]\nprint(N)\n"
+    corpus = tmp_path / "untestable.jsonl"
+    corpus.write_text(json.dumps({"id": "u1", "question": "Print two.", "solutions": [solution]}) + "\n")
+    (tmp_path / "mock").mkdir()
+    config = write_config(tmp_path, corpus={"train": str(corpus)},
+                          mock_provider=str(tmp_path / "mock"))
+    assert main(["transform", "--config", str(config)]) == 0
+    out = tmp_path / "out" / "transform"
+    for name in ("mot.jsonl", "clean.jsonl"):
+        assert [row["final_code"] for row in read_jsonl(out / name)] == [solution.rstrip("\n")]
 
 
 def test_transform_with_tests_opens_the_verdict_log(tmp_path):

@@ -449,9 +449,8 @@ class TestMockSynthesis:
         assert MockProvider(fixture_dir=tmp_path).send(prompt_of("magic"), CFG)[0] == "matched!"
 
     def test_rules_all_substrings_must_match(self, tmp_path):
-        rules = tmp_path / "rules.jsonl"
-        rules.write_text(json.dumps({"contains": ["alpha", "beta"], "response": "both"}) + "\n")
-        (tmp_path / "default.txt").write_text("fallback")
+        rules = [{"contains": ["alpha", "beta"], "response": "both"}, {"response": "fallback"}]
+        (tmp_path / "rules.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rules))
         provider = MockProvider(fixture_dir=tmp_path, synthesize=False)
         assert provider.send(prompt_of("alpha beta"), CFG)[0] == "both"
         assert provider.send(prompt_of("alpha only"), CFG)[0] == "fallback"
@@ -467,3 +466,15 @@ class TestMockSynthesis:
         assert provider.send(clean, CFG)[0] == "clean x"
         assert provider.send(prompt_of("x y"), CFG)[0] == "x and y"
         assert provider.send(prompt_of("x"), CFG)[0] == "any"
+
+    def test_default_txt_is_refused_until_a_rule_reads_it(self, tmp_path):
+        # the mock has no fallback file: one that no rule reads would be ignored silently
+        (tmp_path / "default.txt").write_text("fallback")
+        with pytest.raises(ValueError, match=r'default\.txt: .*add \{"response_file": "default\.txt"\} '
+                                             r"as the last line of .*rules\.jsonl"):
+            MockProvider(fixture_dir=tmp_path)
+        rules = [{"contains": "magic", "response": "matched!"}, {"response_file": "./default.txt"}]
+        (tmp_path / "rules.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rules))
+        provider = MockProvider(fixture_dir=tmp_path, synthesize=False)
+        assert provider.send(prompt_of("magic"), CFG)[0] == "matched!"
+        assert provider.send(prompt_of("other"), CFG)[0] == "fallback"

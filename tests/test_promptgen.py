@@ -15,7 +15,6 @@ from modeval.promptgen import (
     build_mot_prompt,
     build_reflection_prompt,
     extract_code_blocks,
-    extract_section,
     parse_code_response,
     parse_mot_response,
     parse_outline,
@@ -26,7 +25,6 @@ from modeval.sandbox import ExecStatus, ExecutionReport, JudgeVerdict
 from conftest import KIND_MARKERS, make_problem, parse_and_assess
 from oracles import (
     extract_code_blocks_splitlines,
-    extract_section_finditer,
     parse_mot_response_splitlines,
     parse_outline_splitlines,
 )
@@ -300,17 +298,6 @@ class TestParseCodeResponse:
 
 
 class TestSections:
-    def test_extract_section_last_wins(self):
-        text = "[PROBLEM]\nexample one\n\n[PROBLEM]\nreal one\n"
-        assert promptgen.extract_section(text, "PROBLEM") == "real one"
-
-    def test_extract_missing_section(self):
-        assert promptgen.extract_section("no sections here", "PROBLEM") is None
-
-    def test_fenced_section_without_a_fence_is_its_text(self):
-        text = "[PROBLEM]\nx\n[ORIGINAL SOLUTION]\nprint(1)\n\n[NOTE]\ny\n"
-        assert promptgen.extract_fenced_section(text, "ORIGINAL SOLUTION") == "print(1)"
-
     def test_echo_mot_outlines_each_def_line(self):
         # the mock's MoT answer outlines every def line of the solution, nested or not,
         # with its header as written, and ships the solution as the final code
@@ -322,6 +309,22 @@ class TestSections:
             ("read", "def read() -> int:"), ("area", "def area(self, w):")]
         assert {m.docstring for m in parsed.outline} == {"Helper used by the final solution."}
         assert parsed.final_code == solution
+
+    @pytest.mark.parametrize("build", [
+        build_mot_prompt,
+        build_clean_prompt,
+        lambda problem, program: build_reflection_prompt(problem, program, failing_verdict(), 1),
+    ], ids=["mot", "clean", "reflect"])
+    def test_echo_gives_back_a_program_with_section_like_lines(self, build):
+        # a column-0 "[N]" line looks like a prompt section header, but the echo
+        # answers from the program the prompt was built from, not from its text
+        program = "N = 2\n[N]\nprint(N)"
+        prompt = build(make_problem(), program + "\n")
+        response = promptgen.echo_response(prompt)
+        if prompt.tag is PromptTag.MOT:
+            assert parse_mot_response(response).final_code == program
+        else:
+            assert response == f"```python\n{program}\n```\n"
 
     def test_direct_prompt_has_statement(self):
         prompt = build_direct_prompt(make_problem(statement="THE-TASK"))
@@ -414,7 +417,6 @@ PIECES = (
     "def f(a):", "async def g(", "b):", "def h()", '    """Doc."""', '    """Doc', '    more."""',
     "    pass", "# note", "x = 1", "print(a)", "", " ", "\t", "\xa0", "é",
 )
-SECTIONS = ("PROBLEM", "ORIGINAL SOLUTION", "Problem", "", "PROBLEM]\n[ORIGINAL SOLUTION")
 
 
 def random_text(rng, separators):
@@ -473,8 +475,6 @@ class TestDifferentialOracle:
                 parse_mot_response_splitlines, text), text
             assert parse_outline(text) == parse_outline_splitlines(text), text
             parse_and_assess(text)
-            for name in SECTIONS:
-                assert extract_section(text, name) == extract_section_finditer(text, name), text
 
     def test_equal_on_the_grammar_skeleton_and_every_rule_is_reached(self):
         rng = random.Random(22)

@@ -229,21 +229,6 @@ PARITY_CASES = {
 }
 
 
-@pytest.fixture(scope="class", params=["buffered", "unbuffered"])
-def stdio_buffering(request):
-    """A harness whose own std streams are block-buffered, or unbuffered by
-    ``PYTHONUNBUFFERED=1``; its brokers and their runs get the same stdio either way."""
-    with pytest.MonkeyPatch.context() as mp:
-        if request.param == "unbuffered":
-            mp.setenv("PYTHONUNBUFFERED", "1")
-        else:
-            mp.delenv("PYTHONUNBUFFERED", raising=False)
-        sandbox._shutdown_brokers()  # brokers started from here on see this environment
-        yield request.param
-    sandbox._shutdown_brokers()
-
-
-@pytest.mark.usefixtures("stdio_buffering")
 class TestForkExecParity:
     """The fork server and a fresh interpreter per run judge programs alike."""
 
